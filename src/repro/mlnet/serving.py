@@ -180,7 +180,7 @@ class InferenceServer:
             self._busy_units += 1
             service = self._sample_service_ns()
             self.stats.busy_ns += service
-            self.sim.schedule(lambda j=job: self._finish(j), after=service)
+            self.sim.schedule(self._finish, job, after=service)
 
     def _sample_service_ns(self) -> int:
         sigma = self.service_time_ns * self.service_cv

@@ -11,6 +11,11 @@ from .queues import QueueDiscipline
 class Device:
     """Anything with ports: switches, hosts, programmable data planes."""
 
+    #: When true, links deliver each frame ``processing_delay_ns`` after it
+    #: arrives, with the arrival time on ``packet.arrival_ns``, so
+    #: :meth:`receive` does ingress and forwarding in one event.
+    folds_processing = False
+
     def __init__(self, sim: Simulator, name: str) -> None:
         self.sim = sim
         self.name = name

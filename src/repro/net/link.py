@@ -7,7 +7,10 @@ stages, as on real Ethernet:
 1. **Serialization** — the frame occupies the transmitting port for
    ``wire_size / bandwidth``; the port is busy and further frames queue.
 2. **Propagation** — after serialization the frame travels for the link's
-   propagation delay and is handed to the peer device.
+   propagation delay and is handed to the peer device.  A device with
+   ``folds_processing`` (a :class:`~repro.net.switch.Switch`) is handed the
+   frame ``processing_delay_ns`` later instead, so arrival and forwarding
+   cost one event; the arrival time rides on ``packet.arrival_ns``.
 
 Links can be administratively downed (failure injection) and can drop frames
 through a pluggable loss model — both are needed for the availability
@@ -156,7 +159,11 @@ class Port:
         self.try_transmit()
 
     def deliver(self, packet: Packet) -> None:
-        """Called by the link when a frame arrives at this port."""
+        """Called by the link when a frame arrives at this port.
+
+        For a ``folds_processing`` device this runs at arrival plus the
+        device's processing delay (see :meth:`Link.propagate`).
+        """
         self.rx_frames += 1
         self.rx_bytes += packet.wire_size_bytes
         self.device.receive(packet, self)
@@ -224,10 +231,12 @@ class Link:
             self.lost_frames += 1
             return
         destination = from_port._peer_port
-        self.sim.schedule(
-            lambda: destination.deliver(packet),
-            after=self.propagation_delay_ns,
-        )
+        device = destination.device
+        delay = self.propagation_delay_ns
+        if device.folds_processing:
+            packet.arrival_ns = self.sim.now + delay
+            delay += device.processing_delay_ns
+        self.sim.schedule(destination.deliver, packet, after=delay)
 
     def set_up(self) -> None:
         """Restore the link and restart any stalled transmissions."""

@@ -92,6 +92,9 @@ class Packet:
         Time the packet was created at its source.
     hops:
         Device names traversed, appended by the forwarding path.
+    arrival_ns:
+        When the frame last arrived at a switch, stamped by the link; the
+        switch processes it later (see ``Switch.receive``).
     frame_bytes, wire_size_bytes:
         Precomputed Ethernet frame accounting (see module docstring).
     """
@@ -107,6 +110,7 @@ class Packet:
         "packet_id",
         "hops",
         "sequence",
+        "arrival_ns",
         "pcp",
         "frame_bytes",
         "wire_size_bytes",
@@ -143,6 +147,7 @@ class Packet:
         self.packet_id = next(_packet_ids) if packet_id is None else packet_id
         self.hops = [] if hops is None else hops
         self.sequence = sequence
+        self.arrival_ns = 0
         self.pcp = traffic_class.value
         raw = payload_bytes + ETHERNET_OVERHEAD_BYTES + VLAN_TAG_BYTES
         frame = raw if raw >= MIN_FRAME_BYTES else MIN_FRAME_BYTES

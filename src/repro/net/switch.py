@@ -5,6 +5,13 @@ table (installed by :mod:`repro.net.routing`) or MAC-style learning with
 flooding.  A configurable processing latency models the store-and-forward
 pipeline (lookup + switching fabric), which for industrial switches is a
 documented per-hop cost.
+
+A hop costs two events: the upstream port's serialization and one
+arrival-plus-processing event, which the link schedules
+``propagation_delay_ns + processing_delay_ns`` after serialization ends.
+Ingress work (rx counters, taps, learning, INT stamps) therefore runs at
+arrival + processing, but sees the true arrival time via
+``packet.arrival_ns``.
 """
 
 from __future__ import annotations
@@ -21,6 +28,8 @@ from .queues import QueueDiscipline, StrictPriorityQueue
 
 class Switch(Device):
     """A learning switch with per-port strict-priority egress queues."""
+
+    folds_processing = True
 
     def __init__(
         self,
@@ -42,8 +51,9 @@ class Switch(Device):
         self.forwarded_frames = 0
         self.flooded_frames = 0
         self.filtered_frames = 0
-        #: observers called on every received frame (monitoring hooks)
-        self.taps: list[Callable[[Packet, Port], None]] = []
+        #: observers called as ``tap(packet, in_port, arrival_ns)`` on
+        #: every received frame (monitoring hooks)
+        self.taps: list[Callable[[Packet, Port, int], None]] = []
         registry = get_registry()
         self._m_forwarded = registry.counter(
             "net.switch.frames", switch=name, outcome="forwarded"
@@ -73,17 +83,19 @@ class Switch(Device):
         self.forwarding_table[destination] = port_index
 
     def receive(self, packet: Packet, in_port: Port) -> None:
-        """Learn, look up, and forward after the processing delay."""
+        """Learn, look up, and forward; runs once processing is done.
+
+        The link calls this ``processing_delay_ns`` after the frame arrived
+        at ``packet.arrival_ns``; ingress observers get that arrival time.
+        """
+        arrival_ns = packet.arrival_ns
         if self._tel is not None:
-            self._tel.on_ingress(packet)
+            self._tel.on_ingress(packet, arrival_ns)
         for tap in self.taps:
-            tap(packet, in_port)
+            tap(packet, in_port, arrival_ns)
         if self.learning_enabled and packet.src:
             self._learned[packet.src] = in_port.index
-        self.sim.schedule(
-            lambda: self._forward(packet, in_port),
-            after=self.processing_delay_ns,
-        )
+        self._forward(packet, in_port)
 
     def _forward(self, packet: Packet, in_port: Port) -> None:
         packet.hops.append(self.name)

@@ -62,12 +62,18 @@ class PacketTracer:
 
     # -- capture ---------------------------------------------------------------
 
-    def _record(self, point: str, direction: str, packet: Packet) -> None:
+    def _record(
+        self,
+        point: str,
+        direction: str,
+        packet: Packet,
+        time_ns: int | None = None,
+    ) -> None:
         if len(self.records) >= self.max_records:
             self.dropped_records += 1
             return
         record = TraceRecord(
-            time_ns=self.sim.now,
+            time_ns=self.sim.now if time_ns is None else time_ns,
             point=point,
             direction=direction,
             src=packet.src,
@@ -87,9 +93,11 @@ class PacketTracer:
             bucket.append(record)
 
     def attach_switch(self, switch: Switch) -> None:
-        """Observe every frame a switch receives."""
+        """Observe every frame a switch receives, at its arrival time."""
         switch.taps.append(
-            lambda packet, port: self._record(switch.name, "rx", packet)
+            lambda packet, port, arrival_ns: self._record(
+                switch.name, "rx", packet, arrival_ns
+            )
         )
 
     def attach_p4_switch(self, switch) -> None:

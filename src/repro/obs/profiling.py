@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 
-def callback_name(callback: Callable[[], Any]) -> str:
+def callback_name(callback: Callable[..., Any]) -> str:
     """Attribution key for one event callback."""
     bound_to = getattr(callback, "__self__", None)
     if bound_to is not None:
@@ -62,11 +62,11 @@ class Profiler:
         """Make ``sim``'s event loop route callbacks through this profiler."""
         sim._profiler = self
 
-    def run_event(self, callback: Callable[[], Any]) -> None:
-        """Execute ``callback`` and charge its wall time to its name."""
+    def run_event(self, callback: Callable[..., Any], *args: Any) -> None:
+        """Execute ``callback(*args)`` and charge its wall time to its name."""
         start = time.perf_counter_ns()
         try:
-            callback()
+            callback(*args)
         finally:
             elapsed = time.perf_counter_ns() - start
             slot = self._slots.get(callback_name(callback))

@@ -247,8 +247,8 @@ class SwitchProbe:
         self.hub = hub
         self.switch = switch
 
-    def on_ingress(self, packet: "Packet") -> None:
-        self.hub.stamp_ingress(packet, self.switch.name, self.switch.sim.now)
+    def on_ingress(self, packet: "Packet", arrival_ns: int) -> None:
+        self.hub.stamp_ingress(packet, self.switch.name, arrival_ns)
 
 
 class HostProbe:

@@ -97,7 +97,7 @@ class P4Switch(Device):
 
     def receive(self, packet: Packet, in_port: Port) -> None:
         if self._tel is not None:
-            self._tel.on_ingress(packet)
+            self._tel.on_ingress(packet, self.sim.now)
         for tap in self.ingress_taps:
             tap(packet, in_port.index)
         self.sim.schedule(

@@ -44,8 +44,16 @@ PRIORITY_HIGH = -10
 PRIORITY_LOW = 10
 
 
+#: ``Event.arg`` of an event whose callback takes no argument.
+NO_ARG: Any = object()
+
+
 class Event:
     """A scheduled callback, ordered by ``(time, priority, sequence)``.
+
+    Firing calls ``callback()``, or ``callback(arg)`` when ``arg`` is not
+    :data:`NO_ARG` — so hot paths schedule a bound method plus its one
+    argument instead of allocating a closure per event.
 
     Slotted and pooled: after an event fires, the scheduler may reuse the
     object for a later ``push``.  Holding an event reference keeps it out
@@ -54,19 +62,23 @@ class Event:
     is still pending.
     """
 
-    __slots__ = ("time", "priority", "sequence", "callback", "cancelled")
+    __slots__ = (
+        "time", "priority", "sequence", "callback", "arg", "cancelled",
+    )
 
     def __init__(
         self,
         time: int,
         priority: int,
         sequence: int,
-        callback: Callable[[], Any],
+        callback: Callable[..., Any],
+        arg: Any = NO_ARG,
     ) -> None:
         self.time = time
         self.priority = priority
         self.sequence = sequence
         self.callback = callback
+        self.arg = arg
         self.cancelled = False
 
     def __lt__(self, other: "Event") -> bool:
@@ -109,10 +121,11 @@ class Scheduler(Protocol):
     def push(
         self,
         time: int,
-        callback: Callable[[], Any],
+        callback: Callable[..., Any],
         priority: int = PRIORITY_NORMAL,
+        arg: Any = NO_ARG,
     ) -> Event:
-        """Schedule ``callback`` at absolute ``time`` and return the event."""
+        """Schedule ``callback`` (``callback(arg)`` if given) at ``time``."""
         ...
 
     def pop(self) -> Event:
@@ -139,7 +152,10 @@ class Scheduler(Protocol):
         ...
 
     def reclaim(self, event: Event) -> None:
-        """Offer a fired event back to the free pool (best effort)."""
+        """Offer a fired event back to the free pool (best effort).
+
+        A pooled event must drop its ``callback`` and ``arg`` references.
+        """
         ...
 
     def __len__(self) -> int:
@@ -183,7 +199,7 @@ class _PooledEvents:
         self._sequence = 0
 
     def _new_event(
-        self, time: int, callback: Callable[[], Any], priority: int
+        self, time: int, callback: Callable[..., Any], priority: int, arg: Any
     ) -> Event:
         sequence = self._sequence
         self._sequence = sequence + 1
@@ -194,15 +210,16 @@ class _PooledEvents:
             event.priority = priority
             event.sequence = sequence
             event.callback = callback
+            event.arg = arg
             event.cancelled = False
             return event
-        return Event(time, priority, sequence, callback)
+        return Event(time, priority, sequence, callback, arg)
 
     def reclaim(self, event: Event) -> None:
         """Pool ``event`` iff no outside reference keeps it alive."""
         if _getrefcount is None or _getrefcount(event) != _PRIVATE_REFS:
             return
-        event.callback = None
+        event.callback = event.arg = None
         if len(self._free) < _POOL_LIMIT:
             self._free.append(event)
 
@@ -227,13 +244,14 @@ class EventQueue(_PooledEvents):
     def push(
         self,
         time: int,
-        callback: Callable[[], Any],
+        callback: Callable[..., Any],
         priority: int = PRIORITY_NORMAL,
+        arg: Any = NO_ARG,
     ) -> Event:
         """Schedule ``callback`` at absolute ``time`` and return the event."""
         if time < 0:
             raise ValueError(f"event time must be non-negative, got {time}")
-        event = self._new_event(time, callback, priority)
+        event = self._new_event(time, callback, priority, arg)
         heapq.heappush(self._heap, event)
         if time <= self._drain_time:
             self.batch_dirty = True
@@ -358,8 +376,9 @@ class CalendarQueue(_PooledEvents):
     def push(
         self,
         time: int,
-        callback: Callable[[], Any],
+        callback: Callable[..., Any],
         priority: int = PRIORITY_NORMAL,
+        arg: Any = NO_ARG,
     ) -> Event:
         """Schedule ``callback`` at absolute ``time`` and return the event."""
         if time < 0:
@@ -374,9 +393,10 @@ class CalendarQueue(_PooledEvents):
             event.priority = priority
             event.sequence = sequence
             event.callback = callback
+            event.arg = arg
             event.cancelled = False
         else:
-            event = Event(time, priority, sequence, callback)
+            event = Event(time, priority, sequence, callback, arg)
         buckets = self._buckets
         entry = buckets.get(time)
         if entry is None:

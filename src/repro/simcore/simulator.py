@@ -6,7 +6,8 @@
 Components interact with it in two styles:
 
 1. **Callbacks** — ``sim.schedule(fn, after=delay)`` /
-   ``sim.schedule(fn, at=t)``.
+   ``sim.schedule(fn, at=t)``, or ``sim.schedule(fn, arg, ...)`` to call
+   ``fn(arg)`` without allocating a closure.
 2. **Processes** — generator coroutines driven by :class:`Process`, which
    ``yield`` delays (``int`` nanoseconds) or :class:`Signal` objects.
 
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import heapq
 import os
-import warnings
 from typing import Any, Callable, Generator, Iterable
 
 from ..obs import runtime as _obs
@@ -34,6 +34,7 @@ from .events import (
     CalendarQueue,
     DEFAULT_SCHEDULER,
     Event,
+    NO_ARG,
     PRIORITY_NORMAL,
     Scheduler,
     _Bucket,
@@ -44,15 +45,6 @@ from .events import (
 )
 from .rng import RandomStreams
 from .stats import SimStats, _register
-
-_LEGACY_SCHEDULE_MSG = (
-    "Simulator.schedule(delay, callback) is deprecated; use "
-    "sim.schedule(callback, after=delay, priority=...) instead"
-)
-_LEGACY_SCHEDULE_AT_MSG = (
-    "Simulator.schedule_at(time, callback) is deprecated; use "
-    "sim.schedule(callback, at=time, priority=...) instead"
-)
 
 
 def obs_trace_sink(time_ns: int, message: str) -> None:
@@ -88,7 +80,7 @@ class Signal:
         """Wake every waiting process at the current instant."""
         waiters, self._waiters = self._waiters, []
         for process in waiters:
-            self._sim.schedule(lambda p=process: p._resume(value))
+            self._sim.schedule(process._resume, value)
 
     def _register(self, process: "Process") -> None:
         self._waiters.append(process)
@@ -124,7 +116,7 @@ class Process:
 
     def start(self) -> "Process":
         """Schedule the first step at the current instant."""
-        self._pending_event = self._sim.schedule(lambda: self._resume(None))
+        self._pending_event = self._sim.schedule(self._resume, None)
         return self
 
     def stop(self) -> None:
@@ -153,16 +145,14 @@ class Process:
 
     def _dispatch(self, command: Any) -> None:
         if command is None:
-            self._pending_event = self._sim.schedule(
-                lambda: self._resume(None)
-            )
+            self._pending_event = self._sim.schedule(self._resume, None)
         elif isinstance(command, int):
             if command < 0:
                 raise SimulationError(
                     f"process {self.name} yielded negative delay {command}"
                 )
             self._pending_event = self._sim.schedule(
-                lambda: self._resume(None), after=command
+                self._resume, None, after=command
             )
         elif isinstance(command, Signal):
             command._register(self)
@@ -178,8 +168,8 @@ def _specialize_schedule(sim: "Simulator", queue: CalendarQueue):
     ``Simulator.__init__`` binds the result as an *instance* attribute when
     the default backend is in use, shadowing the generic method and
     removing one call boundary from the hottest path in the repo.  The
-    semantics — argument validation, deprecation shims, stats accounting,
-    and insertion order — are identical to :meth:`Simulator.schedule`
+    semantics — argument validation, stats accounting, and insertion
+    order — are identical to :meth:`Simulator.schedule`
     followed by :meth:`CalendarQueue.push`; the scheduler-equivalence
     property suite drives both forms.
     """
@@ -190,15 +180,16 @@ def _specialize_schedule(sim: "Simulator", queue: CalendarQueue):
     stats = sim.stats
 
     def schedule(
-        target: Callable[[], Any] | int,
-        *legacy: Any,
+        callback: Callable[..., Any],
+        arg: Any = NO_ARG,
+        /,
+        *,
         after: int | None = None,
         at: int | None = None,
         priority: int = PRIORITY_NORMAL,
-        callback: Callable[[], Any] | None = None,
     ) -> Event:
-        if legacy or callback is not None or not callable(target):
-            return sim._schedule_legacy(target, legacy, priority, callback)
+        if not callable(callback):
+            raise _not_callable(callback)
         now = sim._now
         if after is not None:
             if at is not None:
@@ -226,10 +217,11 @@ def _specialize_schedule(sim: "Simulator", queue: CalendarQueue):
             event.time = time
             event.priority = priority
             event.sequence = sequence
-            event.callback = target
+            event.callback = callback
+            event.arg = arg
             event.cancelled = False
         else:
-            event = Event(time, priority, sequence, target)
+            event = Event(time, priority, sequence, callback, arg)
         entry = buckets.get(time)
         if entry is None:
             buckets[time] = event
@@ -252,6 +244,13 @@ def _specialize_schedule(sim: "Simulator", queue: CalendarQueue):
 
     schedule.__doc__ = Simulator.schedule.__doc__
     return schedule
+
+
+def _not_callable(callback: Any) -> TypeError:
+    return TypeError(
+        f"schedule() needs a callable first argument, got {callback!r}; "
+        f"give the delay as schedule(fn, after=delay)"
+    )
 
 
 class Simulator:
@@ -305,14 +304,15 @@ class Simulator:
 
     def schedule(
         self,
-        target: Callable[[], Any] | int,
-        *legacy: Any,
+        callback: Callable[..., Any],
+        arg: Any = NO_ARG,
+        /,
+        *,
         after: int | None = None,
         at: int | None = None,
         priority: int = PRIORITY_NORMAL,
-        callback: Callable[[], Any] | None = None,
     ) -> Event:
-        """Schedule ``target`` (a zero-argument callable) and return its event.
+        """Schedule ``callback()`` or ``callback(arg)``; return its event.
 
         Exactly one of the keyword-only ``after`` (relative delay in ns)
         and ``at`` (absolute time in ns) selects the firing instant;
@@ -323,12 +323,14 @@ class Simulator:
             sim.schedule(fn, after=5 * MS)       # relative
             sim.schedule(fn, at=deadline_ns)     # absolute
             sim.schedule(fn, after=0, priority=PRIORITY_HIGH)
+            sim.schedule(port.deliver, packet, after=500)  # fn(arg)
 
-        The pre-redesign positional form ``sim.schedule(delay, fn)`` still
-        works but emits a :class:`DeprecationWarning`.
+        The optional positional ``arg`` lets hot paths schedule a bound
+        method and its one argument without allocating a closure.  A
+        first argument that is not callable raises :class:`TypeError`.
         """
-        if legacy or callback is not None or not callable(target):
-            return self._schedule_legacy(target, legacy, priority, callback)
+        if not callable(callback):
+            raise _not_callable(callback)
         if after is not None:
             if at is not None:
                 raise TypeError(
@@ -346,49 +348,7 @@ class Simulator:
         else:
             time = self._now
         self.stats.events_scheduled += 1
-        return self._push(time, target, priority)
-
-    def _schedule_legacy(
-        self,
-        delay: Any,
-        legacy: tuple[Any, ...],
-        priority: int,
-        callback: Callable[[], Any] | None,
-    ) -> Event:
-        """The deprecated ``schedule(delay, callback[, priority])`` form."""
-        warnings.warn(_LEGACY_SCHEDULE_MSG, DeprecationWarning, stacklevel=3)
-        if callback is None:
-            if not legacy:
-                raise TypeError("schedule() is missing a callback")
-            callback = legacy[0]
-        if len(legacy) > 1:
-            priority = legacy[1]
-        if not isinstance(delay, int):
-            raise TypeError(
-                f"schedule() expected a callable or an int delay, "
-                f"got {delay!r}"
-            )
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        self.stats.events_scheduled += 1
-        return self._push(self._now + delay, callback, priority)
-
-    def schedule_at(
-        self,
-        time: int,
-        callback: Callable[[], Any],
-        priority: int = PRIORITY_NORMAL,
-    ) -> Event:
-        """Deprecated: use ``sim.schedule(callback, at=time)`` instead."""
-        warnings.warn(
-            _LEGACY_SCHEDULE_AT_MSG, DeprecationWarning, stacklevel=2
-        )
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time}, current time is {self._now}"
-            )
-        self.stats.events_scheduled += 1
-        return self._push(time, callback, priority)
+        return self._push(time, callback, priority, arg)
 
     def process(
         self, generator: Generator[Any, Any, Any], name: str = ""
@@ -448,6 +408,7 @@ class Simulator:
         # foreign Scheduler (no ``_free``) falls back to its reclaim().
         grc = _getrefcount
         free = getattr(queue, "_free", None) if grc is not None else None
+        no_arg = NO_ARG
         executed = 0
         while True:
             batch = pop_batch(until)
@@ -462,12 +423,16 @@ class Simulator:
                 event = batch[0]
                 batch = None
                 if not event.cancelled:
-                    event.callback()
+                    arg = event.arg
+                    if arg is no_arg:
+                        event.callback()
+                    else:
+                        event.callback(arg)
                     executed += 1
                 if free is None:
                     reclaim(event)
                 elif grc(event) == _INLINE_REFS:
-                    event.callback = None
+                    event.callback = event.arg = None
                     if len(free) < _POOL_LIMIT:
                         free.append(event)
                 continue
@@ -480,8 +445,11 @@ class Simulator:
                     # Cancelled mid-batch by an earlier callback.
                     reclaim(event)
                     continue
-                callback = event.callback
-                callback()
+                arg = event.arg
+                if arg is no_arg:
+                    event.callback()
+                else:
+                    event.callback(arg)
                 executed += 1
                 reclaim(event)
                 if queue.batch_dirty and index < size:
@@ -512,6 +480,7 @@ class Simulator:
         reclaim = queue.reclaim
         heappop = heapq.heappop
         grc = _getrefcount
+        no_arg = NO_ARG
         executed = 0
         while times:
             time = times[0]
@@ -534,7 +503,11 @@ class Simulator:
                     if event.cancelled:
                         reclaim(event)
                         continue
-                    event.callback()
+                    arg = event.arg
+                    if arg is no_arg:
+                        event.callback()
+                    else:
+                        event.callback(arg)
                     executed += 1
                     reclaim(event)
                     if queue.batch_dirty and index < size:
@@ -548,12 +521,16 @@ class Simulator:
             queue._drain_time = time
             queue.batch_dirty = False
             self._now = time
-            entry.callback()
+            arg = entry.arg
+            if arg is no_arg:
+                entry.callback()
+            else:
+                entry.callback(arg)
             executed += 1
             # Inlined reclaim (see events._INLINE_REFS): pool the event
             # unless outside code still holds a reference to it.
             if grc(entry) == _INLINE_REFS:
-                entry.callback = None
+                entry.callback = entry.arg = None
                 if len(free) < _POOL_LIMIT:
                     free.append(entry)
         return executed
@@ -575,10 +552,7 @@ class Simulator:
                 event = queue.pop()
                 self._now = event.time
                 executed += 1
-                if profiler is None:
-                    event.callback()
-                else:
-                    profiler.run_event(event.callback)
+                _fire(event, profiler)
             if until is not None and until > self._now:
                 self._now = until
             span.set(
@@ -596,10 +570,7 @@ class Simulator:
         self._now = event.time
         self.stats.events_executed += 1
         self.stats.sim_time_ns = self._now
-        if self._profiler is None:
-            event.callback()
-        else:
-            self._profiler.run_event(event.callback)
+        _fire(event, self._profiler)
         return True
 
     @property
@@ -632,6 +603,16 @@ class Simulator:
                 hook(self._now, message)
         else:
             self.default_sink(self._now, message)
+
+
+def _fire(event: Event, profiler) -> None:
+    """Run one popped event, through ``profiler`` when one is attached."""
+    callback = event.callback
+    args = () if event.arg is NO_ARG else (event.arg,)
+    if profiler is None:
+        callback(*args)
+    else:
+        profiler.run_event(callback, *args)
 
 
 def every(

@@ -1,0 +1,163 @@
+"""Exact switch-ingress times and per-hop event counts.
+
+A switch hop is one arrival-plus-processing event: the link schedules it
+``propagation_delay_ns + processing_delay_ns`` after serialization ends,
+and every ingress observer (taps, the packet tracer, INT postcards)
+receives the true arrival time as a value.  These oracles pin both: the
+ingress stamps on an unloaded path are closed-form, and the kernel's
+event count per frame is fixed by the path length.
+"""
+
+from repro import obs
+from repro.net import PacketTracer, Topology
+from repro.obs.telemetry import TelemetryHub
+from repro.simcore import Simulator
+
+#: 20 B payload -> 84 wire bytes -> 672 ns at 1 Gbit/s.
+SERIALIZATION_NS = 672
+PROPAGATION_NS = 500
+PROCESSING_NS = 1_000
+#: When a frame sent by h0 at t=0 reaches ``sw`` on an unloaded path.
+SW_ARRIVAL_NS = SERIALIZATION_NS + PROPAGATION_NS
+
+
+def h0_sw_h1(sim):
+    """h0 -- sw -- h1 at 1 Gbit/s with 500 ns links and static routes."""
+    topo = Topology(sim)
+    h0, h1 = topo.add_host("h0"), topo.add_host("h1")
+    sw = topo.add_switch("sw", processing_delay_ns=PROCESSING_NS)
+    topo.connect(h0, sw, bandwidth_bps=1e9, propagation_delay_ns=PROPAGATION_NS)
+    topo.connect(sw, h1, bandwidth_bps=1e9, propagation_delay_ns=PROPAGATION_NS)
+    sw.install_route("h1", 1)
+    return topo, h0, sw, h1
+
+
+class TestIngressOracle:
+    def test_tracer_records_switch_arrival_time(self):
+        sim = Simulator()
+        topo, h0, sw, h1 = h0_sw_h1(sim)
+        tracer = PacketTracer(sim)
+        tracer.attach_topology(topo)
+        h0.send("h1", payload_bytes=20, flow_id="f")
+        sim.run()
+        (sw_rx,) = tracer.at_point("sw")
+        assert sw_rx.direction == "rx"
+        assert sw_rx.time_ns == SW_ARRIVAL_NS
+        (h1_rx,) = tracer.at_point("h1")
+        assert h1_rx.time_ns == (
+            SW_ARRIVAL_NS + PROCESSING_NS + SERIALIZATION_NS + PROPAGATION_NS
+        )
+
+    def test_postcard_ingress_stamp_and_hop_latency(self):
+        with obs.capture(
+            metrics=False, tracing=False, telemetry=TelemetryHub(interval=1)
+        ) as handle:
+            sim = Simulator()
+            _, h0, _, _ = h0_sw_h1(sim)
+            h0.send("h1", payload_bytes=20, flow_id="f")
+            sim.run()
+        (card,) = handle.telemetry.postcards
+        first, second = card["hops"]
+        assert (first["dev"], first["in_ns"], first["hop_ns"]) == ("h0", 0, 0)
+        assert second["dev"] == "sw"
+        assert second["in_ns"] == SW_ARRIVAL_NS
+        # Unloaded: a switch hop costs exactly its processing delay.
+        assert second["hop_ns"] == PROCESSING_NS
+        assert second["out_ns"] == SW_ARRIVAL_NS + PROCESSING_NS
+
+    def test_taps_receive_the_arrival_time(self):
+        sim = Simulator()
+        _, h0, sw, _ = h0_sw_h1(sim)
+        seen = []
+        sw.taps.append(
+            lambda packet, port, arrival_ns: seen.append(
+                (packet.src, port.index, arrival_ns, sim.now)
+            )
+        )
+        h0.send("h1", payload_bytes=20)
+        sim.run()
+        # The tap runs with the forwarding step but sees the arrival.
+        assert seen == [
+            ("h0", 0, SW_ARRIVAL_NS, SW_ARRIVAL_NS + PROCESSING_NS)
+        ]
+
+    def test_port_rx_counters_count_the_frame(self):
+        sim = Simulator()
+        _, h0, sw, _ = h0_sw_h1(sim)
+        h0.send("h1", payload_bytes=20)
+        sim.run()
+        assert (sw.ports[0].rx_frames, sw.ports[0].rx_bytes) == (1, 84)
+
+
+def line(sim, routes):
+    """h0, h2 -- sw0 -- sw1 -- h1; static routes only when ``routes``."""
+    topo = Topology(sim)
+    h0, h1, h2 = (topo.add_host(name) for name in ("h0", "h1", "h2"))
+    sw0, sw1 = topo.add_switch("sw0"), topo.add_switch("sw1")
+    topo.connect(h0, sw0)  # sw0[0]
+    topo.connect(sw0, sw1)  # sw0[1], sw1[0]
+    topo.connect(sw1, h1)  # sw1[1]
+    topo.connect(h2, sw0)  # sw0[2]
+    if routes:
+        sw0.install_route("h1", 1)
+        sw1.install_route("h1", 1)
+        sw1.install_route("h0", 0)
+        sw0.install_route("h0", 0)
+    return h0, h1, h2, sw0, sw1
+
+
+class TestEventCountGuard:
+    FRAMES = 25
+
+    def test_two_events_per_switch_hop(self):
+        sim = Simulator()
+        h0, h1, _, sw0, sw1 = line(sim, routes=True)
+        delivered = []
+        h1.on_receive(delivered.append)
+        for sequence in range(self.FRAMES):
+            h0.send("h1", payload_bytes=20, sequence=sequence)
+        sim.run()
+        assert len(delivered) == self.FRAMES
+        switch_hops = sw0.forwarded_frames + sw1.forwarded_frames
+        assert switch_hops == 2 * self.FRAMES
+        # Per frame: h0's serialization and h1's delivery, plus the
+        # arrival-and-forward and the egress serialization of each switch.
+        predicted = 2 * switch_hops + 2 * self.FRAMES
+        assert sim.stats.events_executed == predicted
+
+    def test_learning_counts(self):
+        sim = Simulator()
+        h0, h1, h2, sw0, sw1 = line(sim, routes=False)
+        # Unknown destinations flood; the replies and later frames are
+        # forwarded on learned entries; after sw0 forgets, a flood reaches
+        # sw1, which filters it because h2 was learned behind its ingress.
+        for host, dst in ((h0, "h1"), (h1, "h0"), (h0, "h1")):
+            for sequence in range(self.FRAMES):
+                host.send(dst, payload_bytes=20, sequence=sequence)
+            sim.run()
+        h2.send("h1", payload_bytes=20)
+        sim.run()
+        sw0.clear_learned()
+        h0.send("h2", payload_bytes=20)
+        sim.run()
+        counts = [
+            (sw.flooded_frames, sw.forwarded_frames, sw.filtered_frames)
+            for sw in (sw0, sw1)
+        ]
+        assert counts == [(26, 51, 0), (25, 51, 1)]
+
+    def test_learning_takes_effect_after_processing(self):
+        # Opposing bursts cross on the line.  A switch learns a source
+        # when it processes the frame, processing_delay_ns after arrival,
+        # so frames looked up inside that window still flood.
+        sim = Simulator()
+        h0, h1, _, sw0, sw1 = line(sim, routes=False)
+        for sequence in range(self.FRAMES):
+            h0.send("h1", payload_bytes=20, sequence=sequence)
+            h1.send("h0", payload_bytes=20, sequence=sequence)
+        sim.run()
+        counts = [
+            (sw.flooded_frames, sw.forwarded_frames, sw.filtered_frames)
+            for sw in (sw0, sw1)
+        ]
+        assert counts == [(4, 46, 0), (4, 46, 0)]

@@ -194,7 +194,9 @@ class TestSwitch:
     def test_taps_observe_ingress(self):
         sim, switch, (h0, h1, h2) = self.build()
         seen = []
-        switch.taps.append(lambda p, port: seen.append((p.src, port.index)))
+        switch.taps.append(
+            lambda p, port, arrival_ns: seen.append((p.src, port.index))
+        )
         h0.send("h1", payload_bytes=20)
         sim.run()
         assert seen == [("h0", 0)]

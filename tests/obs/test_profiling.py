@@ -60,6 +60,37 @@ class TestProfiler:
         (spot,) = profiler.hotspots()
         assert spot.calls == 2
 
+    def test_one_argument_events_reach_the_callback(self):
+        profiler = Profiler()
+        sim = Simulator()
+        profiler.attach(sim)
+        seen = []
+        sim.schedule(seen.append, "step", after=1)
+        sim.schedule(seen.append, "run", after=2)
+        assert sim.step()  # step() and the instrumented run loop
+        sim.run()
+        assert seen == ["step", "run"]
+        (spot,) = profiler.hotspots()
+        assert (spot.name, spot.calls) == ("list.append", 2)
+
+    def test_hop_path_hotspots_name_bound_methods(self):
+        from repro.net import Topology
+
+        profiler = Profiler()
+        sim = Simulator()
+        profiler.attach(sim)
+        topo = Topology(sim)
+        h0, h1 = topo.add_host("h0"), topo.add_host("h1")
+        sw = topo.add_switch("sw")
+        topo.connect(h0, sw)
+        topo.connect(sw, h1)
+        sw.install_route("h1", 1)
+        h0.send("h1", payload_bytes=20)
+        sim.run()
+        names = {spot.name: spot.calls for spot in profiler.hotspots()}
+        # Two switch-port events and two host-port events: no closures.
+        assert names == {"Port._finish_transmit": 2, "Port.deliver": 2}
+
     def test_unattached_simulator_pays_nothing(self):
         sim = Simulator()
         assert sim._profiler is None

@@ -5,7 +5,8 @@ must be *observationally identical* to the reference binary heap.  These
 properties drive both backends with the same randomized workloads and
 assert the pop streams match element-for-element on the documented total
 order ``(time, priority, sequence)`` — including under cancellation,
-interleaved pops, and batch draining.
+interleaved pops, and batch draining.  The workloads mix zero-argument
+events with one-argument ``fn(arg)`` events.
 """
 
 import random
@@ -13,7 +14,12 @@ import random
 import pytest
 
 from repro.simcore import MS, US, Simulator
-from repro.simcore.events import CalendarQueue, EventQueue, make_scheduler
+from repro.simcore.events import (
+    NO_ARG,
+    CalendarQueue,
+    EventQueue,
+    make_scheduler,
+)
 
 TRIALS = 20
 
@@ -43,6 +49,19 @@ def random_workload(rng, size=200):
     return ops
 
 
+def push(queue, time, priority, tag):
+    """Odd tags schedule ``fn(arg)``, even tags a zero-argument closure."""
+    if tag % 2:
+        return queue.push(time, callback=abs, priority=priority, arg=tag)
+    return queue.push(time, callback=lambda t=tag: t, priority=priority)
+
+
+def fire(event):
+    if event.arg is NO_ARG:
+        return event.callback()
+    return event.callback(event.arg)
+
+
 def drive(backend, ops):
     """Apply a workload; return the popped (time, priority, sequence, tag)s."""
     queue = backend()
@@ -51,9 +70,7 @@ def drive(backend, ops):
     for op in ops:
         if op[0] == "push":
             _, time, priority, tag = op
-            events[tag] = queue.push(
-                time, callback=lambda t=tag: t, priority=priority
-            )
+            events[tag] = push(queue, time, priority, tag)
         elif op[0] == "cancel":
             events[op[1]].cancel()
         else:
@@ -63,12 +80,12 @@ def drive(backend, ops):
                 popped.append(None)
             else:
                 popped.append(
-                    (event.time, event.priority, event.sequence, event.callback())
+                    (event.time, event.priority, event.sequence, fire(event))
                 )
     while queue:
         event = queue.pop()
         popped.append(
-            (event.time, event.priority, event.sequence, event.callback())
+            (event.time, event.priority, event.sequence, fire(event))
         )
     return popped
 
@@ -80,9 +97,7 @@ def drive_batched(backend, ops):
     for op in ops:
         if op[0] == "push":
             _, time, priority, tag = op
-            events[tag] = queue.push(
-                time, callback=lambda t=tag: t, priority=priority
-            )
+            events[tag] = push(queue, time, priority, tag)
         elif op[0] == "cancel":
             events[op[1]].cancel()
         else:
@@ -94,7 +109,7 @@ def drive_batched(backend, ops):
     while queue:
         for event in queue.pop_batch():
             popped.append(
-                (event.time, event.priority, event.sequence, event.callback())
+                (event.time, event.priority, event.sequence, fire(event))
             )
     return popped
 
@@ -124,16 +139,29 @@ class TestBackendEquivalence:
             def tick(tag, depth):
                 fired.append((sim.now, tag))
                 if depth > 0:
-                    # Same-instant and future reschedules, mixed priorities.
-                    sim.schedule(
-                        lambda: tick(tag * 10 + 1, depth - 1),
-                        after=rng.choice((0, 3 * US, 7 * US)),
-                        priority=rng.choice((-10, 0, 10)),
-                    )
+                    # Same-instant and future reschedules, mixed priorities,
+                    # alternating closures and one-argument events.
+                    after = rng.choice((0, 3 * US, 7 * US))
+                    priority = rng.choice((-10, 0, 10))
+                    child = (tag * 10 + 1, depth - 1)
+                    if depth % 2:
+                        sim.schedule(
+                            tick_arg, child, after=after, priority=priority
+                        )
+                    else:
+                        sim.schedule(
+                            lambda: tick(*child),
+                            after=after,
+                            priority=priority,
+                        )
+
+            def tick_arg(child):
+                tick(*child)
 
             for tag in range(12):
                 sim.schedule(
-                    lambda t=tag: tick(t, 4),
+                    tick_arg,
+                    (tag, 4),
                     at=rng.randrange(0, 2 * MS),
                     priority=rng.choice((-10, 0, 10)),
                 )

@@ -1,10 +1,15 @@
-"""The redesigned keyword-only scheduling API and its deprecation shims.
+"""The scheduling API: ``sim.schedule(fn[, arg], *, after/at/priority)``.
 
-``sim.schedule(fn, *, after=..., at=..., priority=...)`` is the one
-scheduling entry point; the pre-redesign positional forms
-(``schedule(delay, fn)`` and ``schedule_at(time, fn)``) must keep
-working — warning — until out-of-tree callers migrate.
+``schedule`` is the one scheduling entry point.  Its optional positional
+``arg`` makes the event call ``fn(arg)``, so hot paths schedule a bound
+method without a per-event closure.  The pre-redesign positional forms
+``schedule(delay, fn)`` and ``schedule_at(time, fn)`` are gone.  Every
+test runs on both backends: the default calendar queue uses a
+specialized ``schedule`` closure, the heap the generic method.
 """
+
+import gc
+import weakref
 
 import pytest
 
@@ -81,50 +86,72 @@ class TestKeywordApi:
         assert not [w for w in recwarn if w.category is DeprecationWarning]
 
 
-class TestDeprecatedShims:
-    def test_legacy_schedule_warns_and_delegates(self):
-        sim = Simulator()
+BACKENDS = ("calendar", "heap")
+
+
+class TestRemovedShims:
+    def test_positional_delay_form_raises(self):
+        for backend in BACKENDS:
+            sim = Simulator(scheduler=backend)
+            with pytest.raises(TypeError, match="after=delay"):
+                sim.schedule(3 * US, lambda: None)
+            assert sim.stats.events_scheduled == 0
+
+    def test_schedule_at_is_gone(self):
+        assert not hasattr(Simulator, "schedule_at")
+
+    def test_callback_keyword_is_rejected(self):
+        for backend in BACKENDS:
+            sim = Simulator(scheduler=backend)
+            with pytest.raises(TypeError):
+                sim.schedule(callback=lambda: None, after=1)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestOneArgument:
+    def test_argument_is_delivered(self, backend):
+        sim = Simulator(scheduler=backend)
         fired = []
-        with pytest.warns(DeprecationWarning, match="after=delay"):
-            sim.schedule(3 * US, lambda: fired.append(sim.now))
+        sim.schedule(fired.append, "a", after=2 * US)
+        sim.schedule(fired.append, "b", at=1 * US)
+        sim.schedule(lambda: fired.append("none"), after=1 * US)
         sim.run()
-        assert fired == [3 * US]
+        assert fired == ["b", "none", "a"]
 
-    def test_legacy_schedule_with_positional_priority(self):
-        sim = Simulator()
-        order = []
-        with pytest.warns(DeprecationWarning):
-            sim.schedule(1 * US, lambda: order.append("low"), PRIORITY_LOW)
-            sim.schedule(1 * US, lambda: order.append("high"), PRIORITY_HIGH)
-        sim.run()
-        assert order == ["high", "low"]
-
-    def test_legacy_schedule_negative_delay_still_raises(self):
-        sim = Simulator()
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(SimulationError):
-                sim.schedule(-1, lambda: None)
-
-    def test_legacy_schedule_at_warns_and_delegates(self):
-        sim = Simulator()
+    def test_none_is_a_real_argument(self, backend):
+        sim = Simulator(scheduler=backend)
         fired = []
-        with pytest.warns(DeprecationWarning, match="at=time"):
-            sim.schedule_at(4 * US, lambda: fired.append(sim.now))
+        sim.schedule(fired.append, None)
         sim.run()
-        assert fired == [4 * US]
+        assert fired == [None]
 
-    def test_legacy_schedule_at_past_still_raises(self):
-        sim = Simulator()
-        sim.schedule(lambda: None, after=10 * US)
+    def test_cancel_still_works(self, backend):
+        sim = Simulator(scheduler=backend)
+        fired = []
+        handle = sim.schedule(fired.append, "no", after=1 * US)
+        sim.schedule(fired.append, "yes", after=1 * US)
+        handle.cancel()
         sim.run()
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(SimulationError):
-                sim.schedule_at(5 * US, lambda: None)
-
-    def test_legacy_events_count_in_stats(self):
-        sim = Simulator()
-        with pytest.warns(DeprecationWarning):
-            sim.schedule(1 * US, lambda: None)
-        sim.run()
-        assert sim.stats.events_scheduled == 1
+        assert fired == ["yes"]
         assert sim.stats.events_executed == 1
+
+    def test_fired_event_drops_its_argument(self, backend):
+        class Payload:
+            pass
+
+        sim = Simulator(scheduler=backend)
+        payload = Payload()
+        ref = weakref.ref(payload)
+        for delay in (1, 1, 2):  # a batched instant and a singleton
+            sim.schedule(lambda _: None, payload, after=delay)
+        del payload
+        sim.run()
+        gc.collect()
+        assert ref() is None
+
+    def test_step_passes_the_argument(self, backend):
+        sim = Simulator(scheduler=backend)
+        fired = []
+        sim.schedule(fired.append, 7, after=1)
+        assert sim.step()
+        assert fired == [7]
