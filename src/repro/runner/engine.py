@@ -15,9 +15,10 @@ Execution is fault tolerant (see :mod:`repro.runner.supervisor`): a
 raising figure, a hung job, or a dying worker process becomes a
 ``failed``/``timeout`` :class:`~repro.runner.manifest.JobRecord` instead
 of aborting the sweep, bounded retries rerun failed cells after a
-deterministic backoff, the manifest can be checkpointed after every
-completed job, and ``resume_from=`` skips cells an earlier (possibly
-interrupted or degraded) run already completed.
+deterministic backoff, the manifest can be checkpointed once for all
+cache hits and then after every computed job, and ``resume_from=``
+skips cells an earlier (possibly interrupted or degraded) run already
+completed.
 """
 
 from __future__ import annotations
@@ -466,11 +467,12 @@ def run_jobs(
     same payload, so simulation seeds and results are never perturbed.
 
     **Checkpoint/resume:** ``checkpoint`` names a manifest file flushed
-    atomically after *every* completed job, so an interrupted sweep loses
-    at most the in-flight work.  ``resume_from`` takes a manifest (object
-    or path) from an earlier run and skips every cell it already
-    completed, re-serving its rows from ``cache`` — cells whose rows are
-    not cached are recomputed, and failed cells always rerun.
+    atomically once for all cache hits, then after every computed job,
+    so an interrupted sweep loses at most the in-flight work.
+    ``resume_from`` takes a manifest (object or path) from an earlier run
+    and skips every cell it already completed, re-serving its rows from
+    ``cache`` — cells whose rows are not cached are recomputed, and
+    failed cells always rerun.
 
     ``trace_dir`` enables span tracing per job and writes one Chrome
     trace-event file (plus a JSONL twin) per computed job into it.
@@ -582,13 +584,16 @@ def run_jobs(
                 dur_s=time.perf_counter() - flush_start,
             )
 
+    def _report(index: int, record: JobRecord) -> None:
+        if status is not None:
+            status.job_finished(index, record)
+        if progress is not None:
+            progress(record)
+
     def _complete(index: int, outcome: JobOutcome) -> None:
         outcomes[index] = outcome
         _flush_checkpoint()
-        if status is not None:
-            status.job_finished(index, outcome.record)
-        if progress is not None:
-            progress(outcome.record)
+        _report(index, outcome.record)
 
     pending: list[
         tuple[
@@ -596,6 +601,7 @@ def run_jobs(
             str | None, int, str, str | None, int,
         ]
     ] = []
+    hits: list[int] = []
     for index, (job, key) in enumerate(zip(jobs, keys)):
         rows = None
         hit_start = time.perf_counter()
@@ -629,7 +635,8 @@ def run_jobs(
             )
             if recorder is not None:
                 recorder.cache_hit(index, job.figure, job.seed, hit_wall)
-            _complete(index, JobOutcome(job=job, rows=rows, record=record))
+            outcomes[index] = JobOutcome(job=job, rows=rows, record=record)
+            hits.append(index)
         else:
             payload = (
                 index, job.figure, job.seed, job.params, trace_dir,
@@ -642,6 +649,13 @@ def run_jobs(
                 )
                 payload = payload + (recorder.span_context(index),)
             pending.append(payload)
+    if hits:
+        # One checkpoint covers every cache hit.  It is written before
+        # any hit is reported, so whatever progress/status announce is
+        # already on disk.
+        _flush_checkpoint()
+        for index in hits:
+            _report(index, outcomes[index].record)
 
     def _finish(index: int, result: dict[str, Any]) -> None:
         job = jobs[index]
@@ -787,7 +801,8 @@ def run_jobs(
         records=[outcome.record for outcome in done],
     )
     result = SweepResult(outcomes=done, manifest=manifest)
-    if checkpoint is not None:
+    if pending or not hits:
+        # An all-hit sweep's checkpoint is already final.
         _flush_checkpoint()
     if status is not None:
         status.finalize()

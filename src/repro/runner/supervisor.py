@@ -33,9 +33,7 @@ As of PR-8 the execution loops live behind the
 to :class:`~repro.runner.backends.LocalPoolBackend`, sequential
 execution to :class:`~repro.runner.backends.SerialBackend`.  This module
 keeps the vocabulary every backend shares — statuses,
-:class:`RetryPolicy`, :class:`Task`, :func:`guard` — plus
-:func:`run_inline`/:func:`run_supervised` as thin compatibility
-delegates.
+:class:`RetryPolicy`, :class:`Task`, :func:`guard`.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ import hashlib
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 #: Obs counter incremented (with a ``figure`` label) on every retry.
 RETRIES_COUNTER = "chaos.runner.retries"
@@ -122,57 +120,3 @@ def guard(compute: Callable[[Any], tuple[int, dict]], payload: Any):
             "wall_time_s": time.perf_counter() - start,
         }
 
-
-def run_inline(
-    tasks: Sequence[Task],
-    compute: Callable[[Any], tuple[int, dict]],
-    policy: RetryPolicy,
-    finish: Callable[[int, dict], None],
-    on_event: Callable[[str, Task], None] | None = None,
-) -> None:
-    """Sequential in-process execution (compatibility delegate).
-
-    Now a thin wrapper over
-    :class:`~repro.runner.backends.SerialBackend`; used for
-    single-worker / single-job sweeps where pool overhead is not worth
-    paying.  Exceptions are isolated and retried exactly like the pool
-    path.  Timeouts are enforced *post hoc* (the attempt runs to
-    completion, then is recorded as a timeout) — preemptive enforcement
-    needs process isolation, i.e. :func:`run_supervised`.
-
-    ``on_event`` (shared with :func:`run_supervised`) receives
-    ``("start", task)`` before every execution and ``("retry", task)``
-    when a failed attempt is rescheduled — the hook live sweep telemetry
-    (:class:`repro.obs.status.SweepStatus`) hangs off.  It runs in the
-    supervising process only and never touches job payloads or results.
-    """
-    from .backends.serial import SerialBackend
-
-    SerialBackend().run(tasks, compute, policy, finish, on_event=on_event)
-
-
-def run_supervised(
-    tasks: Sequence[Task],
-    compute: Callable[[Any], tuple[int, dict]],
-    workers: int,
-    policy: RetryPolicy,
-    finish: Callable[[int, dict], None],
-    on_event: Callable[[str, Task], None] | None = None,
-) -> None:
-    """Run ``tasks`` over a supervised pool (compatibility delegate).
-
-    Now a thin wrapper over
-    :class:`~repro.runner.backends.LocalPoolBackend`, which carries the
-    supervision loop — broken-pool detection, quarantine-based guilt
-    attribution, timeout teardown with uncharged bystander resubmission —
-    unchanged.  Calls ``finish(index, result)`` exactly once per task, in
-    completion order; ``result`` is either the worker's success dict or a
-    failure dict carrying ``status`` (``"failed"``/``"timeout"``),
-    ``error``, ``traceback`` (when available), ``wall_time_s``, and
-    ``attempts``.
-    """
-    from .backends.local_pool import LocalPoolBackend
-
-    LocalPoolBackend(workers=workers).run(
-        tasks, compute, policy, finish, on_event=on_event
-    )

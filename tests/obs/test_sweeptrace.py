@@ -292,6 +292,37 @@ class TestSerialSweepTracing:
             tl.wall_s, abs=1e-6
         )
 
+    @pytest.mark.parametrize(
+        "cached, run, done",
+        [
+            (3, 3, [3]),  # all hits: one flush
+            (2, 5, [2, 3, 4, 5, 5]),  # hits, each computed job, the end
+            (0, 3, [1, 2, 3, 3]),  # cold: each computed job, the end
+            (0, 0, [0]),  # empty sweep: the end
+        ],
+        ids=["all-hit", "mixed", "cold", "empty"],
+    )
+    def test_checkpoint_events_per_sweep(self, tmp_path, cached, run, done):
+        cache = ResultCache(tmp_path / "cache")
+        events_path = tmp_path / EVENTS_FILENAME
+        with registered(STEADY):
+            jobs = [make_job("test-steady", seed=s) for s in range(run)]
+            run_jobs(jobs[:cached], backend=SerialBackend(), cache=cache)
+            run_jobs(
+                jobs, backend=SerialBackend(), cache=cache,
+                checkpoint=tmp_path / "manifest.json",
+                sweeptrace=events_path,
+            )
+        events = load_events(events_path)
+        kinds = [e["ev"] for e in events]
+        assert kinds.count("cache_hit") == cached
+        assert [e["done"] for e in events if e["ev"] == "checkpoint"] == done
+        if cached:
+            # the hits' one flush follows every hit, before any compute
+            first = kinds.index("checkpoint")
+            assert "cache_hit" not in kinds[first:]
+            assert "attempt_start" not in kinds[:first]
+
     def test_retry_sweep_traces_failed_attempts(self, tmp_path):
         marker = tmp_path / "attempted"
         events_path = tmp_path / EVENTS_FILENAME

@@ -184,26 +184,64 @@ class TestBackoffDeterminism:
 
 
 class TestCheckpointResume:
-    def test_checkpoint_flushed_after_every_job(self, tmp_path):
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_checkpoint_flushed_after_every_job(self, tmp_path, warm):
+        cache = ResultCache(tmp_path / "cache")
         checkpoint = tmp_path / "manifest.json"
+        reported: list[str] = []
         seen: list[int] = []
 
         def watch(record):
-            # the checkpoint on disk always covers the completed jobs
-            manifest = RunManifest.load(checkpoint)
-            seen.append(len(manifest.records))
+            # the checkpoint on disk covers every record reported so far
+            reported.append(record.key)
+            on_disk = {r.key for r in RunManifest.load(checkpoint).records}
+            assert set(reported) <= on_disk
+            seen.append(len(on_disk))
 
         with registered(STEADY):
-            run_jobs(
-                [make_job("test-steady", seed=s) for s in range(3)],
+            jobs = [make_job("test-steady", seed=s) for s in range(3)]
+            if warm:
+                run_jobs(jobs, workers=1, cache=cache)
+            result = run_jobs(
+                jobs,
                 workers=1,
+                cache=cache,
                 progress=watch,
                 checkpoint=checkpoint,
             )
-        assert seen == [1, 2, 3]
+        # cache hits share one flush; computed jobs flush one by one
+        assert seen == ([3, 3, 3] if warm else [1, 2, 3])
+        assert all(r.cached == warm for r in result.manifest.records)
         final = RunManifest.load(checkpoint)
-        assert len(final.records) == 3
+        expected = RunManifest.from_json(result.manifest.to_json())
+        assert final.records == expected.records
         assert json.loads(checkpoint.read_text())["schema"] == MANIFEST_SCHEMA
+
+    def test_resume_into_its_own_checkpoint_survives_interrupt(
+        self, tmp_path
+    ):
+        # ``repro all --resume results/manifest.json`` resumes from and
+        # checkpoints to the same file: an interrupt while serving cache
+        # hits must not shrink it to the hits reported so far.
+        cache = ResultCache(tmp_path / "cache")
+        checkpoint = tmp_path / "manifest.json"
+
+        def interrupt(record):
+            raise KeyboardInterrupt
+
+        with registered(STEADY):
+            jobs = [make_job("test-steady", seed=s) for s in range(3)]
+            run_jobs(jobs, workers=1, cache=cache, checkpoint=checkpoint)
+            with pytest.raises(KeyboardInterrupt):
+                run_jobs(
+                    jobs,
+                    workers=1,
+                    cache=cache,
+                    progress=interrupt,
+                    resume_from=checkpoint,
+                    checkpoint=checkpoint,
+                )
+        assert len(RunManifest.load(checkpoint).records) == 3
 
     def test_resume_skips_ok_cells_and_reruns_failed(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
