@@ -3,67 +3,9 @@
 Every benchmark regenerates one of the paper's figures (or a stated
 numeric claim), prints the same rows/series the paper reports, and asserts
 the figure's qualitative *shape* so a regression fails the suite.
-
-**Bench recording hook:** when the ``REPRO_BENCH_OUT`` environment
-variable names a file, this conftest records the call-phase wall time of
-every passing test and writes them all as one JSON samples document at
-session end::
-
-    {"schema": "repro.obs/bench-samples/v1",
-     "samples": [{"name": "<nodeid>", "value_s": 1.284,
-                  "unit": "s", "rounds": 1}]}
-
-``repro bench record`` drives pytest with that variable set, converts the
-samples into a ``BENCH_<date>.json`` report (schema
-``repro.obs/bench/v1``, see :mod:`repro.obs.history`), and appends it to
-the append-only bench history that ``repro bench compare`` judges
-regressions against.  The hook is stdlib-only and dormant unless the
-variable is set, so plain ``pytest benchmarks`` runs are unaffected.
 """
 
 from __future__ import annotations
-
-import json
-import os
-from pathlib import Path
-
-#: Environment variable naming the samples output file.
-BENCH_OUT_ENV = "REPRO_BENCH_OUT"
-
-SAMPLES_SCHEMA = "repro.obs/bench-samples/v1"
-
-_samples: list[dict] = []
-
-
-def pytest_runtest_logreport(report) -> None:
-    """Record the call-phase duration of every passing test."""
-    if os.environ.get(BENCH_OUT_ENV) and report.when == "call" and report.passed:
-        _samples.append(
-            {
-                "name": report.nodeid,
-                "value_s": round(report.duration, 6),
-                "unit": "s",
-                "rounds": 1,
-            }
-        )
-
-
-def pytest_sessionfinish(session) -> None:
-    """Flush the collected samples once, at session end."""
-    target = os.environ.get(BENCH_OUT_ENV)
-    if not target or not _samples:
-        return
-    path = Path(target)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(
-            {"schema": SAMPLES_SCHEMA, "samples": sorted(
-                _samples, key=lambda s: s["name"]
-            )},
-            indent=2,
-        )
-        + "\n"
-    )
 
 
 def print_table(title: str, header: list[str], rows: list[list[str]]) -> None:

@@ -1,0 +1,178 @@
+"""E-offpath — what each opt-in observability plane costs when it is on.
+
+Four planes observe a run and are off by default: **capture** (metrics +
+tracing, ``obs.capture()``), **profile** (``obs.capture(profile=True)``,
+two clock reads per event), **telemetry** (INT-style postcards and
+rings) and **sweeptrace** (the sweep lifecycle event stream).  Off, each
+is structurally null: no capture scope means null registries and
+tracers, components cache a ``None`` telemetry probe, and the engine
+builds no sweep-trace recorder.  Any cost the off path did add would
+show as ``wall_s`` on the ``fig6-heavy`` and ``sweep-cold`` workloads of
+the benchmark of record (``perf/``), which is where wall-time
+regressions are judged.
+
+This benchmark times each plane *on* against its own *off* run, on the
+workload whose cost it adds to:
+
+- capture, profile — a 200k-event timer chain (the event loop);
+- telemetry — one fig6 point, leaf-spine, 64 clients, 400 ms (the
+  per-hop network model);
+- sweeptrace — a serial 4 x ``fig4-delay`` sweep (the sweep control
+  plane, whose cost scales with lifecycle events, not kernel weight).
+
+It asserts that turning a plane on never changes the output, and that
+each on/off wall ratio stays under a loose hard bound that only a real
+per-event regression reaches, even on a noisy shared runner.  Design
+targets are reported as warnings, never failures.
+"""
+
+import time
+import warnings
+
+from conftest import print_table
+
+from repro import obs
+from repro.mlnet import OBJECT_IDENTIFICATION, run_point
+from repro.obs.sweeptrace import build_timeline, load_events
+from repro.runner import SerialBackend, make_job, run_jobs
+from repro.simcore import Simulator
+from repro.simcore.units import MS
+
+#: Timer chain: large enough to dominate setup, well under a second.
+EVENTS = 200_000
+#: One mid-scale fig6 point.
+CLIENTS = 64
+TOPOLOGY = "leaf-spine"
+DURATION_NS = 400 * MS
+#: Enough sweep jobs for per-job lifecycle overhead to show.
+SEEDS = 4
+CYCLES = 200
+ROUNDS = 3
+
+#: Hard bound on each plane's on/off wall ratio.
+HARD_RATIO = {
+    "capture": 3.0, "profile": 15.0, "telemetry": 4.0, "sweeptrace": 3.0,
+}
+#: Design target per plane, warned about (not failed) when exceeded.
+TARGET_RATIO = {
+    "capture": 1.5, "profile": 10.0, "telemetry": 2.0, "sweeptrace": 1.5,
+}
+
+
+def _timer_chain() -> int:
+    """Drain ``EVENTS`` self-rescheduling callbacks through one simulator."""
+    sim = Simulator()
+    remaining = [EVENTS]
+
+    def tick() -> None:
+        remaining[0] -= 1
+        if remaining[0]:
+            sim.schedule(tick, after=1)
+
+    sim.schedule(tick, after=1)
+    sim.run()
+    return sim.stats.events_executed
+
+
+def _fig6() -> tuple:
+    point = run_point(
+        OBJECT_IDENTIFICATION, TOPOLOGY, CLIENTS,
+        duration_ns=DURATION_NS, seed=0,
+    )
+    return point.mean_latency_ms, point.p99_latency_ms, point.frames_measured
+
+
+def _sweep(sweeptrace=None) -> list[str]:
+    result = run_jobs(
+        [
+            make_job("fig4-delay", seed=seed, params={"cycles": CYCLES})
+            for seed in range(SEEDS)
+        ],
+        backend=SerialBackend(),
+        sweeptrace=sweeptrace,
+    )
+    return [outcome.rows.to_csv() for outcome in result.outcomes]
+
+
+#: Off-mode workloads, one table column each.
+WORKLOADS = {"timer chain": _timer_chain, "fig6": _fig6, "sweep": _sweep}
+
+
+def _capture() -> int:
+    with obs.capture():
+        return _timer_chain()
+
+
+def _profile() -> int:
+    with obs.capture(profile=True) as cap:
+        events = _timer_chain()
+    assert sum(s.calls for s in cap.profiler.hotspots()) == EVENTS
+    return events
+
+
+def _telemetry() -> tuple:
+    with obs.capture(metrics=False, tracing=False, telemetry=True) as cap:
+        point = _fig6()
+    assert cap.telemetry.packets_sampled > 0
+    return point
+
+
+def _best_of(fn):
+    best, result = float("inf"), None
+    for _ in range(ROUNDS):
+        t0 = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - t0)
+    return best, result
+
+
+def test_bench_offpath(benchmark, tmp_path):
+    events_path = tmp_path / "sweep.events.jsonl"
+    planes = {
+        "capture": ("timer chain", _capture),
+        "profile": ("timer chain", _profile),
+        "telemetry": ("fig6", _telemetry),
+        "sweeptrace": ("sweep", lambda: _sweep(sweeptrace=events_path)),
+    }
+    off = benchmark.pedantic(
+        lambda: {name: _best_of(fn) for name, fn in WORKLOADS.items()},
+        rounds=1, iterations=1,
+    )
+    assert off["timer chain"][1] == EVENTS
+
+    rows = [["off", *(f"{off[w][0] * 1e3:.0f}" for w in WORKLOADS), "1.00x"]]
+    ratios = {}
+    for plane, (workload, fn) in planes.items():
+        on_s, on_out = _best_of(fn)
+        off_s, off_out = off[workload]
+        # The plane observes without perturbing: same seed, same output.
+        assert on_out == off_out, f"{plane} changed the {workload} output"
+        ratios[plane] = on_s / off_s
+        rows.append([
+            plane,
+            *(f"{on_s * 1e3:.0f}" if w == workload else "-"
+              for w in WORKLOADS),
+            f"{ratios[plane]:.2f}x",
+        ])
+    print_table(
+        f"Off-path planes — wall ms per workload (best of {ROUNDS})",
+        ["config", *WORKLOADS, "vs off"],
+        rows,
+    )
+
+    # The traced sweep recorded a full event stream.
+    events = load_events(events_path)
+    assert events[0]["ev"] == "sweep_start"
+    assert events[-1]["ev"] == "sweep_end"
+    assert len(build_timeline(events).attempts) == SEEDS
+
+    for plane, ratio in ratios.items():
+        if ratio >= TARGET_RATIO[plane]:
+            warnings.warn(
+                f"{plane}/off ratio {ratio:.2f}x exceeds the "
+                f"{TARGET_RATIO[plane]:.1f}x design target (non-blocking; "
+                f"hard bound {HARD_RATIO[plane]:.1f}x)",
+                stacklevel=1,
+            )
+    over = {p: r for p, r in ratios.items() if r >= HARD_RATIO[p]}
+    assert not over, f"on/off ratios over their hard bound: {over}"

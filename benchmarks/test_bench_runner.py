@@ -20,13 +20,13 @@ from conftest import print_table
 from repro.runner import ResultCache, expand_grid, run_jobs
 
 #: A sweep sized to dominate pool startup (~4 s serial on one core).
-SWEEP_FIGURES = ["fig1", "fig4-delay", "fig4-jitter", "fig5"]
+SWEEP_FIGS = ["fig1", "fig4-delay", "fig4-jitter", "fig5"]
 SWEEP_SEEDS = [0, 1]
 SWEEP_GRID = {"cycles": [200]}
 
 
 def _sweep(workers, cache=None):
-    jobs = expand_grid(SWEEP_FIGURES, seeds=SWEEP_SEEDS, grid=SWEEP_GRID)
+    jobs = expand_grid(SWEEP_FIGS, seeds=SWEEP_SEEDS, grid=SWEEP_GRID)
     return run_jobs(jobs, workers=workers, cache=cache)
 
 

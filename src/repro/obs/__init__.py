@@ -18,13 +18,11 @@ experiment runner activates a capture per job when asked
 (``repro sweep --profile --trace-out DIR``) and embeds the snapshots in the
 run manifest; ``repro obs manifest.json`` renders them back.
 
-Three cross-run companions build on the per-run layer (imported lazily —
+Two cross-run companions build on the per-run layer (imported lazily —
 ``repro.obs.<name>`` — so the in-run hot path pays nothing for them):
 
 - :mod:`repro.obs.report` — aggregate one finished run's manifest, rows,
   metrics, and verdicts into self-contained HTML + markdown reports.
-- :mod:`repro.obs.history` — the append-only bench history store with
-  MAD-banded regression detection (``repro bench record/compare``).
 - :mod:`repro.obs.status` — the live ``status.json`` heartbeat a running
   sweep maintains for ``repro obs tail --follow``.
 """
@@ -62,7 +60,7 @@ from .telemetry import (
 from .tracing import NULL_TRACER, NullTracer, SIM_TRACK, Span, Tracer
 
 #: Cross-run submodules resolved on first attribute access.
-_LAZY_SUBMODULES = ("history", "report", "status", "sweeptrace")
+_LAZY_SUBMODULES = ("report", "status", "sweeptrace")
 
 
 def __getattr__(name: str):

@@ -1,7 +1,7 @@
 """In-band telemetry for the *simulated* network.
 
-The rest of ``repro.obs`` watches the harness — jobs, traces, bench
-history.  This module watches the fabric itself, with three instruments
+The rest of ``repro.obs`` watches the harness — jobs, traces, sweep
+status.  This module watches the fabric itself, with three instruments
 modeled on data-center streaming telemetry practice (the paper's thesis
 applied to our own simulator):
 

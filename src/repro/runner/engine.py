@@ -314,18 +314,12 @@ def _compute(
     as content-addressed JSONL chunks (see :mod:`.rowstream`) and the
     result references them (``row_chunks``/``rows_count``) instead of
     carrying the rows inline — the supervising process never holds them.
-
-    Accepts the pre-streaming 8-tuple payload too (no key/stream fields),
-    so externally recorded payloads keep replaying.
     """
-    (index, figure, seed, params, trace_dir, profile,
-     telemetry_dir, telemetry_interval) = payload[:8]
-    key = payload[8] if len(payload) > 8 else None
-    stream_root = payload[9] if len(payload) > 9 else None
-    chunk_rows = payload[10] if len(payload) > 10 else DEFAULT_CHUNK_ROWS
-    # Sweep-trace span context (PR-10): present only when the sweep runs
-    # with tracing on, so payloads — and therefore results — are
-    # byte-identical with tracing off.
+    (index, figure, seed, params, trace_dir, profile, telemetry_dir,
+     telemetry_interval, key, stream_root, chunk_rows) = payload[:11]
+    # Sweep-trace span context: present only when the sweep runs with
+    # tracing on, so payloads — and therefore results — are byte-identical
+    # with tracing off.
     span_ctx = payload[11] if len(payload) > 11 else None
     if not isinstance(span_ctx, dict):
         span_ctx = None

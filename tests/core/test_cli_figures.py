@@ -8,13 +8,12 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.figures import (
-    FIGURES,
+    Rows,
     fig1,
     fig4_delay,
     fig4_jitter,
     fig5,
-    rows_to_csv,
-    rows_to_table,
+    registry,
 )
 
 
@@ -43,7 +42,7 @@ class TestFigureFunctions:
         assert rows[-1]["to_io"] > 0
 
     def test_registry_complete(self):
-        assert set(FIGURES) == {
+        assert set(registry()) == {
             "fig1", "fig4-delay", "fig4-jitter", "fig5", "fig6",
         }
 
@@ -51,16 +50,16 @@ class TestFigureFunctions:
 class TestRendering:
     def test_csv_round_trip(self):
         rows = [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}]
-        text = rows_to_csv(rows)
+        text = Rows(rows).to_csv()
         parsed = list(csv.DictReader(io.StringIO(text)))
         assert parsed == [{"a": "1", "b": "x"}, {"a": "2", "b": "y"}]
 
     def test_empty_rows(self):
-        assert rows_to_csv([]) == ""
-        assert rows_to_table([]) == "(no data)"
+        assert Rows([]).to_csv() == ""
+        assert Rows([]).to_table() == "(no data)"
 
     def test_table_contains_headers_and_values(self):
-        table = rows_to_table([{"name": "x", "value": 42}])
+        table = Rows([{"name": "x", "value": 42}]).to_table()
         assert "name" in table and "42" in table
 
 

@@ -1,8 +1,8 @@
 """CLI surface of the cross-run observability layer.
 
-``repro report``, ``repro bench record/compare``, ``repro obs tail``, and
-the v3-aware ``repro obs`` manifest summary — plus the status.json
-heartbeat a real ``repro sweep`` leaves behind.
+``repro report``, ``repro obs tail``, and the v3-aware ``repro obs``
+manifest summary — plus the status.json heartbeat a real ``repro sweep``
+leaves behind.
 """
 
 import json
@@ -10,37 +10,9 @@ import shutil
 from pathlib import Path
 
 from repro.cli import main
-from repro.obs.history import BenchHistory, BenchReport, BenchSample
 from repro.obs.status import STATUS_FILENAME, SweepStatus
 
 DATA = Path(__file__).parent / "data"
-
-
-def seeded_history(history_dir: Path, series, name="bench_a"):
-    history = BenchHistory(history_dir)
-    for i, value in enumerate(series):
-        history.append(
-            BenchReport(
-                recorded_at=f"t{i:03d}",
-                samples=[BenchSample(name=name, value_s=value)],
-            )
-        )
-    return history
-
-
-def samples_file(path: Path, value_s: float, name="bench_a") -> Path:
-    path.write_text(
-        json.dumps(
-            {
-                "schema": "repro.obs/bench-samples/v1",
-                "samples": [
-                    {"name": name, "value_s": value_s, "unit": "s",
-                     "rounds": 1}
-                ],
-            }
-        )
-    )
-    return path
 
 
 class TestReportCommand:
@@ -69,132 +41,6 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert "no manifest at" in err
         assert "Traceback" not in err
-
-
-class TestBenchRecord:
-    def test_record_from_samples_file(self, tmp_path, capsys):
-        history_dir = tmp_path / "hist"
-        samples = samples_file(tmp_path / "samples.json", 1.25)
-        out = tmp_path / "BENCH_test.json"
-        assert main([
-            "bench", "record", "--history", str(history_dir),
-            "--from", str(samples), "--out", str(out),
-        ]) == 0
-        payload = json.loads(out.read_text())
-        assert payload["schema"] == "repro.obs/bench/v1"
-        assert payload["samples"] == [
-            {"name": "bench_a", "value_s": 1.25, "unit": "s", "rounds": 1}
-        ]
-        assert payload["id"] and payload["recorded_at"]
-        # appended to the history store too
-        assert len(BenchHistory(history_dir).reports()) == 1
-
-    def test_record_accepts_existing_bench_report_as_input(self, tmp_path):
-        source = BenchReport(
-            recorded_at="t0",
-            samples=[BenchSample(name="bench_a", value_s=0.5)],
-        )
-        src_path = source.save(tmp_path / "BENCH_old.json")
-        assert main([
-            "bench", "record", "--history", str(tmp_path / "hist"),
-            "--from", str(src_path), "--out", str(tmp_path / "BENCH_new.json"),
-            "--no-history",
-        ]) == 0
-        assert not (tmp_path / "hist" / "history.jsonl").exists()
-
-    def test_record_empty_samples_is_usage_error(self, tmp_path, capsys):
-        samples = tmp_path / "samples.json"
-        samples.write_text('{"schema": "repro.obs/bench-samples/v1", '
-                           '"samples": []}')
-        assert main([
-            "bench", "record", "--history", str(tmp_path / "hist"),
-            "--from", str(samples),
-        ]) == 2
-        assert "no benchmark samples" in capsys.readouterr().err
-
-
-class TestBenchCompare:
-    def test_injected_slowdown_fails_real_history_passes(
-        self, tmp_path, capsys
-    ):
-        history_dir = tmp_path / "hist"
-        seeded_history(
-            history_dir, [1.00, 1.04, 0.97, 1.02, 0.99, 1.01, 1.03, 0.98]
-        )
-        ok_file = tmp_path / "BENCH_ok.json"
-        BenchReport(
-            recorded_at="now",
-            samples=[BenchSample(name="bench_a", value_s=1.02)],
-        ).save(ok_file)
-        assert main([
-            "bench", "compare", str(ok_file), "--history", str(history_dir),
-        ]) == 0
-        slow_file = tmp_path / "BENCH_slow.json"
-        BenchReport(
-            recorded_at="now",
-            samples=[BenchSample(name="bench_a", value_s=3.06)],
-        ).save(slow_file)
-        assert main([
-            "bench", "compare", str(slow_file), "--history", str(history_dir),
-        ]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_warn_only_reports_but_exits_zero(self, tmp_path, capsys):
-        history_dir = tmp_path / "hist"
-        seeded_history(history_dir, [1.0] * 6)
-        slow_file = tmp_path / "BENCH_slow.json"
-        BenchReport(
-            recorded_at="now",
-            samples=[BenchSample(name="bench_a", value_s=3.0)],
-        ).save(slow_file)
-        assert main([
-            "bench", "compare", str(slow_file), "--history",
-            str(history_dir), "--warn-only",
-        ]) == 0
-        captured = capsys.readouterr()
-        assert "REGRESSION" in captured.out
-        assert "--warn-only" in captured.err
-
-    def test_defaults_to_newest_bench_file_in_history(self, tmp_path):
-        history_dir = tmp_path / "hist"
-        seeded_history(history_dir, [1.0] * 4)
-        BenchReport(
-            recorded_at="a",
-            samples=[BenchSample(name="bench_a", value_s=3.0)],
-        ).save(history_dir / "BENCH_2026-01-01_000000.json")
-        BenchReport(
-            recorded_at="b",
-            samples=[BenchSample(name="bench_a", value_s=1.0)],
-        ).save(history_dir / "BENCH_2026-02-01_000000.json")
-        # newest (lexicographically last) file is the quick one -> ok
-        assert main(["bench", "compare", "--history", str(history_dir)]) == 0
-
-    def test_no_history_yet_exits_zero(self, tmp_path, capsys):
-        # CI seeds the history with its own first 'bench record': a
-        # missing/empty history.jsonl is bring-up, not a failure.
-        assert main([
-            "bench", "compare", "--history", str(tmp_path / "empty"),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "no history yet" in out
-        assert "repro bench record" in out
-
-    def test_empty_history_file_exits_zero(self, tmp_path, capsys):
-        history_dir = tmp_path / "hist"
-        history_dir.mkdir()
-        (history_dir / "history.jsonl").write_text("")
-        assert main(["bench", "compare", "--history", str(history_dir)]) == 0
-        assert "no history yet" in capsys.readouterr().out
-
-    def test_history_without_bench_files_is_usage_error(
-        self, tmp_path, capsys
-    ):
-        history_dir = tmp_path / "hist"
-        seeded_history(history_dir, [1.0] * 3)
-        for stray in history_dir.glob("BENCH_*.json"):
-            stray.unlink()
-        assert main(["bench", "compare", "--history", str(history_dir)]) == 2
-        assert "repro bench record" in capsys.readouterr().err
 
 
 class TestObsTail:

@@ -265,6 +265,12 @@ class TestSerialSweepTracing:
             )
         for left, right in zip(plain.outcomes, traced.outcomes):
             assert left.rows.to_csv() == right.rows.to_csv()
+        # Without ``sweeptrace=`` the engine builds no recorder: payloads
+        # stay 11 fields and records carry no trace fields.
+        for record in plain.manifest.records:
+            assert record.span is None
+            assert record.queue_s is None
+            assert record.attempt_timings is None
 
     def test_cache_hits_traced_with_real_service_time(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

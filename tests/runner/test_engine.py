@@ -18,7 +18,7 @@ from repro.runner import (
 )
 
 #: A cheap two-figure workload used throughout (sub-second per job).
-CHEAP_FIGURES = ["fig1", "fig4-delay"]
+CHEAP_FIGS = ["fig1", "fig4-delay"]
 CHEAP_GRID = {"cycles": [30]}
 
 
@@ -142,7 +142,7 @@ class TestLazyGrid:
 
 class TestRunJobs:
     def test_results_independent_of_worker_count(self):
-        jobs = expand_grid(CHEAP_FIGURES, seeds=[0], grid=CHEAP_GRID)
+        jobs = expand_grid(CHEAP_FIGS, seeds=[0], grid=CHEAP_GRID)
         serial = run_jobs(jobs, workers=1)
         parallel = run_jobs(jobs, workers=2)
         for left, right in zip(serial.outcomes, parallel.outcomes):
@@ -151,7 +151,7 @@ class TestRunJobs:
             assert left.rows.to_csv() == right.rows.to_csv()
 
     def test_outcomes_preserve_job_order(self):
-        jobs = expand_grid(CHEAP_FIGURES, seeds=[0, 1], grid=CHEAP_GRID)
+        jobs = expand_grid(CHEAP_FIGS, seeds=[0, 1], grid=CHEAP_GRID)
         result = run_jobs(jobs, workers=2)
         assert [outcome.job for outcome in result.outcomes] == list(jobs)
 
@@ -166,7 +166,7 @@ class TestRunJobs:
 
     def test_cold_then_warm_cache(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        jobs = expand_grid(CHEAP_FIGURES, seeds=[0], grid=CHEAP_GRID)
+        jobs = expand_grid(CHEAP_FIGS, seeds=[0], grid=CHEAP_GRID)
 
         cold = run_jobs(jobs, workers=1, cache=cache)
         assert cold.manifest.cache_hits == 0
@@ -314,7 +314,7 @@ class TestObservability:
 
     def test_pool_workers_carry_observability(self, tmp_path):
         trace_dir = tmp_path / "traces"
-        jobs = expand_grid(CHEAP_FIGURES, seeds=[0, 1], grid=CHEAP_GRID)
+        jobs = expand_grid(CHEAP_FIGS, seeds=[0, 1], grid=CHEAP_GRID)
         result = run_jobs(jobs, workers=2, trace_dir=trace_dir, profile=True)
         assert all(r.trace_path for r in result.manifest.records)
         assert len(list(trace_dir.glob("*.trace.json"))) == len(jobs)
@@ -367,7 +367,7 @@ class TestStatusHeartbeat:
 
     def test_pool_path_counts_and_finalizes(self, tmp_path):
         status_path = tmp_path / "status.json"
-        jobs = expand_grid(CHEAP_FIGURES, seeds=[0, 1], grid=CHEAP_GRID)
+        jobs = expand_grid(CHEAP_FIGS, seeds=[0, 1], grid=CHEAP_GRID)
         run_jobs(jobs, workers=2, status_path=status_path)
         final = json.loads(status_path.read_text())
         assert final["state"] == "done"
