@@ -1,7 +1,7 @@
 """Cross-run reports: one document per sweep, built from its artifacts.
 
-A finished sweep leaves a trail — the :class:`~repro.runner.manifest.RunManifest`
-(v1–v3), per-figure CSV exports, per-job metrics/hot-spot snapshots, Chrome
+A finished sweep leaves a trail — the :class:`~repro.runner.manifest.RunManifest`,
+per-figure CSV exports, per-job metrics/hot-spot snapshots, Chrome
 traces, and chaos verdicts — that previously had to be read by hand.
 :func:`build_report` aggregates all of it into a :class:`RunReport` that
 renders as self-contained HTML (inline CSS, no external assets) and as
@@ -787,7 +787,7 @@ def build_report(
     directory copied from another machine still reports fully.  Records
     from a streamed sweep (PR-8) that exported no CSV are read from their
     ``row_chunks`` JSONL files instead, with the same as-written /
-    by-name fallback.  Reads all manifest schema versions (v1–v3).
+    by-name fallback.
     """
     manifest_path = resolve_manifest_path(target)
     base = manifest_path.parent

@@ -72,9 +72,6 @@ from .rowstream import (
 )
 from .manifest import (
     MANIFEST_SCHEMA,
-    MANIFEST_SCHEMA_V1,
-    MANIFEST_SCHEMA_V2,
-    READABLE_SCHEMAS,
     JobRecord,
     RunManifest,
 )
@@ -101,10 +98,7 @@ __all__ = [
     "LazyRows",
     "LocalPoolBackend",
     "MANIFEST_SCHEMA",
-    "MANIFEST_SCHEMA_V1",
-    "MANIFEST_SCHEMA_V2",
     "OK_STATUSES",
-    "READABLE_SCHEMAS",
     "RETRIES_COUNTER",
     "ResultCache",
     "RetryPolicy",

@@ -71,14 +71,8 @@ it cost.  The JSON schema (``repro.runner/manifest/v3``)::
       ]
     }
 
-**Backward compatibility:** v2 manifests (schema
-``repro.runner/manifest/v2``) are the same document minus the four
-supervision fields, and v1 manifests additionally lack the observability
-fields and ``verdict``; :meth:`RunManifest.from_dict` reads all three
-versions, fills missing optional fields with ``None``, and derives
-``status`` for pre-v3 records (``"cached"`` when the job was a cache hit,
-``"ok"`` otherwise — pre-v3 sweeps aborted instead of recording
-failures), so tooling written against v3 loads old manifests unchanged.
+Only v3 is read.  Optional fields an older v3 file lacks (the
+sweep-trace timing fields, for one) load as ``None``.
 """
 
 from __future__ import annotations
@@ -90,12 +84,7 @@ from typing import Any
 
 from .. import __version__
 
-MANIFEST_SCHEMA_V1 = "repro.runner/manifest/v1"
-MANIFEST_SCHEMA_V2 = "repro.runner/manifest/v2"
 MANIFEST_SCHEMA = "repro.runner/manifest/v3"
-
-#: Schemas :meth:`RunManifest.from_dict` knows how to read.
-READABLE_SCHEMAS = (MANIFEST_SCHEMA_V1, MANIFEST_SCHEMA_V2, MANIFEST_SCHEMA)
 
 #: Job statuses that carry usable rows (mirrors ``supervisor.OK_STATUSES``
 #: without importing it: the manifest layer stays dependency-free).
@@ -191,19 +180,13 @@ class JobRecord:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "JobRecord":
-        """Rebuild a record from manifest JSON (v1 fields always present).
-
-        Pre-v3 records carry no ``status``; it is derived from ``cached``
-        (pre-v3 sweeps aborted on the first failure, so every recorded
-        job either computed or hit the cache).
-        """
-        cached = payload["cached"]
+        """Rebuild a record from its manifest JSON form."""
         return cls(
             figure=payload["figure"],
             seed=payload["seed"],
             params=dict(payload.get("params") or {}),
             key=payload["key"],
-            cached=cached,
+            cached=payload["cached"],
             wall_time_s=payload.get("wall_time_s", 0.0),
             rows=payload.get("rows", 0),
             stats=payload.get("stats"),
@@ -216,7 +199,7 @@ class JobRecord:
             telemetry_path=payload.get("telemetry_path"),
             backend=payload.get("backend"),
             row_chunks=payload.get("row_chunks"),
-            status=payload.get("status") or ("cached" if cached else "ok"),
+            status=payload["status"],
             error=payload.get("error"),
             traceback=payload.get("traceback"),
             attempts=payload.get("attempts", 1),
@@ -276,12 +259,12 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "RunManifest":
-        """Rebuild a manifest from its JSON form (schema v1 or v2)."""
+        """Rebuild a manifest from its JSON form (schema v3)."""
         schema = payload.get("schema")
-        if schema not in READABLE_SCHEMAS:
+        if schema != MANIFEST_SCHEMA:
             raise ValueError(
                 f"unsupported manifest schema {schema!r}; "
-                f"readable: {', '.join(READABLE_SCHEMAS)}"
+                f"readable: {MANIFEST_SCHEMA}"
             )
         return cls(
             workers=payload.get("workers", 1),

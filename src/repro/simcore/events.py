@@ -18,19 +18,11 @@ Two interchangeable backends implement the :class:`Scheduler` protocol:
   Both backends pop in exactly the same ``(time, priority, sequence)``
   order; ``tests/properties`` asserts the equivalence on randomized
   workloads.
-
-Both backends maintain a free list of fired :class:`Event` objects so
-steady-state simulation allocates no new events.  Recycling is guarded
-by a CPython reference-count check (:func:`_refcount_is_private`): an
-event is only returned to the pool when the scheduler can prove no
-outside code still holds it, so a retained handle (e.g. a watchdog's
-pending-timeout event) is never reused under the holder's feet.
 """
 
 from __future__ import annotations
 
 import heapq
-import sys
 from typing import Any, Callable, Iterable, Protocol, runtime_checkable
 
 #: Default scheduling priority.  Lower values fire first at equal times.
@@ -55,11 +47,9 @@ class Event:
     :data:`NO_ARG` — so hot paths schedule a bound method plus its one
     argument instead of allocating a closure per event.
 
-    Slotted and pooled: after an event fires, the scheduler may reuse the
-    object for a later ``push``.  Holding an event reference keeps it out
-    of the pool (the recycler checks the reference count), so retained
-    handles stay valid; :meth:`cancel` is only meaningful while the event
-    is still pending.
+    Each ``push`` creates a fresh event and no event is ever reused, so a
+    retained handle always names the event it was returned for;
+    :meth:`cancel` is only meaningful while the event is still pending.
     """
 
     __slots__ = (
@@ -143,19 +133,12 @@ class Scheduler(Protocol):
         """
         ...
 
-    def requeue(self, events: Iterable[Event | None]) -> None:
+    def requeue(self, events: Iterable[Event]) -> None:
         """Reinsert not-yet-executed batch events, keeping their order keys."""
         ...
 
     def peek_time(self) -> int | None:
         """Time of the earliest live event, or ``None`` if empty."""
-        ...
-
-    def reclaim(self, event: Event) -> None:
-        """Offer a fired event back to the free pool (best effort).
-
-        A pooled event must drop its ``callback`` and ``arg`` references.
-        """
         ...
 
     def __len__(self) -> int:
@@ -168,69 +151,13 @@ class Scheduler(Protocol):
         ...
 
 
-_getrefcount = getattr(sys, "getrefcount", None)
-#: Reference count of an event that only the recycling call chain holds:
-#: the caller's local, the ``reclaim`` parameter, and the argument slot of
-#: ``getrefcount`` itself.  Only meaningful on CPython; elsewhere pooling
-#: is disabled (``_getrefcount is None`` short-circuits ``reclaim``).
-_PRIVATE_REFS = 3
-
-#: Reference count seen when the run loop inlines the reclaim check in
-#: its own frame: the loop's local binding plus ``getrefcount``'s argument
-#: slot — one fewer than ``_PRIVATE_REFS``, which also counts the
-#: ``reclaim`` parameter.
-_INLINE_REFS = 2
-
-#: Cap on pooled events per scheduler, bounding worst-case retention.
-#: Sized for bursty workloads: an ML frame fanning out across hundreds of
-#: clients parks tens of thousands of events at one instant, and a pool
-#: smaller than the peak turns every post-burst push into a fresh
-#: allocation (~100 bytes per pooled event, so ~3 MB worst case).
-_POOL_LIMIT = 32768
-
-
-class _PooledEvents:
-    """Shared free-list machinery for scheduler backends."""
-
-    __slots__ = ("_free", "_sequence")
-
-    def __init__(self) -> None:
-        self._free: list[Event] = []
-        self._sequence = 0
-
-    def _new_event(
-        self, time: int, callback: Callable[..., Any], priority: int, arg: Any
-    ) -> Event:
-        sequence = self._sequence
-        self._sequence = sequence + 1
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.priority = priority
-            event.sequence = sequence
-            event.callback = callback
-            event.arg = arg
-            event.cancelled = False
-            return event
-        return Event(time, priority, sequence, callback, arg)
-
-    def reclaim(self, event: Event) -> None:
-        """Pool ``event`` iff no outside reference keeps it alive."""
-        if _getrefcount is None or _getrefcount(event) != _PRIVATE_REFS:
-            return
-        event.callback = event.arg = None
-        if len(self._free) < _POOL_LIMIT:
-            self._free.append(event)
-
-
-class EventQueue(_PooledEvents):
+class EventQueue:
     """The reference backend: a deterministic binary heap of events."""
 
-    __slots__ = ("_heap", "_drain_time", "batch_dirty")
+    __slots__ = ("_heap", "_sequence", "_drain_time", "batch_dirty")
 
     def __init__(self) -> None:
-        super().__init__()
+        self._sequence = 0
         self._heap: list[Event] = []
         self._drain_time = -1
         self.batch_dirty = False
@@ -251,7 +178,9 @@ class EventQueue(_PooledEvents):
         """Schedule ``callback`` at absolute ``time`` and return the event."""
         if time < 0:
             raise ValueError(f"event time must be non-negative, got {time}")
-        event = self._new_event(time, callback, priority, arg)
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        event = Event(time, priority, sequence, callback, arg)
         heapq.heappush(self._heap, event)
         if time <= self._drain_time:
             self.batch_dirty = True
@@ -267,16 +196,12 @@ class EventQueue(_PooledEvents):
             event = heapq.heappop(heap)
             if not event.cancelled:
                 return event
-            self.reclaim(event)
         raise IndexError("pop from empty event queue")
 
     def pop_batch(self, until: int | None = None) -> list[Event]:
         heap = self._heap
         while heap and heap[0].cancelled:
-            # Bind a local before reclaiming: the refcount guard counts on
-            # exactly one caller-held reference (see _PRIVATE_REFS).
-            event = heapq.heappop(heap)
-            self.reclaim(event)
+            heapq.heappop(heap)
         if not heap:
             return []
         time = heap[0].time
@@ -285,27 +210,23 @@ class EventQueue(_PooledEvents):
         batch: list[Event] = []
         while heap and heap[0].time == time:
             event = heapq.heappop(heap)
-            if event.cancelled:
-                self.reclaim(event)
-            else:
+            if not event.cancelled:
                 batch.append(event)
         self._drain_time = time
         self.batch_dirty = False
         return batch
 
-    def requeue(self, events: Iterable[Event | None]) -> None:
+    def requeue(self, events: Iterable[Event]) -> None:
         heap = self._heap
         for event in events:
-            if event is not None and not event.cancelled:
+            if not event.cancelled:
                 heapq.heappush(heap, event)
 
     def peek_time(self) -> int | None:
         """Return the time of the earliest live event, or ``None`` if empty."""
         heap = self._heap
         while heap and heap[0].cancelled:
-            # Local binding keeps the refcount guard honest (_PRIVATE_REFS).
-            event = heapq.heappop(heap)
-            self.reclaim(event)
+            heapq.heappop(heap)
         if not heap:
             return None
         return heap[0].time
@@ -333,7 +254,7 @@ def _bucket_key(event: Event) -> tuple[int, int]:
     return (event.priority, event.sequence)
 
 
-class CalendarQueue(_PooledEvents):
+class CalendarQueue:
     """Bucketed (calendar-style) scheduler, the default backend.
 
     Events are grouped by exact timestamp; only the distinct pending
@@ -347,10 +268,12 @@ class CalendarQueue(_PooledEvents):
     priorities land on one instant.
     """
 
-    __slots__ = ("_buckets", "_times", "_drain_time", "batch_dirty")
+    __slots__ = (
+        "_buckets", "_times", "_sequence", "_drain_time", "batch_dirty",
+    )
 
     def __init__(self) -> None:
-        super().__init__()
+        self._sequence = 0
         #: time -> single Event, or a _Bucket once an instant has >1.
         self._buckets: dict[int, Event | _Bucket] = {}
         self._times: list[int] = []
@@ -383,20 +306,9 @@ class CalendarQueue(_PooledEvents):
         """Schedule ``callback`` at absolute ``time`` and return the event."""
         if time < 0:
             raise ValueError(f"event time must be non-negative, got {time}")
-        # Inlined _new_event: this is the hottest allocation site.
         sequence = self._sequence
         self._sequence = sequence + 1
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.priority = priority
-            event.sequence = sequence
-            event.callback = callback
-            event.arg = arg
-            event.cancelled = False
-        else:
-            event = Event(time, priority, sequence, callback, arg)
+        event = Event(time, priority, sequence, callback, arg)
         buckets = self._buckets
         entry = buckets.get(time)
         if entry is None:
@@ -459,7 +371,6 @@ class CalendarQueue(_PooledEvents):
                     return time, entry
                 heapq.heappop(times)
                 del buckets[time]
-                self.reclaim(entry)
                 continue
             bucket = entry
             events = bucket.events
@@ -477,8 +388,6 @@ class CalendarQueue(_PooledEvents):
                     return time, bucket
                 events[head] = None
                 head += 1
-                if event is not None:
-                    self.reclaim(event)
             bucket.head = head
             heapq.heappop(times)
             del buckets[time]
@@ -540,9 +449,9 @@ class CalendarQueue(_PooledEvents):
             if event is not None and not event.cancelled
         ]
 
-    def requeue(self, events: Iterable[Event | None]) -> None:
+    def requeue(self, events: Iterable[Event]) -> None:
         for event in events:
-            if event is not None and not event.cancelled:
+            if not event.cancelled:
                 self._insert_existing(event)
 
     def peek_time(self) -> int | None:
@@ -568,8 +477,7 @@ SCHEDULERS: dict[str, Callable[[], "Scheduler"]] = {
 }
 
 #: The backend used when ``Simulator`` is constructed without an explicit
-#: choice (overridable via the ``REPRO_SIM_SCHEDULER`` environment
-#: variable, checked at Simulator construction).
+#: ``scheduler`` argument.
 DEFAULT_SCHEDULER = "calendar"
 
 

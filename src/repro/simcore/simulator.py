@@ -16,31 +16,23 @@ cyclic behaviour, while packet forwarding uses plain callbacks.
 
 The event loop has two paths.  With no profiler attached and no tracer
 active, :meth:`Simulator.run` takes a zero-overhead fast path: events of
-one instant are drained in a single batched scheduler call, fired events
-are recycled into the scheduler's free pool, and no observability code
-runs at all.  With a profiler or tracer active it falls back to the
-instrumented per-event loop.
+one instant are drained in a single batched scheduler call and no
+observability code runs at all.  With a profiler or tracer active it
+falls back to the instrumented per-event loop.
 """
 
 from __future__ import annotations
 
-import heapq
-import os
 from typing import Any, Callable, Generator, Iterable
 
 from ..obs import runtime as _obs
 from ..obs.tracing import NULL_TRACER
 from .events import (
-    CalendarQueue,
     DEFAULT_SCHEDULER,
     Event,
     NO_ARG,
     PRIORITY_NORMAL,
     Scheduler,
-    _Bucket,
-    _INLINE_REFS,
-    _POOL_LIMIT,
-    _getrefcount,
     make_scheduler,
 )
 from .rng import RandomStreams
@@ -162,97 +154,6 @@ class Process:
             )
 
 
-def _specialize_schedule(sim: "Simulator", queue: CalendarQueue):
-    """Build a ``schedule`` closure with ``CalendarQueue.push`` inlined.
-
-    ``Simulator.__init__`` binds the result as an *instance* attribute when
-    the default backend is in use, shadowing the generic method and
-    removing one call boundary from the hottest path in the repo.  The
-    semantics — argument validation, stats accounting, and insertion
-    order — are identical to :meth:`Simulator.schedule`
-    followed by :meth:`CalendarQueue.push`; the scheduler-equivalence
-    property suite drives both forms.
-    """
-    buckets = queue._buckets
-    times = queue._times
-    free = queue._free
-    heappush = heapq.heappush
-    stats = sim.stats
-
-    def schedule(
-        callback: Callable[..., Any],
-        arg: Any = NO_ARG,
-        /,
-        *,
-        after: int | None = None,
-        at: int | None = None,
-        priority: int = PRIORITY_NORMAL,
-    ) -> Event:
-        if not callable(callback):
-            raise _not_callable(callback)
-        now = sim._now
-        if after is not None:
-            if at is not None:
-                raise TypeError(
-                    "schedule() takes either 'after' or 'at', not both"
-                )
-            if after < 0:
-                raise SimulationError(f"negative delay {after}")
-            time = now + after
-        elif at is None:
-            time = now
-        else:
-            if at < now:
-                raise SimulationError(
-                    f"cannot schedule at {at}, current time is {now}"
-                )
-            time = at
-        stats.events_scheduled += 1
-        # -- inlined CalendarQueue.push (time >= now >= 0 by the checks
-        # above, so the push-side validation is already satisfied) ------
-        sequence = queue._sequence
-        queue._sequence = sequence + 1
-        if free:
-            event = free.pop()
-            event.time = time
-            event.priority = priority
-            event.sequence = sequence
-            event.callback = callback
-            event.arg = arg
-            event.cancelled = False
-        else:
-            event = Event(time, priority, sequence, callback, arg)
-        entry = buckets.get(time)
-        if entry is None:
-            buckets[time] = event
-            heappush(times, time)
-        elif entry.__class__ is _Bucket:
-            events = entry.events
-            last = events[-1]
-            if last is not None and priority < last.priority:
-                entry.ordered = False
-            events.append(event)
-        else:
-            bucket = _Bucket(entry)
-            if priority < entry.priority:
-                bucket.ordered = False
-            bucket.events.append(event)
-            buckets[time] = bucket
-        if time <= queue._drain_time:
-            queue.batch_dirty = True
-        return event
-
-    schedule.__doc__ = Simulator.schedule.__doc__
-    return schedule
-
-
-def _not_callable(callback: Any) -> TypeError:
-    return TypeError(
-        f"schedule() needs a callable first argument, got {callback!r}; "
-        f"give the delay as schedule(fn, after=delay)"
-    )
-
-
 class Simulator:
     """Deterministic discrete-event simulator with integer-ns time."""
 
@@ -269,7 +170,7 @@ class Simulator:
     ) -> None:
         self._now = 0
         if scheduler is None:
-            scheduler = os.environ.get("REPRO_SIM_SCHEDULER", DEFAULT_SCHEDULER)
+            scheduler = DEFAULT_SCHEDULER
         if isinstance(scheduler, str):
             self.scheduler_name = scheduler
             self._queue: Scheduler = make_scheduler(scheduler)
@@ -285,9 +186,6 @@ class Simulator:
         #: Event-loop counters; aggregated across simulators by
         #: :func:`repro.simcore.stats.collect`.
         self.stats = SimStats(simulators=1)
-        if self._queue.__class__ is CalendarQueue:
-            # Shadow the generic method with a push-inlined closure.
-            self.schedule = _specialize_schedule(self, self._queue)
         #: Per-callback wall-time attribution; ``None`` (the default)
         #: keeps the event loop on the unwrapped fast path.  Set by
         #: :meth:`repro.obs.Profiler.attach` or inherited from an open
@@ -330,7 +228,10 @@ class Simulator:
         first argument that is not callable raises :class:`TypeError`.
         """
         if not callable(callback):
-            raise _not_callable(callback)
+            raise TypeError(
+                f"schedule() needs a callable first argument, got "
+                f"{callback!r}; give the delay as schedule(fn, after=delay)"
+            )
         if after is not None:
             if at is not None:
                 raise TypeError(
@@ -397,17 +298,10 @@ class Simulator:
         return self._now
 
     def _run_fast(self, until: int | None) -> int:
-        """Uninstrumented event loop: batched firing, event recycling."""
+        """Uninstrumented event loop: one batched pop per instant."""
         queue = self._queue
-        if queue.__class__ is CalendarQueue and _getrefcount is not None:
-            return self._run_fast_calendar(queue, until)
         pop_batch = queue.pop_batch
         requeue = queue.requeue
-        reclaim = queue.reclaim
-        # Inline the free-pool reclaim for our own pooled backends; a
-        # foreign Scheduler (no ``_free``) falls back to its reclaim().
-        grc = _getrefcount
-        free = getattr(queue, "_free", None) if grc is not None else None
         no_arg = NO_ARG
         executed = 0
         while True:
@@ -416,34 +310,9 @@ class Simulator:
                 break
             self._now = batch[0].time
             size = len(batch)
-            if size == 1:
-                # Dominant case: one event at this instant.  Drop the
-                # batch list before reclaiming so the pool's refcount
-                # guard sees only this frame's reference.
-                event = batch[0]
-                batch = None
-                if not event.cancelled:
-                    arg = event.arg
-                    if arg is no_arg:
-                        event.callback()
-                    else:
-                        event.callback(arg)
-                    executed += 1
-                if free is None:
-                    reclaim(event)
-                elif grc(event) == _INLINE_REFS:
-                    event.callback = event.arg = None
-                    if len(free) < _POOL_LIMIT:
-                        free.append(event)
-                continue
-            index = 0
-            while index < size:
-                event = batch[index]
-                batch[index] = None  # drop the list's ref so reclaim works
-                index += 1
+            for index, event in enumerate(batch, 1):
                 if event.cancelled:
                     # Cancelled mid-batch by an earlier callback.
-                    reclaim(event)
                     continue
                 arg = event.arg
                 if arg is no_arg:
@@ -451,88 +320,12 @@ class Simulator:
                 else:
                     event.callback(arg)
                 executed += 1
-                reclaim(event)
                 if queue.batch_dirty and index < size:
                     # A callback scheduled at (or before) this instant; the
                     # new event may order before the unexecuted remainder,
                     # so push the rest back and re-pop the merged batch.
                     requeue(batch[index:])
                     break
-        return executed
-
-    def _run_fast_calendar(
-        self, queue: CalendarQueue, until: int | None
-    ) -> int:
-        """:meth:`_run_fast` specialised for the default backend.
-
-        The dominant shape — a live singleton event at the head instant —
-        is popped and recycled entirely inside this frame, skipping the
-        ``pop_batch``/``reclaim`` calls and the one-element batch list.
-        Multi-event instants and cancelled heads fall back to the generic
-        batched drain, so the firing order is identical to
-        :meth:`_run_fast` on any backend.
-        """
-        times = queue._times
-        buckets = queue._buckets
-        free = queue._free
-        pop_batch = queue.pop_batch
-        requeue = queue.requeue
-        reclaim = queue.reclaim
-        heappop = heapq.heappop
-        grc = _getrefcount
-        no_arg = NO_ARG
-        executed = 0
-        while times:
-            time = times[0]
-            entry = buckets[time]
-            if entry.__class__ is _Bucket or entry.cancelled:
-                # Rare shapes: multi-event instant or a cancelled head.
-                # Drop our handle on the bucket first — it pins every
-                # batch event and would defeat the reclaim refcount guard.
-                entry = None
-                batch = pop_batch(until)
-                if not batch:
-                    break
-                self._now = batch[0].time
-                size = len(batch)
-                index = 0
-                while index < size:
-                    event = batch[index]
-                    batch[index] = None
-                    index += 1
-                    if event.cancelled:
-                        reclaim(event)
-                        continue
-                    arg = event.arg
-                    if arg is no_arg:
-                        event.callback()
-                    else:
-                        event.callback(arg)
-                    executed += 1
-                    reclaim(event)
-                    if queue.batch_dirty and index < size:
-                        requeue(batch[index:])
-                        break
-                continue
-            if until is not None and time > until:
-                break
-            heappop(times)
-            del buckets[time]
-            queue._drain_time = time
-            queue.batch_dirty = False
-            self._now = time
-            arg = entry.arg
-            if arg is no_arg:
-                entry.callback()
-            else:
-                entry.callback(arg)
-            executed += 1
-            # Inlined reclaim (see events._INLINE_REFS): pool the event
-            # unless outside code still holds a reference to it.
-            if grc(entry) == _INLINE_REFS:
-                entry.callback = entry.arg = None
-                if len(free) < _POOL_LIMIT:
-                    free.append(entry)
         return executed
 
     def _run_instrumented(

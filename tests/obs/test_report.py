@@ -2,8 +2,8 @@
 
 The fixture run directories under ``tests/obs/data/`` are checked in —
 one v3 manifest (with failures, retries, chaos cells, metrics, and
-hot spots) and one v2 manifest (pre-supervision schema) — and the
-rendered markdown is golden-snapshotted under ``tests/golden/``.
+hot spots) and one minimal v3 manifest converted from a v2-era run (no
+failures, no retries) — and the rendered markdown is golden-snapshotted under ``tests/golden/``.
 Refresh with ``pytest --update-golden``.
 """
 

@@ -62,9 +62,8 @@ def random_ops(rng, size=120):
 def apply_ops(ops, backend=EventQueue):
     """Run an op sequence; return the tags in pop order.
 
-    Events are slotted and pooled, so each tag rides in the event's
-    callback (``callback()`` returns it) rather than as an ad-hoc
-    attribute.
+    Events are slotted, so each tag rides in the event's callback
+    (``callback()`` returns it) rather than as an ad-hoc attribute.
     """
     queue = backend()
     events = {}

@@ -131,41 +131,73 @@ class TestBackendEquivalence:
 
     @pytest.mark.parametrize("seed", trial_seeds(9900)[:8])
     def test_full_simulator_runs_identically_on_both_backends(self, seed):
+        until = 5 * MS
+
         def run(backend_name):
             rng = random.Random(seed)
             sim = Simulator(scheduler=backend_name)
             fired = []
+            fired_ids = set()
+            # Every handle sim.schedule returned, indexed by event id.
+            handles = []
+            cancelled_pending = set()
 
-            def tick(tag, depth):
-                fired.append((sim.now, tag))
+            def schedule(fn, child, **when):
+                ident = len(handles)
+                handles.append(sim.schedule(fn, (ident,) + child, **when))
+
+            def tick(ident, depth):
+                assert ident not in fired_ids, f"event {ident} fired twice"
+                fired.append((sim.now, ident))
+                fired_ids.add(ident)
                 if depth > 0:
                     # Same-instant and future reschedules, mixed priorities,
                     # alternating closures and one-argument events.
                     after = rng.choice((0, 3 * US, 7 * US))
                     priority = rng.choice((-10, 0, 10))
-                    child = (tag * 10 + 1, depth - 1)
                     if depth % 2:
-                        sim.schedule(
-                            tick_arg, child, after=after, priority=priority
-                        )
-                    else:
-                        sim.schedule(
-                            lambda: tick(*child),
-                            after=after,
+                        schedule(
+                            tick_arg, (depth - 1,), after=after,
                             priority=priority,
                         )
+                    else:
+                        child = len(handles)
+                        handles.append(
+                            sim.schedule(
+                                lambda: tick(child, depth - 1),
+                                after=after,
+                                priority=priority,
+                            )
+                        )
+                if rng.random() < 0.3:
+                    # After the reschedule, so a reused event object would
+                    # already be pending again: cancel a retained handle
+                    # that may have fired (this one included) or may not.
+                    victim = rng.randrange(len(handles))
+                    if victim not in fired_ids:
+                        cancelled_pending.add(victim)
+                    handles[victim].cancel()
 
-            def tick_arg(child):
-                tick(*child)
+            def tick_arg(args):
+                tick(*args)
 
-            for tag in range(12):
-                sim.schedule(
+            for _ in range(12):
+                schedule(
                     tick_arg,
-                    (tag, 4),
+                    (4,),
                     at=rng.randrange(0, 2 * MS),
                     priority=rng.choice((-10, 0, 10)),
                 )
-            sim.run(until=5 * MS)
+            sim.run(until=until)
+            # Oracle: an event fires iff its handle was not cancelled
+            # before it fired, so cancelling a fired handle never
+            # suppresses another event.
+            due = {
+                ident
+                for ident, event in enumerate(handles)
+                if event.time <= until
+            }
+            assert fired_ids == due - cancelled_pending, f"trial seed {seed}"
             return fired, sim.stats.events_executed
 
         heap_run = run("heap")
@@ -243,13 +275,8 @@ class TestSchedulerFactory:
     def test_make_scheduler_knows_both_backends(self):
         assert isinstance(make_scheduler("heap"), EventQueue)
         assert isinstance(make_scheduler("calendar"), CalendarQueue)
+        assert Simulator().scheduler_name == "calendar"
 
     def test_make_scheduler_rejects_unknown_names(self):
         with pytest.raises(ValueError, match="heap"):
             make_scheduler("splay-tree")
-
-    def test_simulator_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_SCHEDULER", "heap")
-        assert Simulator().scheduler_name == "heap"
-        monkeypatch.delenv("REPRO_SIM_SCHEDULER")
-        assert Simulator().scheduler_name == "calendar"

@@ -6,7 +6,6 @@ import pytest
 
 from repro.runner import (
     MANIFEST_SCHEMA,
-    MANIFEST_SCHEMA_V1,
     JobGrid,
     ResultCache,
     RunManifest,
@@ -236,37 +235,6 @@ class TestManifest:
         assert record.figure == "fig1"
         assert record.metrics is not None
         assert manifest.to_json() == result.manifest.to_json()
-
-    def test_reads_v1_payload(self):
-        v1 = {
-            "schema": MANIFEST_SCHEMA_V1,
-            "version": "1.1.0",
-            "workers": 2,
-            "cache_dir": None,
-            "cache_hits": 0,
-            "cache_misses": 1,
-            "wall_time_s": 0.5,
-            "jobs": [
-                {
-                    "figure": "fig1",
-                    "seed": 0,
-                    "params": {},
-                    "key": "ab" * 32,
-                    "cached": False,
-                    "wall_time_s": 0.5,
-                    "rows": 7,
-                    "stats": None,
-                    "rows_path": None,
-                }
-            ],
-        }
-        manifest = RunManifest.from_dict(v1)
-        (record,) = manifest.records
-        assert record.rows == 7
-        # missing v2 fields read back as None
-        assert record.metrics is None
-        assert record.hotspots is None
-        assert record.trace_path is None
 
     def test_unknown_schema_rejected(self):
         with pytest.raises(ValueError, match="schema"):

@@ -1,17 +1,11 @@
-"""RunManifest schema: v3 round-trips, v1/v2 compatibility, rejection."""
+"""RunManifest schema: v3 round-trips, supervision fields, rejection."""
 
 import json
 
 import pytest
 
 from repro import __version__
-from repro.runner import (
-    MANIFEST_SCHEMA,
-    MANIFEST_SCHEMA_V1,
-    MANIFEST_SCHEMA_V2,
-    JobRecord,
-    RunManifest,
-)
+from repro.runner import MANIFEST_SCHEMA, JobRecord, RunManifest
 
 
 def v2_record(**overrides):
@@ -50,21 +44,6 @@ def failed_record(**overrides):
     )
     base.update(overrides)
     return JobRecord(**base)
-
-
-def v1_job_payload():
-    """A job dict as a v1-era manifest stored it (no obs, no verdict)."""
-    return {
-        "figure": "fig1",
-        "seed": 0,
-        "params": {},
-        "key": "cd" * 32,
-        "cached": True,
-        "wall_time_s": 0.0,
-        "rows": 12,
-        "stats": None,
-        "rows_path": None,
-    }
 
 
 class TestRoundTrip:
@@ -142,69 +121,11 @@ class TestV3Supervision:
         assert not manifest.degraded
         assert manifest.failures() == []
 
-    def test_v2_payload_derives_status_from_cached(self):
-        computed = v2_record().as_dict()
-        cached = v2_record(cached=True).as_dict()
-        for payload in (computed, cached):
-            for field in ("status", "error", "traceback", "attempts"):
-                del payload[field]
-        manifest = RunManifest.from_dict({
-            "schema": MANIFEST_SCHEMA_V2,
-            "version": "1.3.0",
-            "workers": 2,
-            "cache_dir": None,
-            "cache_hits": 1,
-            "cache_misses": 1,
-            "wall_time_s": 1.0,
-            "jobs": [computed, cached],
-        })
-        assert [r.status for r in manifest.records] == ["ok", "cached"]
-        assert all(r.ok for r in manifest.records)
-        assert all(r.attempts == 1 for r in manifest.records)
-        assert not manifest.degraded
-
-
-class TestV1Compatibility:
-    def test_v1_manifest_loads_with_null_v2_fields(self):
-        payload = {
-            "schema": MANIFEST_SCHEMA_V1,
-            "version": "1.0.0",
-            "workers": 2,
-            "cache_dir": None,
-            "cache_hits": 1,
-            "cache_misses": 0,
-            "wall_time_s": 1.0,
-            "jobs": [v1_job_payload()],
-        }
-        manifest = RunManifest.from_dict(payload)
-        (record,) = manifest.records
-        assert record.figure == "fig1"
-        assert record.metrics is None
-        assert record.hotspots is None
-        assert record.trace_path is None
-        assert record.verdict is None
-
-    def test_v1_record_rewrites_as_v2(self):
-        # Upgrading on load then saving must produce a valid v2 document.
-        record = JobRecord.from_dict(v1_job_payload())
-        manifest = RunManifest(workers=2, cache_dir=None, records=[record])
-        rewritten = json.loads(manifest.to_json())
-        assert rewritten["schema"] == MANIFEST_SCHEMA
-        assert rewritten["jobs"][0]["verdict"] is None
-        assert RunManifest.from_dict(rewritten).records == [record]
-
-    def test_minimal_v1_fields_get_defaults(self):
-        record = JobRecord.from_dict(
-            {"figure": "fig1", "seed": 0, "key": "k", "cached": False}
-        )
-        assert record.params == {}
-        assert record.wall_time_s == 0.0
-        assert record.rows == 0
-
 
 class TestRejection:
     @pytest.mark.parametrize(
         "schema", [None, "", "repro.runner/manifest/v0",
+                   "repro.runner/manifest/v1", "repro.runner/manifest/v2",
                    "repro.runner/manifest/v4", "something-else"]
     )
     def test_unknown_schemas_rejected_with_readable_list(self, schema):
@@ -213,5 +134,5 @@ class TestRejection:
             RunManifest.from_dict(payload)
 
     def test_rejection_names_the_readable_schemas(self):
-        with pytest.raises(ValueError, match="manifest/v1.*manifest/v2"):
+        with pytest.raises(ValueError, match="readable: .*manifest/v3$"):
             RunManifest.from_dict({"schema": "bogus"})

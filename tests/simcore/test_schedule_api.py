@@ -4,8 +4,7 @@
 ``arg`` makes the event call ``fn(arg)``, so hot paths schedule a bound
 method without a per-event closure.  The pre-redesign positional forms
 ``schedule(delay, fn)`` and ``schedule_at(time, fn)`` are gone.  Every
-test runs on both backends: the default calendar queue uses a
-specialized ``schedule`` closure, the heap the generic method.
+test runs on both backends, the default calendar queue and the heap.
 """
 
 import gc
