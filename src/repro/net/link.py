@@ -5,16 +5,23 @@ A :class:`Port` belongs to a device and owns an egress queue; a
 stages, as on real Ethernet:
 
 1. **Serialization** — the frame occupies the transmitting port for
-   ``wire_size / bandwidth``; the port is busy and further frames queue.
+   ``wire_size / bandwidth``, until ``busy_until_ns``; further frames queue.
 2. **Propagation** — after serialization the frame travels for the link's
    propagation delay and is handed to the peer device.  A device with
    ``folds_processing`` (a :class:`~repro.net.switch.Switch`) is handed the
    frame ``processing_delay_ns`` later instead, so arrival and forwarding
    cost one event; the arrival time rides on ``packet.arrival_ns``.
 
+A port that starts a frame schedules its far-end delivery at once, so a
+frame costs one event per link.  A second, *wake* event is scheduled only
+while a frame waits behind the one on the wire (or a shaper must account
+for its end): it runs :meth:`Port.try_transmit` at ``busy_until_ns``,
+where strict-priority selection must happen.
+
 Links can be administratively downed (failure injection) and can drop frames
 through a pluggable loss model — both are needed for the availability
-experiments of Section 4.
+experiments of Section 4.  Both are decided when the frame lands, as of the
+instant its serialization ended (see :meth:`Link.set_down`).
 """
 
 from __future__ import annotations
@@ -49,9 +56,10 @@ class Port:
         )
         self.link: Optional[Link] = None
         self.shaper = None  # set by repro.tsn when the port is TSN-scheduled
-        self._transmitting = False
-        #: Frame currently being clocked out (one at a time per port).
-        self._tx_packet: Packet | None = None
+        #: When the frame on the wire finishes serializing; idle at or after.
+        self.busy_until_ns = 0
+        #: Whether a wake event is pending (at most one per port).
+        self._wake_pending = False
         #: wire_size_bytes -> serialization ns, valid for ``_tx_cache_bw``.
         self._tx_cache: dict[int, int] = {}
         self._tx_cache_bw = 0.0
@@ -83,7 +91,7 @@ class Port:
 
     def send(self, packet: Packet) -> None:
         """Queue a frame for egress and start transmitting if idle."""
-        if not self._transmitting and self.shaper is None:
+        if self.shaper is None and self.busy_until_ns <= self.sim.now:
             link = self.link
             if link is not None and link.up and len(self.queue) == 0:
                 # Idle unshaped port, empty queue: the frame would be
@@ -105,8 +113,9 @@ class Port:
         self.try_transmit()
 
     def try_transmit(self) -> None:
-        """Begin transmitting the next eligible frame if the port is idle."""
-        if self._transmitting:
+        """Start the next eligible frame if idle; if busy, arm the wake."""
+        if self.busy_until_ns > self.sim.now:
+            self._arm_wake()
             return
         link = self.link
         if link is None or not link.up:
@@ -124,10 +133,10 @@ class Port:
             if packet is None:
                 return
         self._begin_transmit(packet, link)
+        self._arm_wake()
 
     def _begin_transmit(self, packet: Packet, link: "Link") -> None:
-        """Clock ``packet`` out on ``link`` (the port must be idle)."""
-        self._transmitting = True
+        """Clock ``packet`` out on idle ``link`` and schedule its delivery."""
         # Serialization time depends only on (wire size, bandwidth); memoise
         # per port, re-keyed whenever the link bandwidth changes.
         if link.bandwidth_bps != self._tx_cache_bw:
@@ -142,28 +151,40 @@ class Port:
         tel = self._tel
         if tel is not None:
             tel.on_transmit(packet, tx_ns)
-        # One frame in flight per port, so the packet rides on the port
-        # itself instead of a per-frame closure.
-        self._tx_packet = packet
-        self.sim.schedule(self._finish_transmit, after=tx_ns)
-
-    def _finish_transmit(self) -> None:
-        packet = self._tx_packet
-        self._tx_packet = None
-        self._transmitting = False
+        end_ns = self.sim.now + tx_ns
+        self.busy_until_ns = end_ns
         self.tx_frames += 1
-        self.tx_bytes += packet.wire_size_bytes
-        link = self.link
-        if link is not None:
-            link.propagate(packet, self)
+        self.tx_bytes += wire
+        link.propagate(packet, self, end_ns)
+
+    def _arm_wake(self) -> None:
+        """Wake at ``busy_until_ns`` if a frame waits; at most one pending.
+
+        A shaper accounts for every transmission's end (CBS credit), so a
+        shaped port always wakes.
+        """
+        if not self._wake_pending and (
+            len(self.queue) or self.shaper is not None
+        ):
+            self._wake_pending = True
+            self.sim.schedule(self._wake, at=self.busy_until_ns)
+
+    def _wake(self) -> None:
+        self._wake_pending = False
         self.try_transmit()
 
     def deliver(self, packet: Packet) -> None:
         """Called by the link when a frame arrives at this port.
 
         For a ``folds_processing`` device this runs at arrival plus the
-        device's processing delay (see :meth:`Link.propagate`).
+        device's processing delay (see :meth:`Link.propagate`).  A frame
+        the link lost (see :meth:`Link.set_down`) is dropped here.
         """
+        link = self.link
+        if (link.loss_model is not None or link._transitions) and (
+            link._lost(packet)
+        ):
+            return
         self.rx_frames += 1
         self.rx_bytes += packet.wire_size_bytes
         self.device.receive(packet, self)
@@ -195,6 +216,9 @@ class Link:
         self.propagation_delay_ns = propagation_delay_ns
         self.loss_model = loss_model
         self.up = True
+        #: ``(time_ns, up)`` per state change by set_down/set_up, read when
+        #: a frame lands to decide whether it was lost.
+        self._transitions: list[tuple[int, bool]] = []
         self.lost_frames = 0
         #: administrative down transitions (fault injection bookkeeping)
         self.downs = 0
@@ -222,21 +246,34 @@ class Link:
             return self.port_a
         raise ValueError(f"{port!r} is not attached to this link")
 
-    def propagate(self, packet: Packet, from_port: Port) -> None:
-        """Carry a serialized frame to the far end (may drop it)."""
-        if not self.up:
-            self.lost_frames += 1
-            return
-        if self.loss_model is not None and self.loss_model(packet):
-            self.lost_frames += 1
-            return
+    def propagate(self, packet: Packet, from_port: Port, end_ns: int) -> None:
+        """Carry a frame whose serialization ends at ``end_ns`` to the far end.
+
+        Schedules the peer port's :meth:`Port.deliver` for the arrival
+        (plus processing, for a ``folds_processing`` device), which drops
+        the frame if the link lost it.
+        """
         destination = from_port._peer_port
         device = destination.device
-        delay = self.propagation_delay_ns
+        arrival_ns = end_ns + self.propagation_delay_ns
+        packet.arrival_ns = arrival_ns
         if device.folds_processing:
-            packet.arrival_ns = self.sim.now + delay
-            delay += device.processing_delay_ns
-        self.sim.schedule(destination.deliver, packet, after=delay)
+            arrival_ns += device.processing_delay_ns
+        self.sim.schedule(destination.deliver, packet, at=arrival_ns)
+
+    def _lost(self, packet: Packet) -> bool:
+        """Decide (and count) a landing frame's loss: down link, then model."""
+        end_ns = packet.arrival_ns - self.propagation_delay_ns
+        for time_ns, up in reversed(self._transitions):
+            if time_ns <= end_ns:
+                if not up:
+                    self.lost_frames += 1
+                    return True
+                break
+        if self.loss_model is not None and self.loss_model(packet):
+            self.lost_frames += 1
+            return True
+        return False
 
     def set_up(self) -> None:
         """Restore the link and restart any stalled transmissions."""
@@ -244,17 +281,25 @@ class Link:
             self._m_transitions.inc()
             if self._tel is not None:
                 self._tel.on_state(up=True)
+            self._transitions.append((self.sim.now, True))
         self.up = True
         self.port_a.try_transmit()
         self.port_b.try_transmit()
 
     def set_down(self) -> None:
-        """Fail the link: in-queue frames stall, in-flight frames are lost."""
+        """Fail the link: queued frames stall until :meth:`set_up`.
+
+        A frame is lost iff the link is down at the instant its
+        serialization ends (a change at that very instant counts).  A frame
+        downed and restored within its serialization survives, and a frame
+        already propagating when the link fails still arrives.
+        """
         if self.up:
             self.downs += 1
             self._m_transitions.inc()
             if self._tel is not None:
                 self._tel.on_state(up=False)
+            self._transitions.append((self.sim.now, False))
         self.up = False
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

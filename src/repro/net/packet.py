@@ -93,8 +93,8 @@ class Packet:
     hops:
         Device names traversed, appended by the forwarding path.
     arrival_ns:
-        When the frame last arrived at a switch, stamped by the link; the
-        switch processes it later (see ``Switch.receive``).
+        When the frame last arrived at the end of a link, stamped by the
+        link; a switch processes it later (see ``Switch.receive``).
     frame_bytes, wire_size_bytes:
         Precomputed Ethernet frame accounting (see module docstring).
     """

@@ -6,12 +6,12 @@ flooding.  A configurable processing latency models the store-and-forward
 pipeline (lookup + switching fabric), which for industrial switches is a
 documented per-hop cost.
 
-A hop costs two events: the upstream port's serialization and one
-arrival-plus-processing event, which the link schedules
-``propagation_delay_ns + processing_delay_ns`` after serialization ends.
-Ingress work (rx counters, taps, learning, INT stamps) therefore runs at
-arrival + processing, but sees the true arrival time via
-``packet.arrival_ns``.
+A hop costs one arrival-plus-processing event, which the upstream port
+schedules when it starts the frame, for ``propagation_delay_ns +
+processing_delay_ns`` after serialization ends; a frame that queues behind
+another at the egress port adds one wake there.  Ingress work (rx
+counters, taps, learning, INT stamps) therefore runs at arrival +
+processing, but sees the true arrival time via ``packet.arrival_ns``.
 """
 
 from __future__ import annotations

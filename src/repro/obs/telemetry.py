@@ -237,6 +237,11 @@ class PortProbe:
         self._bytes_ring.record(now, self.tx_bytes)
         self.hub.stamp_egress(packet, port.name, now, len(port.queue))
 
+    def on_busy(self, busy_ns: int) -> None:
+        """Wire time reported apart from :meth:`on_transmit` (fragments)."""
+        self.busy_ns += busy_ns
+        self._busy_ring.record(self.port.sim.now, self.busy_ns)
+
 
 class SwitchProbe:
     """INT ingress stamping for one switch."""

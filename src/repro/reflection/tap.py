@@ -63,9 +63,7 @@ class Tap(Device):
             return
         # Passive pass-through: the frame is already on the wire; repeat it
         # to the far side without serializing again.
-        self.sim.schedule(
-            lambda: link.propagate(packet, out_port), after=self.passthrough_ns
-        )
+        link.propagate(packet, out_port, self.sim.now + self.passthrough_ns)
 
     def records_by_direction(self, direction: int) -> list[TapRecord]:
         """All records captured on one ingress side."""

@@ -69,9 +69,15 @@ class _PreemptingPort:
     # -- queue entry -----------------------------------------------------
 
     def _send(self, packet: Packet) -> None:
-        if not self.port.queue.enqueue(packet):
-            self.port.egress_drops += 1
+        port = self.port
+        tel = port._tel
+        if not port.queue.enqueue(packet):
+            port.egress_drops += 1
+            if tel is not None:
+                tel.on_drop(packet)
             return
+        if tel is not None:
+            tel.on_enqueue(packet)
         if (
             self._current is not None
             and self.config.is_express(packet)
@@ -90,7 +96,13 @@ class _PreemptingPort:
         if packet is None:
             return
         remaining = packet.payload.pop(_REMAINING_KEY, None)
-        self._begin(packet, remaining or packet.wire_size_bytes)
+        if remaining is None:
+            remaining = packet.wire_size_bytes
+            if port._tel is not None:
+                # Count the frame and stamp INT egress once; busy time is
+                # reported per fragment as it leaves the wire.
+                port._tel.on_transmit(packet, 0)
+        self._begin(packet, remaining)
 
     def _begin(self, packet: Packet, wire_bytes: int) -> None:
         port = self.port
@@ -102,14 +114,23 @@ class _PreemptingPort:
             after=self._bytes_to_ns(wire_bytes),
         )
 
+    def _fragment_sent(self) -> None:
+        """Report the wire time of the fragment that ends now."""
+        port = self.port
+        tx_ns = port.sim.now - self._current_started_ns
+        port._m_tx_ns.observe(tx_ns)
+        if port._tel is not None:
+            port._tel.on_busy(tx_ns)
+
     def _finish(self, packet: Packet) -> None:
         port = self.port
+        self._fragment_sent()
         self._current = None
         self._finish_event = None
         port.tx_frames += 1
         port.tx_bytes += packet.wire_size_bytes
         if port.link is not None:
-            port.link.propagate(packet, port)
+            port.link.propagate(packet, port, port.sim.now)
         self._try_transmit()
 
     # -- preemption ----------------------------------------------------------
@@ -138,6 +159,7 @@ class _PreemptingPort:
         assert self._finish_event is not None
         self._finish_event.cancel()
         self._finish_event = None
+        self._fragment_sent()
         self._current = None
         self.config.preemptions += 1
         victim.payload[_REMAINING_KEY] = (

@@ -1,12 +1,16 @@
 """Exact switch-ingress times and per-hop event counts.
 
-A switch hop is one arrival-plus-processing event: the link schedules it
-``propagation_delay_ns + processing_delay_ns`` after serialization ends,
-and every ingress observer (taps, the packet tracer, INT postcards)
-receives the true arrival time as a value.  These oracles pin both: the
-ingress stamps on an unloaded path are closed-form, and the kernel's
-event count per frame is fixed by the path length.
+A switch hop is one arrival-plus-processing event: the upstream port
+schedules it when the frame starts, for ``propagation_delay_ns +
+processing_delay_ns`` after serialization ends, and every ingress observer
+(taps, the packet tracer, INT postcards) receives the true arrival time as
+a value.  These oracles pin both: the ingress stamps and end-to-end
+latencies on unloaded lines are closed-form, and the kernel's event count
+per frame is fixed by the path length plus one wake per queued frame.
 """
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.net import PacketTracer, Topology
@@ -89,6 +93,94 @@ class TestIngressOracle:
         assert (sw.ports[0].rx_frames, sw.ports[0].rx_bytes) == (1, 84)
 
 
+def wire_bytes(payload_bytes):
+    """Ethernet accounting: 22 B header/tag/FCS, 64 B minimum, 20 B gap."""
+    return max(payload_bytes + 22, 64) + 20
+
+
+#: One hop's link: (bandwidth in bit/s, propagation ns).
+LINKS = st.tuples(
+    st.sampled_from([10e6, 100e6, 1e9, 2.5e9, 10e9]),
+    st.integers(0, 20_000),
+)
+#: A line of 1-6 switches: (links, per-switch processing ns).
+PATHS = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(
+        st.lists(LINKS, min_size=n + 1, max_size=n + 1),
+        st.lists(st.integers(0, 5_000), min_size=n, max_size=n),
+    )
+)
+
+
+def switch_line(sim, links, processing):
+    """h0 -- sw0 -- ... -- swN-1 -- h1 with static routes.
+
+    ``links`` has one more entry than ``processing`` (one per switch).
+    """
+    topo = Topology(sim)
+    h0, h1 = topo.add_host("h0"), topo.add_host("h1")
+    switches = [
+        topo.add_switch(f"sw{i}", processing_delay_ns=delay)
+        for i, delay in enumerate(processing)
+    ]
+    chain = [h0, *switches, h1]
+    for (left, right), (bandwidth, propagation) in zip(
+        zip(chain, chain[1:]), links
+    ):
+        topo.connect(
+            left, right, bandwidth_bps=bandwidth,
+            propagation_delay_ns=propagation,
+        )
+    for switch in switches:
+        switch.install_route("h1", 1)
+    return h0, h1
+
+
+class TestUnloadedPathOracle:
+    """End-to-end latency on N-hop lines matches the closed form exactly."""
+
+    @given(PATHS, st.integers(0, 1_500))
+    @settings(deadline=None, max_examples=40)
+    def test_single_frame_latency(self, path, payload_bytes):
+        links, processing = path
+        sim = Simulator()
+        h0, h1 = switch_line(sim, links, processing)
+        arrivals = []
+        h1.on_receive(lambda packet: arrivals.append(sim.now))
+        h0.send("h1", payload_bytes=payload_bytes)
+        sim.run()
+        wire = wire_bytes(payload_bytes)
+        expected = sum(
+            round(wire * 8 / bandwidth * 1e9) + propagation
+            for bandwidth, propagation in links
+        ) + sum(processing)
+        assert arrivals == [expected]
+
+    @given(PATHS, st.integers(0, 1_500), st.integers(2, 12))
+    @settings(deadline=None, max_examples=40)
+    def test_back_to_back_burst(self, path, payload_bytes, frames):
+        # k equal frames sent at t = 0 leave a store-and-forward line
+        # spaced by the slowest link's serialization time.
+        links, processing = path
+        sim = Simulator()
+        h0, h1 = switch_line(sim, links, processing)
+        arrivals = []
+        h1.on_receive(lambda packet: arrivals.append((packet.sequence, sim.now)))
+        for sequence in range(frames):
+            h0.send("h1", payload_bytes=payload_bytes, sequence=sequence)
+        sim.run()
+        wire = wire_bytes(payload_bytes)
+        serialization = [
+            round(wire * 8 / bandwidth * 1e9) for bandwidth, _ in links
+        ]
+        first = sum(serialization) + sum(
+            propagation for _, propagation in links
+        ) + sum(processing)
+        assert arrivals == [
+            (k, first + k * max(serialization)) for k in range(frames)
+        ]
+
+
 def line(sim, routes):
     """h0, h2 -- sw0 -- sw1 -- h1; static routes only when ``routes``."""
     topo = Topology(sim)
@@ -109,7 +201,7 @@ def line(sim, routes):
 class TestEventCountGuard:
     FRAMES = 25
 
-    def test_two_events_per_switch_hop(self):
+    def test_one_event_per_idle_switch_hop(self):
         sim = Simulator()
         h0, h1, _, sw0, sw1 = line(sim, routes=True)
         delivered = []
@@ -120,9 +212,11 @@ class TestEventCountGuard:
         assert len(delivered) == self.FRAMES
         switch_hops = sw0.forwarded_frames + sw1.forwarded_frames
         assert switch_hops == 2 * self.FRAMES
-        # Per frame: h0's serialization and h1's delivery, plus the
-        # arrival-and-forward and the egress serialization of each switch.
-        predicted = 2 * switch_hops + 2 * self.FRAMES
+        # One delivery per link per frame (sw0, sw1, h1).  Only h0 queues
+        # the burst: every frame but the first waits for a wake there, and
+        # the switches find their egress idle, so they need none.
+        predicted = (switch_hops + self.FRAMES) + (self.FRAMES - 1)
+        assert predicted == 99
         assert sim.stats.events_executed == predicted
 
     def test_learning_counts(self):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.net import (
     CyclicSender,
     FlowSpec,
@@ -9,11 +10,13 @@ from repro.net import (
     Link,
     Packet,
     PoissonSender,
+    StrictPriorityQueue,
     Topology,
     TrafficClass,
 )
 from repro.net.routing import install_shortest_path_routes
 from repro.metrics import jitter_report
+from repro.obs.telemetry import TelemetryHub
 from repro.simcore import Simulator, MS, SEC, US
 from repro.tsn import (
     MIN_FRAGMENT_BYTES,
@@ -141,6 +144,47 @@ class TestMechanics:
         a.ports[0].shaper = TimeAwareShaper(always_open())
         with pytest.raises(ValueError):
             enable_preemption(a.ports[0])
+
+
+class TestTelemetry:
+    def test_fragments_report_their_wire_time(self):
+        with obs.capture(
+            tracing=False, telemetry=TelemetryHub(interval=1)
+        ) as handle:
+            sim, a, b = direct_pair()
+            port = a.ports[0]
+            config = enable_preemption(port)
+            port.send(big_be())
+            sim.schedule(lambda: port.send(small_express()), after=2 * US)
+            sim.run(until=1 * MS)
+        assert config.preemptions == 1
+        # 2 000 ns of the BE frame (250 B), the 88 B express frame, then
+        # the other 1 192 B plus 12 B fragment overhead.
+        fragments = [2_000, 704, (1_192 + 12) * 8]
+        probe = port._tel
+        assert probe.busy_ns == sum(fragments)
+        assert probe.tx_bytes == port.tx_bytes == 1_442 + 88
+        histogram = handle.registry.histogram("net.port.tx_ns")
+        assert (histogram.count, histogram.sum) == (3, sum(fragments))
+
+    def test_queue_drops_reach_the_flight_recorder(self):
+        with obs.capture(
+            metrics=False, tracing=False, telemetry=TelemetryHub(interval=1)
+        ) as handle:
+            sim = Simulator(seed=0)
+            a, b = Host(sim, "a"), Host(sim, "b")
+            port = a.add_port(queue=StrictPriorityQueue(capacity_per_class=1))
+            Link(sim, port, b.add_port(), 1e9, 0)
+            enable_preemption(port)
+            for sequence in range(3):
+                # One on the wire, one queued, one dropped.
+                port.send(big_be(sequence))
+            sim.run(until=1 * MS)
+        assert port.egress_drops == 1
+        events = handle.telemetry.flight.snapshot("check")["components"]
+        assert [event["kind"] for event in events[port.name]] == [
+            "queue.drop"
+        ]
 
 
 class TestEndToEndJitter:
