@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import fnmatch
 import itertools
+import os
+import re
 from dataclasses import dataclass, field
 from enum import Enum, auto
 from typing import Any, Callable
@@ -69,6 +71,12 @@ class PacketContext:
 ActionFn = Callable[..., None]
 
 
+def _compile_pattern(pattern: Any) -> Callable[[str], Any]:
+    """The ``re`` match function that ``fnmatch.fnmatch`` uses for
+    ``pattern``; call it on ``os.path.normcase(str(value))``."""
+    return re.compile(fnmatch.translate(os.path.normcase(str(pattern)))).match
+
+
 @dataclass(frozen=True)
 class TableEntry:
     """One installed table entry."""
@@ -97,7 +105,11 @@ class Table:
         self.default_action = default_action
         self.default_params = default_params or {}
         self._entries: dict[tuple[Any, ...], TableEntry] = {}
-        self._ternary_entries: list[TableEntry] = []
+        #: Ternary entries, highest priority first, each with one
+        #: compiled pattern per key field.
+        self._ternary_entries: list[
+            tuple[TableEntry, tuple[Callable[[str], Any], ...]]
+        ] = []
         self.hits = 0
         self.misses = 0
 
@@ -121,11 +133,13 @@ class Table:
         if self.match_kind is MatchKind.EXACT:
             self._entries[key_tuple] = entry
         else:
+            matchers = tuple(_compile_pattern(p) for p in key_tuple)
             self._ternary_entries = [
-                e for e in self._ternary_entries if e.key != key_tuple
+                item for item in self._ternary_entries
+                if item[0].key != key_tuple
             ]
-            self._ternary_entries.append(entry)
-            self._ternary_entries.sort(key=lambda e: -e.priority)
+            self._ternary_entries.append((entry, matchers))
+            self._ternary_entries.sort(key=lambda item: -item[0].priority)
         return entry
 
     def delete(self, key: tuple[Any, ...] | list[Any]) -> bool:
@@ -135,7 +149,7 @@ class Table:
             return self._entries.pop(key_tuple, None) is not None
         before = len(self._ternary_entries)
         self._ternary_entries = [
-            e for e in self._ternary_entries if e.key != key_tuple
+            item for item in self._ternary_entries if item[0].key != key_tuple
         ]
         return len(self._ternary_entries) != before
 
@@ -148,7 +162,7 @@ class Table:
         """All installed entries."""
         if self.match_kind is MatchKind.EXACT:
             return list(self._entries.values())
-        return list(self._ternary_entries)
+        return [entry for entry, _ in self._ternary_entries]
 
     def lookup(self, ctx: PacketContext) -> tuple[str, dict[str, Any], bool]:
         """Match the context; returns ``(action, params, hit)``."""
@@ -159,11 +173,13 @@ class Table:
                 self.hits += 1
                 return entry.action, entry.params, True
         else:
-            for entry in self._ternary_entries:
-                if all(
-                    fnmatch.fnmatch(str(actual), str(pattern))
-                    for actual, pattern in zip(key, entry.key)
-                ):
+            normcase = os.path.normcase
+            values = [normcase(str(actual)) for actual in key]
+            for entry, matchers in self._ternary_entries:
+                for value, match in zip(values, matchers):
+                    if match(value) is None:
+                        break
+                else:
                     self.hits += 1
                     return entry.action, entry.params, True
         self.misses += 1

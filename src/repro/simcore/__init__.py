@@ -4,8 +4,9 @@ Public API:
 
 - :class:`Simulator` — event loop with integer-nanosecond time.
 - :class:`Process` / :class:`Signal` — generator-coroutine processes.
-- :class:`EventQueue` / :class:`CalendarQueue` / :class:`Event` — the
-  scheduler backends (see :data:`SCHEDULERS`) and their event type.
+- :class:`Event` — a scheduled callback, the entry on the simulator's
+  one binary heap; :class:`EventQueue` — the independent reference queue
+  the tests check the simulator against.
 - :class:`RandomStreams` — named, independent random streams.
 - :class:`Clock`, :class:`PtpSyncModel`, :func:`tap_clock` — clock models.
 - :class:`SimStats` / :func:`collect_stats` — event-loop counters and a
@@ -15,15 +16,11 @@ Public API:
 
 from .clock import Clock, PtpSyncModel, tap_clock
 from .events import (
-    CalendarQueue,
     Event,
     EventQueue,
     PRIORITY_HIGH,
     PRIORITY_LOW,
     PRIORITY_NORMAL,
-    SCHEDULERS,
-    Scheduler,
-    make_scheduler,
 )
 from .rng import RandomStreams
 from .simulator import Process, Signal, SimulationError, Simulator, every
@@ -31,7 +28,6 @@ from .stats import SimStats, collect as collect_stats
 from .units import HOUR, MINUTE, MS, NS, SEC, US
 
 __all__ = [
-    "CalendarQueue",
     "Clock",
     "Event",
     "EventQueue",
@@ -45,9 +41,7 @@ __all__ = [
     "Process",
     "PtpSyncModel",
     "RandomStreams",
-    "SCHEDULERS",
     "SEC",
-    "Scheduler",
     "Signal",
     "SimStats",
     "SimulationError",
@@ -55,6 +49,5 @@ __all__ = [
     "US",
     "collect_stats",
     "every",
-    "make_scheduler",
     "tap_clock",
 ]

@@ -1,7 +1,7 @@
 """The discrete-event simulator.
 
 :class:`Simulator` owns the clock (integer nanoseconds, see
-:mod:`repro.simcore.units`), a pluggable event-scheduler backend (see
+:mod:`repro.simcore.units`), one binary heap of pending events (see
 :mod:`repro.simcore.events`), and a registry of named random streams.
 Components interact with it in two styles:
 
@@ -14,27 +14,22 @@ Components interact with it in two styles:
 Both styles coexist; the fieldbus and PLC models use processes for their
 cyclic behaviour, while packet forwarding uses plain callbacks.
 
-The event loop has two paths.  With no profiler attached and no tracer
-active, :meth:`Simulator.run` takes a zero-overhead fast path: events of
-one instant are drained in a single batched scheduler call and no
-observability code runs at all.  With a profiler or tracer active it
-falls back to the instrumented per-event loop.
+``schedule`` pushes one :class:`~repro.simcore.events.Event` entry onto
+the heap, and the event loop pops entries one at a time: the heap order
+is the total order ``(time, priority, sequence)``.  With no profiler
+attached and no tracer active, :meth:`Simulator.run` takes the fast loop,
+where no observability code runs at all.  With a profiler or tracer
+active it pops the same heap through the instrumented loop.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable
 
 from ..obs import runtime as _obs
 from ..obs.tracing import NULL_TRACER
-from .events import (
-    DEFAULT_SCHEDULER,
-    Event,
-    NO_ARG,
-    PRIORITY_NORMAL,
-    Scheduler,
-    make_scheduler,
-)
+from .events import Event, NO_ARG, PRIORITY_NORMAL
 from .rng import RandomStreams
 from .stats import SimStats, _register
 
@@ -155,7 +150,11 @@ class Process:
 
 
 class Simulator:
-    """Deterministic discrete-event simulator with integer-ns time."""
+    """Deterministic discrete-event simulator with integer-ns time.
+
+    ``scheduler`` may be ``None`` or ``"heap"``; both name the one binary
+    heap, and any other value raises :class:`ValueError`.
+    """
 
     #: Where :meth:`trace` messages go when *no* trace hook is registered.
     #: Defaults to :func:`obs_trace_sink` (the active observability tracer,
@@ -165,26 +164,22 @@ class Simulator:
     #: style debugging sinks.
     default_sink: Callable[[int, str], None] = staticmethod(obs_trace_sink)
 
-    def __init__(
-        self, seed: int = 0, *, scheduler: str | Scheduler | None = None
-    ) -> None:
-        self._now = 0
-        if scheduler is None:
-            scheduler = DEFAULT_SCHEDULER
-        if isinstance(scheduler, str):
-            self.scheduler_name = scheduler
-            self._queue: Scheduler = make_scheduler(scheduler)
-        else:
-            self.scheduler_name = type(scheduler).__name__
-            self._queue = scheduler
-        # Bound-method cache: schedule() is the hottest call in the repo
-        # and the `self._queue.push` attribute chase shows up in profiles.
-        self._push = self._queue.push
+    def __init__(self, seed: int = 0, *, scheduler: str | None = None) -> None:
+        if scheduler not in (None, "heap"):
+            raise ValueError(
+                f"unknown scheduler {scheduler!r}: the simulator has one "
+                f"binary heap, named 'heap'"
+            )
+        #: Current simulated time in nanoseconds; the event loop assigns it.
+        self.now = 0
+        #: Pending events, a binary heap of ``Event`` entries.
+        self._heap: list[Event] = []
         self.streams = RandomStreams(seed=seed)
         self._running = False
         self._trace_hooks: list[Callable[[int, str], None]] = []
         #: Event-loop counters; aggregated across simulators by
-        #: :func:`repro.simcore.stats.collect`.
+        #: :func:`repro.simcore.stats.collect`.  ``events_scheduled`` is
+        #: also the sequence number of the next scheduled event.
         self.stats = SimStats(simulators=1)
         #: Per-callback wall-time attribution; ``None`` (the default)
         #: keeps the event loop on the unwrapped fast path.  Set by
@@ -192,11 +187,6 @@ class Simulator:
         #: ``obs.capture(profile=True)`` scope at construction.
         self._profiler = _obs.profiler_for_new_sim()
         _register(self)
-
-    @property
-    def now(self) -> int:
-        """Current simulated time in nanoseconds."""
-        return self._now
 
     # -- scheduling ---------------------------------------------------------
 
@@ -239,17 +229,21 @@ class Simulator:
                 )
             if after < 0:
                 raise SimulationError(f"negative delay {after}")
-            time = self._now + after
+            time = self.now + after
         elif at is not None:
-            if at < self._now:
+            if at < self.now:
                 raise SimulationError(
-                    f"cannot schedule at {at}, current time is {self._now}"
+                    f"cannot schedule at {at}, current time is {self.now}"
                 )
             time = at
         else:
-            time = self._now
-        self.stats.events_scheduled += 1
-        return self._push(time, callback, priority, arg)
+            time = self.now
+        stats = self.stats
+        sequence = stats.events_scheduled
+        stats.events_scheduled = sequence + 1
+        event = Event((time, priority, sequence, callback, arg))
+        heappush(self._heap, event)
+        return event
 
     def process(
         self, generator: Generator[Any, Any, Any], name: str = ""
@@ -273,9 +267,9 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is already running")
-        if until is not None and until < self._now:
+        if until is not None and until < self.now:
             raise SimulationError(
-                f"cannot run until {until}, current time is {self._now}"
+                f"cannot run until {until}, current time is {self.now}"
             )
         self._running = True
         # Snapshot per-run observability state (attaching mid-run takes
@@ -287,89 +281,100 @@ class Simulator:
         try:
             if profiler is None and tracer is NULL_TRACER:
                 executed = self._run_fast(until)
-                if until is not None and until > self._now:
-                    self._now = until
+                if until is not None and until > self.now:
+                    self.now = until
             else:
                 executed = self._run_instrumented(until, profiler, tracer)
         finally:
             self._running = False
             self.stats.events_executed += executed
-            self.stats.sim_time_ns = self._now
-        return self._now
+            self.stats.sim_time_ns = self.now
+        return self.now
 
     def _run_fast(self, until: int | None) -> int:
-        """Uninstrumented event loop: one batched pop per instant."""
-        queue = self._queue
-        pop_batch = queue.pop_batch
-        requeue = queue.requeue
+        """Uninstrumented event loop: pop, skip if cancelled, fire."""
+        heap = self._heap
+        pop = heappop
         no_arg = NO_ARG
         executed = 0
-        while True:
-            batch = pop_batch(until)
-            if not batch:
+        while heap:
+            event = pop(heap)
+            time, _, _, callback, arg = event
+            if callback is None:
+                continue
+            if until is not None and time > until:
+                heappush(heap, event)
                 break
-            self._now = batch[0].time
-            size = len(batch)
-            for index, event in enumerate(batch, 1):
-                if event.cancelled:
-                    # Cancelled mid-batch by an earlier callback.
-                    continue
-                arg = event.arg
-                if arg is no_arg:
-                    event.callback()
-                else:
-                    event.callback(arg)
-                executed += 1
-                if queue.batch_dirty and index < size:
-                    # A callback scheduled at (or before) this instant; the
-                    # new event may order before the unexecuted remainder,
-                    # so push the rest back and re-pop the merged batch.
-                    requeue(batch[index:])
-                    break
+            self.now = time
+            if arg is no_arg:
+                callback()
+            else:
+                callback(arg)
+            executed += 1
         return executed
 
     def _run_instrumented(
         self, until: int | None, profiler, tracer
     ) -> int:
         """Per-event loop with tracer span and profiler attribution."""
-        queue = self._queue
         executed = 0
-        span = tracer.span("sim.run", start_ns=self._now, until_ns=until)
+        span = tracer.span("sim.run", start_ns=self.now, until_ns=until)
         with span:
             while True:
-                next_time = queue.peek_time()
-                if next_time is None:
+                event = self._pop(until)
+                if event is None:
                     break
-                if until is not None and next_time > until:
-                    break
-                event = queue.pop()
-                self._now = event.time
+                self.now = event[0]
                 executed += 1
                 _fire(event, profiler)
-            if until is not None and until > self._now:
-                self._now = until
+            if until is not None and until > self.now:
+                self.now = until
             span.set(
-                end_ns=self._now,
+                end_ns=self.now,
                 events=self.stats.events_executed + executed,
             )
         return executed
 
+    def _pop(self, until: int | None = None) -> Event | None:
+        """Remove and return the next live event at or before ``until``."""
+        heap = self._heap
+        while heap:
+            event = heappop(heap)
+            if event[3] is None:
+                continue
+            if until is not None and event[0] > until:
+                heappush(heap, event)
+                return None
+            return event
+        return None
+
     def step(self) -> bool:
-        """Execute a single event.  Returns ``False`` if the queue is empty."""
-        try:
-            event = self._queue.pop()
-        except IndexError:
+        """Execute a single event.  Returns ``False`` if the queue is empty.
+
+        Raises :class:`SimulationError` when called from inside a callback,
+        because the next event would then run inside the current one.  The
+        stepped event's own callback counts as running, too, so it may not
+        call :meth:`run` or :meth:`step` either.
+        """
+        if self._running:
+            raise SimulationError("cannot step while the simulator is running")
+        event = self._pop()
+        if event is None:
             return False
-        self._now = event.time
+        self.now = event[0]
         self.stats.events_executed += 1
-        self.stats.sim_time_ns = self._now
-        _fire(event, self._profiler)
+        self.stats.sim_time_ns = self.now
+        self._running = True
+        try:
+            _fire(event, self._profiler)
+        finally:
+            self._running = False
         return True
 
     @property
     def pending_events(self) -> int:
         """Number of live events waiting in the queue."""
-        return len(self._queue)
+        return sum(1 for event in self._heap if event[3] is not None)
 
     # -- tracing ------------------------------------------------------------
 
@@ -393,15 +398,15 @@ class Simulator:
         hooks = self._trace_hooks
         if hooks:
             for hook in hooks:
-                hook(self._now, message)
+                hook(self.now, message)
         else:
-            self.default_sink(self._now, message)
+            self.default_sink(self.now, message)
 
 
 def _fire(event: Event, profiler) -> None:
     """Run one popped event, through ``profiler`` when one is attached."""
-    callback = event.callback
-    args = () if event.arg is NO_ARG else (event.arg,)
+    _, _, _, callback, arg = event
+    args = () if arg is NO_ARG else (arg,)
     if profiler is None:
         callback(*args)
     else:

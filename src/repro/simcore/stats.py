@@ -14,13 +14,15 @@ threading a handle through every model layer::
 Collection is scoped by a simple module-level stack, so nested ``collect``
 blocks each see the simulators created within them.
 
-The fast-path event loop keeps a *local* executed counter and flushes it
-into ``sim.stats.events_executed`` when ``run`` returns (including on
+The event loop keeps a *local* executed counter and flushes it into
+``sim.stats.events_executed`` when ``run`` returns (including on
 exceptions), so there is **zero** per-event stats overhead while the loop
-runs.  Consequence: ``sim.stats`` read from *inside* a callback lags by
-the events of the current ``run``; read it between runs (as ``collect``
-does — it fills its block in when the ``with`` exits) for exact totals.
-``events_scheduled`` is still incremented at ``schedule`` time.
+runs.  Consequence: ``events_executed`` read from *inside* a callback
+lags by the events of the current ``run``; read it between runs (as
+``collect`` does — it fills its block in when the ``with`` exits) for
+exact totals.  ``events_scheduled`` is exact at every moment: it is the
+simulator's sequence counter, and ``schedule`` takes each new event's
+sequence number from it.
 """
 
 from __future__ import annotations

@@ -37,6 +37,7 @@ from repro.obs.telemetry import (
     summarize_postcards,
 )
 from repro.simcore import Simulator
+from tests.simcore.reference_loop import ReferenceSimulator
 
 
 class TestRingSampler:
@@ -80,7 +81,7 @@ class TestRingSampler:
         assert run() == run()
 
     def test_identical_timestamps_are_preserved(self):
-        # Pathological CalendarQueue case: many events at one instant.
+        # Many samples at one instant.
         ring = RingSampler("x", capacity=4)
         for _ in range(12):
             ring.record(7, 1)
@@ -208,7 +209,7 @@ class TestPostcardSampling:
         assert hub.postcards_dropped == 2
 
 
-def run_line(telemetry=None, seed=0, scheduler=None):
+def run_line(telemetry=None, seed=0, engine=Simulator):
     """a -- switch -- b with a burst of traffic; returns (arrivals, hub)."""
     ctx = (
         obs.capture(metrics=False, tracing=False, telemetry=telemetry)
@@ -221,11 +222,7 @@ def run_line(telemetry=None, seed=0, scheduler=None):
         obs_handle = ctx.__enter__()
         hub = obs_handle.telemetry
     try:
-        sim = (
-            Simulator(seed=seed, scheduler=scheduler)
-            if scheduler is not None
-            else Simulator(seed=seed)
-        )
+        sim = engine(seed=seed)
         topo = Topology(sim)
         a = topo.add_host("a")
         b = topo.add_host("b")
@@ -296,17 +293,15 @@ class TestDeterminism:
         _, hub_b = run_line(telemetry=TelemetryHub(interval=4, seed=1))
         assert self.canonical(hub_a) == self.canonical(hub_b)
 
-    def test_heap_and_calendar_schedulers_agree_bit_for_bit(self):
-        # Scheduler equivalence extends to the telemetry plane: ring
-        # contents and postcards must match across backends exactly.
-        _, heap_hub = run_line(
-            telemetry=TelemetryHub(interval=4), scheduler="heap"
+    def test_simulator_and_reference_loop_agree_bit_for_bit(self):
+        # The kernel oracle extends to the telemetry plane: ring contents
+        # and postcards match the reference loop over EventQueue exactly.
+        _, heap_hub = run_line(telemetry=TelemetryHub(interval=4))
+        _, reference_hub = run_line(
+            telemetry=TelemetryHub(interval=4), engine=ReferenceSimulator
         )
-        _, cal_hub = run_line(
-            telemetry=TelemetryHub(interval=4), scheduler="calendar"
-        )
-        assert self.canonical(heap_hub) == self.canonical(cal_hub)
-        assert heap_hub.postcards == cal_hub.postcards
+        assert self.canonical(heap_hub) == self.canonical(reference_hub)
+        assert heap_hub.postcards == reference_hub.postcards
 
     def test_summary_shape(self):
         _, hub = run_line(telemetry=TelemetryHub(interval=1))

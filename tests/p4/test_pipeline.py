@@ -1,5 +1,7 @@
 """P4 pipeline semantics: tables, actions, registers, digests."""
 
+import fnmatch
+
 import pytest
 
 from repro.net import Packet
@@ -101,6 +103,21 @@ class TestTernaryTable:
         table.insert(["a*"], "NoAction")
         assert table.delete(["a*"])
         assert table.entries() == []
+
+    def test_compiled_patterns_match_like_fnmatch(self):
+        patterns = ["*", "a*", "?b", "[ab]c", "[!a]*", "x.y", "a+b", "(*)", 7, None]
+        values = ["a", "ab", "bb", "ac", "bc", "xzy", "x.y", "a+b", "aab",
+                  "(q)", "7", 7, None, "None", "", "a\nb"]
+        for pattern in patterns:
+            table = Table("t", key_fields=["src"], match_kind=MatchKind.TERNARY)
+            table.insert([pattern], "hit")
+            for value in values:
+                ctx = PacketContext(packet=packet(), ingress_port=0)
+                ctx.fields["src"] = value
+                _, _, hit = table.lookup(ctx)
+                assert hit == fnmatch.fnmatch(str(value), str(pattern)), (
+                    pattern, value,
+                )
 
 
 class TestPipelineFlow:

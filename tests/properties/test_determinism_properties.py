@@ -6,9 +6,10 @@ trial prints its generator seed so the exact case replays with
 ``random.Random(seed)``.  The properties are the determinism contracts
 the rest of the repo builds on:
 
-- :class:`repro.simcore.events.EventQueue` pops in a total order —
-  ``(time, priority, insertion sequence)`` — for *any* interleaving of
-  push/pop/cancel;
+- the simulator fires events in a total order — ``(time, priority,
+  insertion sequence)`` — for *any* interleaving of schedule/step/cancel,
+  and so does the reference loop over
+  :class:`repro.simcore.events.EventQueue` it is compared against;
 - :class:`repro.simcore.rng.RandomStreams` streams are independent: the
   draws of one stream never depend on which other streams exist or when
   they draw;
@@ -21,14 +22,15 @@ import random
 import pytest
 
 from repro.chaos import SCENARIOS, get_scenario, run_campaign
-from repro.simcore.events import CalendarQueue, EventQueue
+from repro.simcore import Simulator
 from repro.simcore.rng import RandomStreams
+from tests.simcore.reference_loop import ReferenceSimulator
 
 #: Trials per property.  Each failure message carries the trial seed.
 TRIALS = 20
 
-#: Both scheduler backends must satisfy the same ordering contract.
-BACKENDS = [EventQueue, CalendarQueue]
+#: The simulator and the reference loop satisfy the same ordering contract.
+ENGINES = [Simulator, ReferenceSimulator]
 
 
 def trial_seeds(start):
@@ -36,11 +38,15 @@ def trial_seeds(start):
     return [start + trial for trial in range(TRIALS)]
 
 
-# -- EventQueue total ordering ----------------------------------------------
+# -- total event ordering ---------------------------------------------------
 
 
 def random_ops(rng, size=120):
-    """A random push/pop/cancel interleaving, as replayable pure data."""
+    """A random schedule/step/cancel interleaving, as replayable pure data.
+
+    A schedule op carries a delay from the current instant, so a script
+    stays valid however far earlier steps moved the clock.
+    """
     ops = []
     live = 0
     for tag in range(size):
@@ -59,72 +65,63 @@ def random_ops(rng, size=120):
     return ops
 
 
-def apply_ops(ops, backend=EventQueue):
-    """Run an op sequence; return the tags in pop order.
-
-    Events are slotted, so each tag rides in the event's callback
-    (``callback()`` returns it) rather than as an ad-hoc attribute.
-    """
-    queue = backend()
+def apply_ops(ops, engine):
+    """Run an op sequence; return the tags in firing order (``None`` for a
+    step that found nothing to fire)."""
+    sim = engine()
     events = {}
-    popped = []
+    fired = []
     for op in ops:
         if op[0] == "push":
-            _, time, priority, tag = op
-            events[tag] = queue.push(
-                time, callback=lambda t=tag: t, priority=priority
+            _, delay, priority, tag = op
+            events[tag] = sim.schedule(
+                fired.append, tag, after=delay, priority=priority
             )
         elif op[0] == "cancel":
             events[op[1]].cancel()
-        else:
-            try:
-                popped.append(queue.pop().callback())
-            except IndexError:
-                popped.append(None)
-    while queue:
-        popped.append(queue.pop().callback())
-    return popped
+        elif not sim.step():
+            fired.append(None)
+    sim.run()
+    return fired
 
 
 class TestEventQueueOrdering:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("seed", trial_seeds(1000))
-    def test_identical_op_sequences_pop_identically(self, seed, backend):
+    def test_identical_op_sequences_pop_identically(self, seed):
         ops = random_ops(random.Random(seed))
-        assert apply_ops(ops, backend) == apply_ops(ops, backend), (
-            f"trial seed {seed}"
-        )
+        assert apply_ops(ops, Simulator) == apply_ops(
+            ops, ReferenceSimulator
+        ), f"trial seed {seed}"
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("engine", ENGINES, ids=["heap", "reference"])
     @pytest.mark.parametrize("seed", trial_seeds(2000))
-    def test_drain_order_is_the_documented_total_order(self, seed, backend):
+    def test_drain_order_is_the_documented_total_order(self, seed, engine):
         rng = random.Random(seed)
-        queue = backend()
+        sim = engine()
         pushed = []
+        drained = []
         for tag in range(100):
             time = rng.randrange(50)  # dense times force tie-breaks
             priority = rng.choice((-10, 0, 10))
-            event = queue.push(
-                time, callback=lambda t=tag: t, priority=priority
-            )
+            event = sim.schedule(drained.append, tag, at=time, priority=priority)
             pushed.append(((time, priority, event.sequence), tag))
         expected = [tag for _, tag in sorted(pushed)]
-        drained = [queue.pop().callback() for _ in range(len(pushed))]
+        sim.run()
         assert drained == expected, f"trial seed {seed}"
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("engine", ENGINES, ids=["heap", "reference"])
     @pytest.mark.parametrize("seed", trial_seeds(3000))
-    def test_cancellation_never_reorders_survivors(self, seed, backend):
+    def test_cancellation_never_reorders_survivors(self, seed, engine):
         rng = random.Random(seed)
         ops = random_ops(rng)
-        baseline = apply_ops(ops, backend)
+        baseline = apply_ops(ops, engine)
         # Cancelling an event that was never popped must not change the
         # relative order of the surviving pops.
         cancellable = [op[3] for op in ops if op[0] == "push"]
         victim = rng.choice(cancellable)
         mutated = ops + [("cancel", victim)]
         survivors = [
-            tag for tag in apply_ops(mutated, backend) if tag != victim
+            tag for tag in apply_ops(mutated, engine) if tag != victim
         ]
         expected = [tag for tag in baseline if tag != victim]
         assert survivors == expected, f"trial seed {seed}"

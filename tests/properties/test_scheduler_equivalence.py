@@ -1,12 +1,15 @@
-"""Scheduler-backend equivalence properties.
+"""The simulator's heap against an independent reference loop.
 
-The calendar queue is the default backend purely as an optimization: it
-must be *observationally identical* to the reference binary heap.  These
-properties drive both backends with the same randomized workloads and
-assert the pop streams match element-for-element on the documented total
-order ``(time, priority, sequence)`` — including under cancellation,
-interleaved pops, and batch draining.  The workloads mix zero-argument
-events with one-argument ``fn(arg)`` events.
+``Simulator`` keeps one binary heap of event entries and pops it in its
+own fast loop.  These properties drive it and
+:class:`~tests.simcore.reference_loop.ReferenceSimulator` — a plain loop
+over the reference ``EventQueue`` — with the same randomized workloads,
+and assert the two fire the same events at the same instants in the same
+order.  The workloads schedule from inside callbacks at the current
+instant with priorities -10, 0 and 10, keep and cancel handles (also
+after the event fired), stop at ``run(until)`` boundaries and interleave
+``step()`` calls.  They mix zero-argument events with one-argument
+``fn(arg)`` events.
 """
 
 import random
@@ -14,12 +17,7 @@ import random
 import pytest
 
 from repro.simcore import MS, US, Simulator
-from repro.simcore.events import (
-    NO_ARG,
-    CalendarQueue,
-    EventQueue,
-    make_scheduler,
-)
+from tests.simcore.reference_loop import ReferenceSimulator
 
 TRIALS = 20
 
@@ -28,114 +26,79 @@ def trial_seeds(start):
     return [start + trial for trial in range(TRIALS)]
 
 
-def random_workload(rng, size=200):
-    """Replayable push/pop/cancel script exercising dense time collisions."""
+def random_script(rng, size=200):
+    """Replayable schedule/cancel/step/run script with dense collisions."""
     ops = []
-    live = 0
-    for tag in range(size):
+    scheduled = 0
+    for _ in range(size):
         choice = rng.random()
-        if choice < 0.55 or live == 0:
-            # Small time range on purpose: many same-timestamp buckets.
-            ops.append(
-                ("push", rng.randrange(40), rng.choice((-10, -10, 0, 0, 0, 10)), tag)
-            )
-            live += 1
-        elif choice < 0.75:
-            pushes = [op for op in ops if op[0] == "push"]
-            ops.append(("cancel", rng.choice(pushes)[3]))
+        if choice < 0.5 or scheduled == 0:
+            # Small delays on purpose: many events share an instant.
+            ops.append(("schedule", rng.randrange(8), rng.choice((-10, 0, 10))))
+            scheduled += 1
+        elif choice < 0.7:
+            # Any earlier handle: pending, cancelled or already fired.
+            ops.append(("cancel", rng.randrange(scheduled)))
+        elif choice < 0.85:
+            ops.append(("step",))
         else:
-            ops.append(("pop",))
-            live = max(0, live - 1)
+            ops.append(("run", rng.randrange(6)))
     return ops
 
 
-def push(queue, time, priority, tag):
-    """Odd tags schedule ``fn(arg)``, even tags a zero-argument closure."""
-    if tag % 2:
-        return queue.push(time, callback=abs, priority=priority, arg=tag)
-    return queue.push(time, callback=lambda t=tag: t, priority=priority)
+def play(engine, ops):
+    """Apply a script; return everything observable about the run."""
+    sim = engine()
+    handles = []
+    log = []
 
-
-def fire(event):
-    if event.arg is NO_ARG:
-        return event.callback()
-    return event.callback(event.arg)
-
-
-def drive(backend, ops):
-    """Apply a workload; return the popped (time, priority, sequence, tag)s."""
-    queue = backend()
-    events = {}
-    popped = []
-    for op in ops:
-        if op[0] == "push":
-            _, time, priority, tag = op
-            events[tag] = push(queue, time, priority, tag)
-        elif op[0] == "cancel":
-            events[op[1]].cancel()
-        else:
-            try:
-                event = queue.pop()
-            except IndexError:
-                popped.append(None)
-            else:
-                popped.append(
-                    (event.time, event.priority, event.sequence, fire(event))
-                )
-    while queue:
-        event = queue.pop()
-        popped.append(
-            (event.time, event.priority, event.sequence, fire(event))
-        )
-    return popped
-
-
-def drive_batched(backend, ops):
-    """Same workload, drained through ``pop_batch`` instead of ``pop``."""
-    queue = backend()
-    events = {}
-    for op in ops:
-        if op[0] == "push":
-            _, time, priority, tag = op
-            events[tag] = push(queue, time, priority, tag)
-        elif op[0] == "cancel":
-            events[op[1]].cancel()
-        else:
-            batch = queue.pop_batch()
-            # Put all but the first back so single pops stay comparable.
-            if len(batch) > 1:
-                queue.requeue(batch[1:])
-    popped = []
-    while queue:
-        for event in queue.pop_batch():
-            popped.append(
-                (event.time, event.priority, event.sequence, fire(event))
+    def fire(tag):
+        log.append((sim.now, tag))
+        if tag % 3 == 0:
+            # Reschedule from inside the callback at the current instant.
+            child = len(handles) + 10_000
+            handles.append(
+                sim.schedule(fire, child, priority=(-10, 0, 10)[child % 3])
             )
-    return popped
+
+    for op in ops:
+        if op[0] == "schedule":
+            _, delay, priority = op
+            tag = len(handles)
+            if tag % 2:
+                event = sim.schedule(fire, tag, after=delay, priority=priority)
+            else:
+                event = sim.schedule(
+                    lambda t=tag: fire(t), after=delay, priority=priority
+                )
+            handles.append(event)
+        elif op[0] == "cancel":
+            handles[op[1]].cancel()
+        elif op[0] == "step":
+            log.append(("step", sim.step(), sim.now))
+        else:
+            log.append(("run", sim.run(until=sim.now + op[1])))
+        log.append(("pending", sim.pending_events))
+    log.append(("end", sim.run()))
+    stats = sim.stats
+    return log, stats.events_scheduled, stats.events_executed, stats.sim_time_ns
 
 
 class TestBackendEquivalence:
     @pytest.mark.parametrize("seed", trial_seeds(9000))
     def test_identical_pop_order_under_random_workloads(self, seed):
-        ops = random_workload(random.Random(seed))
-        assert drive(EventQueue, ops) == drive(CalendarQueue, ops), (
+        ops = random_script(random.Random(seed))
+        assert play(Simulator, ops) == play(ReferenceSimulator, ops), (
             f"trial seed {seed}"
         )
-
-    @pytest.mark.parametrize("seed", trial_seeds(9500))
-    def test_batch_draining_matches_across_backends(self, seed):
-        ops = random_workload(random.Random(seed))
-        assert drive_batched(EventQueue, ops) == drive_batched(
-            CalendarQueue, ops
-        ), f"trial seed {seed}"
 
     @pytest.mark.parametrize("seed", trial_seeds(9900)[:8])
     def test_full_simulator_runs_identically_on_both_backends(self, seed):
         until = 5 * MS
 
-        def run(backend_name):
+        def run(engine):
             rng = random.Random(seed)
-            sim = Simulator(scheduler=backend_name)
+            sim = engine()
             fired = []
             fired_ids = set()
             # Every handle sim.schedule returned, indexed by event id.
@@ -170,9 +133,8 @@ class TestBackendEquivalence:
                             )
                         )
                 if rng.random() < 0.3:
-                    # After the reschedule, so a reused event object would
-                    # already be pending again: cancel a retained handle
-                    # that may have fired (this one included) or may not.
+                    # Cancel a retained handle that may have fired (this
+                    # one included) or may not.
                     victim = rng.randrange(len(handles))
                     if victim not in fired_ids:
                         cancelled_pending.add(victim)
@@ -188,6 +150,11 @@ class TestBackendEquivalence:
                     at=rng.randrange(0, 2 * MS),
                     priority=rng.choice((-10, 0, 10)),
                 )
+            # Stop at a few boundaries on the way, then single-step once.
+            for boundary in sorted(rng.sample(range(until), 3)):
+                sim.run(until=boundary)
+                fired.append(("until", sim.now))
+            fired.append(("step", sim.step()))
             sim.run(until=until)
             # Oracle: an event fires iff its handle was not cancelled
             # before it fired, so cancelling a fired handle never
@@ -198,29 +165,59 @@ class TestBackendEquivalence:
                 if event.time <= until
             }
             assert fired_ids == due - cancelled_pending, f"trial seed {seed}"
-            return fired, sim.stats.events_executed
+            return fired, sim.now, sim.stats.events_executed
 
-        heap_run = run("heap")
-        calendar_run = run("calendar")
-        assert heap_run == calendar_run, f"trial seed {seed}"
+        assert run(Simulator) == run(ReferenceSimulator), f"trial seed {seed}"
+
+    @pytest.mark.parametrize("seed", trial_seeds(9500))
+    def test_processes_and_signals_run_identically(self, seed):
+        def run(engine):
+            rng = random.Random(seed)
+            sim = engine()
+            log = []
+            go = sim.signal("go")
+
+            def worker(ident):
+                # Draws happen as the events fire, so any reordering
+                # changes every later choice.
+                for _ in range(rng.randrange(1, 6)):
+                    choice = rng.random()
+                    if choice < 0.4:
+                        yield rng.randrange(5)
+                    elif choice < 0.6:
+                        yield None  # resume at this instant, after others
+                    elif choice < 0.8:
+                        log.append(("woke", (yield go)))
+                    else:
+                        go.fire(ident)
+                    log.append((sim.now, ident))
+                return ident
+
+            workers = [sim.process(worker(ident)) for ident in range(8)]
+            victim = workers[rng.randrange(len(workers))]
+            sim.schedule(victim.stop, after=rng.randrange(1, 10))
+            for instant in range(0, 40, 5):
+                sim.schedule(go.fire, -instant, at=instant)
+            sim.run()
+            results = [(worker.alive, worker.result) for worker in workers]
+            return log, results, sim.now, sim.stats.events_executed
+
+        assert run(Simulator) == run(ReferenceSimulator), f"trial seed {seed}"
 
 
 class TestTelemetryEquivalence:
-    """Backend equivalence extends to the in-band telemetry plane.
+    """The comparison extends to the in-band telemetry plane.
 
     The telemetry rings record ``(sim.now, value)`` pairs from event
-    callbacks, so any backend-dependent reordering — especially inside
-    the calendar queue's same-timestamp buckets — would surface as a
-    ring-content diff.  These workloads pile events onto identical
-    timestamps straddling bucket promotions (single Event -> _Bucket)
-    and assert the rings match bit for bit.
+    callbacks, so any reordering of same-instant events would surface as
+    a ring-content diff.
     """
 
-    def _drive(self, backend_name, seed):
+    def _drive(self, engine, seed):
         from repro.obs.telemetry import RingSampler
 
         rng = random.Random(seed)
-        sim = Simulator(scheduler=backend_name)
+        sim = engine()
         ring = RingSampler("equiv", capacity=64)
         order = []
 
@@ -229,9 +226,7 @@ class TestTelemetryEquivalence:
             ring.record(sim.now, tag)
 
         # Dense collisions: 40 events over only 5 distinct timestamps,
-        # mixed priorities, plus same-instant reschedules (an event at
-        # time T scheduling another event at time T crosses the bucket's
-        # consumed/pending boundary mid-drain).
+        # mixed priorities, plus same-instant reschedules.
         instants = [0, 1, 1, 2, 5]
         for tag in range(40):
             at = rng.choice(instants)
@@ -251,32 +246,36 @@ class TestTelemetryEquivalence:
 
     @pytest.mark.parametrize("seed", trial_seeds(7700)[:8])
     def test_ring_contents_identical_across_backends(self, seed):
-        heap_order, heap_ring = self._drive("heap", seed)
-        cal_order, cal_ring = self._drive("calendar", seed)
-        assert heap_order == cal_order, f"trial seed {seed}"
-        assert heap_ring == cal_ring, f"trial seed {seed}"
+        assert self._drive(Simulator, seed) == self._drive(
+            ReferenceSimulator, seed
+        ), f"trial seed {seed}"
 
     def test_identical_timestamp_flood_decimates_identically(self):
-        # Everything at t=0: the pathological single-bucket case.
+        # Everything at t=0.
         from repro.obs.telemetry import RingSampler
 
-        def run(backend_name):
-            sim = Simulator(scheduler=backend_name)
+        def run(engine):
+            sim = engine()
             ring = RingSampler("flood", capacity=8)
             for tag in range(100):
                 sim.schedule(lambda t=tag: ring.record(sim.now, t), at=0)
             sim.run()
             return ring.snapshot()
 
-        assert run("heap") == run("calendar")
+        assert run(Simulator) == run(ReferenceSimulator)
 
 
-class TestSchedulerFactory:
-    def test_make_scheduler_knows_both_backends(self):
-        assert isinstance(make_scheduler("heap"), EventQueue)
-        assert isinstance(make_scheduler("calendar"), CalendarQueue)
-        assert Simulator().scheduler_name == "calendar"
+class TestSchedulerArgument:
+    def test_none_and_heap_are_one_heap(self):
+        for scheduler in (None, "heap"):
+            sim = Simulator(scheduler=scheduler)
+            fired = []
+            sim.schedule(fired.append, 2, after=2)
+            sim.schedule(fired.append, 1, after=1)
+            sim.run()
+            assert fired == [1, 2]
 
-    def test_make_scheduler_rejects_unknown_names(self):
-        with pytest.raises(ValueError, match="heap"):
-            make_scheduler("splay-tree")
+    def test_unknown_names_are_rejected(self):
+        for name in ("calendar", "splay-tree"):
+            with pytest.raises(ValueError, match="heap"):
+                Simulator(scheduler=name)

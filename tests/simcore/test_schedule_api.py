@@ -3,8 +3,9 @@
 ``schedule`` is the one scheduling entry point.  Its optional positional
 ``arg`` makes the event call ``fn(arg)``, so hot paths schedule a bound
 method without a per-event closure.  The pre-redesign positional forms
-``schedule(delay, fn)`` and ``schedule_at(time, fn)`` are gone.  Every
-test runs on both backends, the default calendar queue and the heap.
+``schedule(delay, fn)`` and ``schedule_at(time, fn)`` are gone.  The
+one-argument tests run on the simulator's heap and on the reference loop
+over ``EventQueue`` the property tests compare it against.
 """
 
 import gc
@@ -20,6 +21,7 @@ from repro.simcore import (
     Simulator,
     US,
 )
+from tests.simcore.reference_loop import ReferenceSimulator
 
 
 class TestKeywordApi:
@@ -85,31 +87,29 @@ class TestKeywordApi:
         assert not [w for w in recwarn if w.category is DeprecationWarning]
 
 
-BACKENDS = ("calendar", "heap")
-
-
 class TestRemovedShims:
     def test_positional_delay_form_raises(self):
-        for backend in BACKENDS:
-            sim = Simulator(scheduler=backend)
-            with pytest.raises(TypeError, match="after=delay"):
-                sim.schedule(3 * US, lambda: None)
-            assert sim.stats.events_scheduled == 0
+        sim = Simulator()
+        with pytest.raises(TypeError, match="after=delay"):
+            sim.schedule(3 * US, lambda: None)
+        assert sim.stats.events_scheduled == 0
 
     def test_schedule_at_is_gone(self):
         assert not hasattr(Simulator, "schedule_at")
 
     def test_callback_keyword_is_rejected(self):
-        for backend in BACKENDS:
-            sim = Simulator(scheduler=backend)
-            with pytest.raises(TypeError):
-                sim.schedule(callback=lambda: None, after=1)
+        sim = Simulator()
+        with pytest.raises(TypeError):
+            sim.schedule(callback=lambda: None, after=1)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+ENGINES = {"heap": Simulator, "reference": ReferenceSimulator}
+
+
+@pytest.mark.parametrize("engine", ENGINES)
 class TestOneArgument:
-    def test_argument_is_delivered(self, backend):
-        sim = Simulator(scheduler=backend)
+    def test_argument_is_delivered(self, engine):
+        sim = ENGINES[engine]()
         fired = []
         sim.schedule(fired.append, "a", after=2 * US)
         sim.schedule(fired.append, "b", at=1 * US)
@@ -117,15 +117,15 @@ class TestOneArgument:
         sim.run()
         assert fired == ["b", "none", "a"]
 
-    def test_none_is_a_real_argument(self, backend):
-        sim = Simulator(scheduler=backend)
+    def test_none_is_a_real_argument(self, engine):
+        sim = ENGINES[engine]()
         fired = []
         sim.schedule(fired.append, None)
         sim.run()
         assert fired == [None]
 
-    def test_cancel_still_works(self, backend):
-        sim = Simulator(scheduler=backend)
+    def test_cancel_still_works(self, engine):
+        sim = ENGINES[engine]()
         fired = []
         handle = sim.schedule(fired.append, "no", after=1 * US)
         sim.schedule(fired.append, "yes", after=1 * US)
@@ -134,22 +134,22 @@ class TestOneArgument:
         assert fired == ["yes"]
         assert sim.stats.events_executed == 1
 
-    def test_fired_event_drops_its_argument(self, backend):
+    def test_fired_event_drops_its_argument(self, engine):
         class Payload:
             pass
 
-        sim = Simulator(scheduler=backend)
+        sim = ENGINES[engine]()
         payload = Payload()
         ref = weakref.ref(payload)
-        for delay in (1, 1, 2):  # a batched instant and a singleton
+        for delay in (1, 1, 2):  # a shared instant and a single one
             sim.schedule(lambda _: None, payload, after=delay)
         del payload
         sim.run()
         gc.collect()
         assert ref() is None
 
-    def test_step_passes_the_argument(self, backend):
-        sim = Simulator(scheduler=backend)
+    def test_step_passes_the_argument(self, engine):
+        sim = ENGINES[engine]()
         fired = []
         sim.schedule(fired.append, 7, after=1)
         assert sim.step()

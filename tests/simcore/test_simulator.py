@@ -80,6 +80,26 @@ def test_step_executes_single_event():
     assert not sim.step()
 
 
+def test_step_inside_a_callback_is_rejected():
+    # A nested step would run the t=20 event inside the t=10 one, and the
+    # rest of the outer callback would see the clock at 20.
+    for outer_loop in ("run", "step"):
+        sim = Simulator()
+        seen = []
+
+        def outer():
+            with pytest.raises(SimulationError, match="running"):
+                sim.step()
+            seen.append(sim.now)
+
+        sim.schedule(outer, at=10)
+        sim.schedule(lambda: seen.append(("later", sim.now)), at=20)
+        getattr(sim, outer_loop)()
+        assert seen[0] == 10
+        sim.run()
+        assert seen == [10, ("later", 20)]
+
+
 def test_pending_events_counts_live_events():
     sim = Simulator()
     sim.schedule(lambda: None, after=1)
