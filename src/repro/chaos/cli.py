@@ -19,99 +19,21 @@ a campaign from ``(seed, scenario)`` alone and verifies the per-cell
 outage intervals are byte-identical — against a saved campaign file when
 given, or against an independent second run otherwise.  ``report``
 renders the compliance summary of a run manifest or a campaign file.
+
+The argument parser lives in :mod:`repro.cli` with every other
+subcommand's, so building it loads no chaos code; ``repro.cli`` imports
+this module only to dispatch a ``chaos`` command.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import sys
 from pathlib import Path
 
 from ..runner import RunManifest, expand_grid, run_jobs
 from .engine import CampaignResult, replay_campaign, run_campaign
 from .spec import chaos_registry, get_chaos_spec
-
-
-def add_chaos_parser(subparsers: argparse._SubParsersAction) -> None:
-    """Attach the ``chaos`` subcommand tree to the main parser."""
-    chaos = subparsers.add_parser(
-        "chaos", help="run / replay / report deterministic fault campaigns"
-    )
-    actions = chaos.add_subparsers(dest="chaos_command", required=True)
-
-    actions.add_parser("list", help="list shipped chaos scenarios")
-
-    sub = actions.add_parser(
-        "run", help="run campaigns over a (scenario x seed x param) grid"
-    )
-    sub.add_argument(
-        "scenarios", nargs="*", default=[], metavar="SCENARIO",
-        help="scenarios to run (default: all shipped scenarios)",
-    )
-    sub.add_argument(
-        "--seeds", default="0", metavar="LIST",
-        help="seeds: comma list '0,1,2' or inclusive range '0..4'",
-    )
-    sub.add_argument(
-        "--param", action="append", default=None, metavar="NAME=V1,V2",
-        help="grid values for cells/mtbf_scale/mttr_scale/horizon_s",
-    )
-    sub.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes (default: CPU count)",
-    )
-    sub.add_argument(
-        "--cache-dir", type=Path, default=None, metavar="DIR",
-        help="reuse the runner result cache in DIR (default: no cache)",
-    )
-    sub.add_argument(
-        "--manifest", type=Path, default=None,
-        help="write the JSON run manifest (with verdicts) here",
-    )
-    sub.add_argument(
-        "--campaign-dir", type=Path, default=None, metavar="DIR",
-        help="write one full replayable campaign JSON per job into DIR",
-    )
-    sub.add_argument(
-        "--strict", action="store_true",
-        help="exit non-zero when any campaign verdict is 'fail'",
-    )
-    from ..cli import (
-        _add_backend_args,
-        _add_resilience_args,
-        _add_status_args,
-    )
-
-    _add_backend_args(sub)
-    _add_resilience_args(sub)
-    _add_status_args(sub)
-
-    sub = actions.add_parser(
-        "replay",
-        help="re-run a campaign from (seed, scenario) and verify intervals",
-    )
-    sub.add_argument(
-        "--scenario", default=None, metavar="NAME",
-        help="scenario to replay (required unless --campaign is given)",
-    )
-    sub.add_argument("--seed", type=int, default=0, help="campaign seed")
-    sub.add_argument(
-        "--param", action="append", default=None, metavar="NAME=V",
-        help="scenario parameter override (single values, repeatable)",
-    )
-    sub.add_argument(
-        "--campaign", type=Path, default=None, metavar="FILE",
-        help="saved campaign JSON to verify against (overrides the flags)",
-    )
-
-    sub = actions.add_parser(
-        "report", help="summarize a run manifest or campaign JSON"
-    )
-    sub.add_argument(
-        "path", type=Path, metavar="FILE",
-        help="manifest JSON from 'chaos run --manifest' or a campaign JSON",
-    )
 
 
 def dispatch_chaos(args: argparse.Namespace) -> int:
@@ -331,14 +253,3 @@ def _run_report(args: argparse.Namespace) -> int:
     if payload.get("schema", "").startswith("repro.chaos/campaign"):
         return _report_campaign(CampaignResult.from_dict(payload))
     return _report_manifest(RunManifest.from_dict(payload), path)
-
-
-def main(argv: list[str] | None = None) -> int:  # pragma: no cover
-    parser = argparse.ArgumentParser(prog="repro-chaos")
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    add_chaos_parser(subparsers)
-    return dispatch_chaos(parser.parse_args(argv))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

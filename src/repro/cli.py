@@ -207,6 +207,81 @@ def _add_backend_args(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_chaos_parser(subparsers: argparse._SubParsersAction) -> None:
+    """Attach the ``chaos`` subcommand tree to the main parser."""
+    chaos = subparsers.add_parser(
+        "chaos", help="run / replay / report deterministic fault campaigns"
+    )
+    actions = chaos.add_subparsers(dest="chaos_command", required=True)
+
+    actions.add_parser("list", help="list shipped chaos scenarios")
+
+    sub = actions.add_parser(
+        "run", help="run campaigns over a (scenario x seed x param) grid"
+    )
+    sub.add_argument(
+        "scenarios", nargs="*", default=[], metavar="SCENARIO",
+        help="scenarios to run (default: all shipped scenarios)",
+    )
+    sub.add_argument(
+        "--seeds", default="0", metavar="LIST",
+        help="seeds: comma list '0,1,2' or inclusive range '0..4'",
+    )
+    sub.add_argument(
+        "--param", action="append", default=None, metavar="NAME=V1,V2",
+        help="grid values for cells/mtbf_scale/mttr_scale/horizon_s",
+    )
+    sub.add_argument(
+        "--jobs", type=int, default=None, metavar="N",
+        help="worker processes (default: CPU count)",
+    )
+    sub.add_argument(
+        "--cache-dir", type=Path, default=None, metavar="DIR",
+        help="reuse the runner result cache in DIR (default: no cache)",
+    )
+    sub.add_argument(
+        "--manifest", type=Path, default=None,
+        help="write the JSON run manifest (with verdicts) here",
+    )
+    sub.add_argument(
+        "--campaign-dir", type=Path, default=None, metavar="DIR",
+        help="write one full replayable campaign JSON per job into DIR",
+    )
+    sub.add_argument(
+        "--strict", action="store_true",
+        help="exit non-zero when any campaign verdict is 'fail'",
+    )
+    _add_backend_args(sub)
+    _add_resilience_args(sub)
+    _add_status_args(sub)
+
+    sub = actions.add_parser(
+        "replay",
+        help="re-run a campaign from (seed, scenario) and verify intervals",
+    )
+    sub.add_argument(
+        "--scenario", default=None, metavar="NAME",
+        help="scenario to replay (required unless --campaign is given)",
+    )
+    sub.add_argument("--seed", type=int, default=0, help="campaign seed")
+    sub.add_argument(
+        "--param", action="append", default=None, metavar="NAME=V",
+        help="scenario parameter override (single values, repeatable)",
+    )
+    sub.add_argument(
+        "--campaign", type=Path, default=None, metavar="FILE",
+        help="saved campaign JSON to verify against (overrides the flags)",
+    )
+
+    sub = actions.add_parser(
+        "report", help="summarize a run manifest or campaign JSON"
+    )
+    sub.add_argument(
+        "path", type=Path, metavar="FILE",
+        help="manifest JSON from 'chaos run --manifest' or a campaign JSON",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser."""
     parser = argparse.ArgumentParser(
@@ -314,9 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    from .chaos.cli import add_chaos_parser
-
-    add_chaos_parser(subparsers)
+    _add_chaos_parser(subparsers)
 
     sub = subparsers.add_parser(
         "obs",

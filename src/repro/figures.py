@@ -14,27 +14,27 @@ interface (``python -m repro``), the parallel experiment engine
 
 Figure functions return :class:`Rows` — a ``list`` of dicts with
 ``to_csv()`` / ``to_json()`` / ``to_table()`` serialization helpers.
+
+Importing this module loads no figure model and no numpy: each figure
+function imports its model when it runs, so the CLI, the runner and a
+fresh sweep worker start without paying for models they never run.  The
+model entry points the figures call (:func:`generate_corpus`,
+:func:`analyze_corpus`, :func:`run_variant_sweep`,
+:func:`run_flow_scaling`, :func:`run_fig5`) are module-level forwarders,
+looked up as globals at call time, so wrapping them with ``setattr``
+intercepts every figure's call.
 """
 
 from __future__ import annotations
 
 import csv
+import importlib
 import io
 import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
-from .corpus import PAPER_COUNTS, analyze_corpus, generate_corpus
-from .ebpf import paper_variants
-from .instaplc import run_fig5
-from .mlnet import (
-    DEFECT_DETECTION,
-    OBJECT_IDENTIFICATION,
-    PAPER_CLIENT_COUNTS,
-    run_point,
-)
 from .obs import get_tracer
-from .reflection import run_flow_scaling, run_variant_sweep
 from .simcore.units import MS
 
 #: Render formats understood by :meth:`Rows.render` and the CLI ``--format``.
@@ -199,8 +199,33 @@ class FigureSpec:
             return self.fn(seed=seed, **params)
 
 
+def _forward(module: str, name: str) -> Callable[..., Any]:
+    """A stand-in for ``module.name`` that imports the model on each call
+    (a ``sys.modules`` lookup after the first)."""
+
+    def forward(*args: Any, **kwargs: Any) -> Any:
+        model = importlib.import_module(module, __package__)
+        return getattr(model, name)(*args, **kwargs)
+
+    forward.__name__ = forward.__qualname__ = name
+    forward.__doc__ = f"Call :func:`repro{module}.{name}`."
+    return forward
+
+
+#: The model entry points the figure functions call, looked up as globals
+#: of this module at call time, so a caller can wrap them with ``setattr``
+#: (the benchmark's layer spans do).
+generate_corpus = _forward(".corpus", "generate_corpus")
+analyze_corpus = _forward(".corpus", "analyze_corpus")
+run_variant_sweep = _forward(".reflection", "run_variant_sweep")
+run_flow_scaling = _forward(".reflection", "run_flow_scaling")
+run_fig5 = _forward(".instaplc", "run_fig5")
+
+
 def fig1(seed: int = 0) -> Rows:
     """Figure 1: term occurrences with permutations."""
+    from .corpus import PAPER_COUNTS
+
     report = analyze_corpus(generate_corpus(seed=seed))
     return Rows(
         {
@@ -214,6 +239,8 @@ def fig1(seed: int = 0) -> Rows:
 
 def fig4_delay(cycles: int = 400, seed: int = 0) -> Rows:
     """Figure 4 left: delay quantiles per eBPF variant (µs)."""
+    from .ebpf import paper_variants
+
     results = run_variant_sweep(paper_variants(), cycles=cycles, seed=seed)
     rows = Rows()
     for name, result in results.items():
@@ -235,6 +262,8 @@ def fig4_jitter(
     seed: int = 0,
 ) -> Rows:
     """Figure 4 right: jitter quantiles vs concurrent flows (ns)."""
+    from .ebpf import paper_variants
+
     results = run_flow_scaling(
         paper_variants()[0], list(flow_counts), cycles=cycles, seed=seed
     )
@@ -273,6 +302,13 @@ def fig5(duration_ms: int = 3000, crash_ms: int = 1500, seed: int = 0) -> Rows:
 
 def fig6(duration_ms: int = 400, seed: int = 0) -> Rows:
     """Figure 6: mean inference latency per app/topology/client count."""
+    from .mlnet import (
+        DEFECT_DETECTION,
+        OBJECT_IDENTIFICATION,
+        PAPER_CLIENT_COUNTS,
+        run_point,
+    )
+
     rows = Rows()
     for app in (OBJECT_IDENTIFICATION, DEFECT_DETECTION):
         for topology in ("ring", "leaf-spine", "ml-aware"):

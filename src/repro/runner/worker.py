@@ -37,8 +37,16 @@ pool workers, so a protocol-level child death can only mean the process
 itself died — the classification the parent's supervisor needs.
 
 The protocol owns the real stdout: on startup the worker dups fd 1 for
-itself and points ``sys.stdout`` at stderr, so a ``print()`` inside a
-figure cannot corrupt the message stream.
+itself and points both fd 1 and ``sys.stdout`` at stderr, so neither a
+``print()`` nor a write below Python (``os.write(1, ...)``, a C library,
+a child process) inside a figure can corrupt the message stream.  The
+worker closes its protocol stream when the loop ends.
+
+A fresh worker imports the CLI and :mod:`repro.runner` only, not the
+figure models: :mod:`repro.figures` imports a figure's model when the
+figure first runs, so the first job of each figure in a worker also pays
+that model's import.  Ready-gated dispatch keeps interpreter start-up out
+of job timeouts; that first-job import is inside them.
 """
 
 from __future__ import annotations
@@ -93,15 +101,27 @@ def worker_main(
 
     ``stdin``/``protocol_out`` exist for in-process tests; the CLI passes
     nothing and the real descriptors are used, with fd 1 dup'd for the
-    protocol before ``sys.stdout`` is redirected to stderr.
+    protocol before fd 1 and ``sys.stdout`` are redirected to stderr.
     """
     if stdin is None:
         stdin = sys.stdin
-    if protocol_out is None:
-        # Claim the real stdout for the protocol; figure prints go to
-        # stderr from here on.
+    owned = protocol_out is None
+    if owned:
+        # Claim the real stdout for the protocol, then point fd 1 itself at
+        # stderr: prints, ``os.write(1, ...)``, C libraries and child
+        # processes a figure starts all land there, never on the protocol.
         protocol_out = os.fdopen(os.dup(1), "w", buffering=1)
+        os.dup2(2, 1)
         sys.stdout = sys.stderr
+    try:
+        return _serve(stdin, protocol_out)
+    finally:
+        if owned:
+            protocol_out.close()
+
+
+def _serve(stdin: TextIO, protocol_out: TextIO) -> int:
+    """Answer protocol messages from ``stdin`` until shutdown or EOF."""
 
     def send(message: dict[str, Any]) -> None:
         protocol_out.write(json.dumps(message, separators=(",", ":")))

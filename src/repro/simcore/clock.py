@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 @dataclass
@@ -54,6 +56,8 @@ class Clock:
                 # unseeded clocks draw independent, reproducible streams.
                 digest = hashlib.blake2s(self.name.encode(), digest_size=8)
                 seed = int.from_bytes(digest.digest(), "little")
+                import numpy as np
+
                 self.rng = np.random.default_rng(seed)
             value += self.rng.normal(0.0, self.noise_std_ns)
         if self.granularity_ns > 1:

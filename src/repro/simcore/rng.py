@@ -7,14 +7,18 @@ another, so experiments stay reproducible as the model grows.
 
 The derivation uses :class:`numpy.random.SeedSequence` spawning keyed by a
 stable hash of the stream name, which is the mechanism NumPy documents for
-building independent parallel streams.
+building independent parallel streams.  NumPy is imported when the first
+generator is built, not with this module, so a process that only imports
+the kernel (the runner, the CLI, a fresh sweep worker) does not load it.
 """
 
 from __future__ import annotations
 
 import hashlib
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 def _name_to_key(name: str) -> list[int]:
@@ -50,6 +54,8 @@ class RandomStreams:
         """
         generator = self._streams.get(name)
         if generator is None:
+            import numpy as np
+
             sequence = np.random.SeedSequence(
                 entropy=self._seed, spawn_key=tuple(_name_to_key(name))
             )

@@ -129,6 +129,13 @@ def protocol_compute(payload):
     return index, {"status": "ok", "echo": value, "payload": repr(payload)}
 
 
+def fd1_compute(payload):
+    """Like :func:`protocol_compute`, but first writes to fd 1 below
+    Python, as a C library or a child process would."""
+    os.write(1, b"stray output from a job\n")
+    return protocol_compute(payload)
+
+
 def install() -> None:
     """Idempotently register every faulty spec (subprocess preload hook).
 

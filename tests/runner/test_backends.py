@@ -326,3 +326,20 @@ class TestProtocolRobustness:
         )
         assert finished[0] == {"echo": "good", "attempts": 1}
         assert "worker protocol violation" in finished[1]["error"]
+
+
+class TestWorkerStdout:
+    def test_job_writing_to_fd1_still_ends_ok(self):
+        # A real ``repro worker`` child: fd 1 must not be the protocol
+        # stream once the loop runs, so a write below ``sys.stdout``
+        # goes to stderr instead of convicting the child.
+        finished: dict[int, dict] = {}
+        SubprocessWorkerBackend(workers=1).run(
+            [Task(index=0, payload=[0, "hello"], key="k0", figure="fake")],
+            faulty.fd1_compute,
+            RetryPolicy(retries=0, timeout_s=30.0),
+            lambda index, result: finished.setdefault(index, result),
+        )
+        assert "error" not in finished[0], finished[0].get("error")
+        assert finished[0]["status"] == "ok"
+        assert finished[0]["echo"] == "hello"
