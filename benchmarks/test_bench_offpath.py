@@ -1,8 +1,7 @@
 """E-offpath — what each opt-in observability plane costs when it is on.
 
-Four planes observe a run and are off by default: **capture** (metrics +
-tracing, ``obs.capture()``), **profile** (``obs.capture(profile=True)``,
-two clock reads per event), **telemetry** (INT-style postcards and
+Three planes observe a run and are off by default: **capture** (metrics +
+tracing, ``obs.capture()``), **telemetry** (INT-style postcards and
 rings) and **sweeptrace** (the sweep lifecycle event stream).  Off, each
 is structurally null: no capture scope means null registries and
 tracers, components cache a ``None`` telemetry probe, and the engine
@@ -14,7 +13,7 @@ regressions are judged.
 This benchmark times each plane *on* against its own *off* run, on the
 workload whose cost it adds to:
 
-- capture, profile — a 200k-event timer chain (the event loop);
+- capture — a 200k-event timer chain (the event loop);
 - telemetry — one fig6 point, leaf-spine, 64 clients, 400 ms (the
   per-hop network model);
 - sweeptrace — a serial 4 x ``fig4-delay`` sweep (the sweep control
@@ -50,13 +49,9 @@ CYCLES = 200
 ROUNDS = 3
 
 #: Hard bound on each plane's on/off wall ratio.
-HARD_RATIO = {
-    "capture": 3.0, "profile": 15.0, "telemetry": 4.0, "sweeptrace": 3.0,
-}
+HARD_RATIO = {"capture": 3.0, "telemetry": 4.0, "sweeptrace": 3.0}
 #: Design target per plane, warned about (not failed) when exceeded.
-TARGET_RATIO = {
-    "capture": 1.5, "profile": 10.0, "telemetry": 2.0, "sweeptrace": 1.5,
-}
+TARGET_RATIO = {"capture": 1.5, "telemetry": 2.0, "sweeptrace": 1.5}
 
 
 def _timer_chain() -> int:
@@ -103,13 +98,6 @@ def _capture() -> int:
         return _timer_chain()
 
 
-def _profile() -> int:
-    with obs.capture(profile=True) as cap:
-        events = _timer_chain()
-    assert sum(s.calls for s in cap.profiler.hotspots()) == EVENTS
-    return events
-
-
 def _telemetry() -> tuple:
     with obs.capture(metrics=False, tracing=False, telemetry=True) as cap:
         point = _fig6()
@@ -130,7 +118,6 @@ def test_bench_offpath(benchmark, tmp_path):
     events_path = tmp_path / "sweep.events.jsonl"
     planes = {
         "capture": ("timer chain", _capture),
-        "profile": ("timer chain", _profile),
         "telemetry": ("fig6", _telemetry),
         "sweeptrace": ("sweep", lambda: _sweep(sweeptrace=events_path)),
     }

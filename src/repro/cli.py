@@ -17,14 +17,13 @@ result cache (``--cache-dir``, default ``.repro-cache``; disable with
 
 Observability (see :mod:`repro.obs`)::
 
-    python -m repro sweep --profile --trace-out traces/ fig5 \\
-        --manifest manifest.json
-    python -m repro obs manifest.json --top 10
+    python -m repro sweep --trace-out traces/ fig5 --manifest manifest.json
+    python -m repro obs manifest.json
 
 ``--trace-out DIR`` writes one Chrome trace-event JSON per computed job
-(load in Perfetto or ``chrome://tracing``); ``--profile`` times every
-simulator event callback.  Both embed metrics snapshots in the manifest,
-which ``repro obs`` renders as a metrics / hot-spot summary.
+(load in Perfetto or ``chrome://tracing``), where each simulator run is
+one ``sim.run`` span with its event count.  It also embeds metrics
+snapshots in the manifest, which ``repro obs`` renders as a summary.
 
 In-band network telemetry (see :mod:`repro.obs.telemetry`)::
 
@@ -88,7 +87,6 @@ from .figures import (
     get_spec,
     registry,
 )
-from .obs import hotspot_table
 from .obs.metrics import sorted_histogram_items
 from .runner import (
     DEFAULT_CACHE_DIR,
@@ -369,13 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(plus JSONL) per computed job into DIR"
         ),
     )
-    sub.add_argument(
-        "--profile", action="store_true",
-        help=(
-            "time every simulator event callback and attach per-job "
-            "hot-spot tables to the manifest"
-        ),
-    )
     _add_cache_args(sub)
     _add_resilience_args(sub)
     _add_status_args(sub)
@@ -420,10 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub.add_argument(
-        "--top", type=int, default=10, metavar="N",
-        help="hot-spot rows to show per job (default: 10)",
-    )
-    sub.add_argument(
         "--follow", "-f", action="store_true",
         help="with 'tail': keep polling until the sweep finishes",
     )
@@ -453,10 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--out-dir", type=Path, default=None, metavar="DIR",
         help="where report.html / report.md go (default: the run dir)",
-    )
-    sub.add_argument(
-        "--top", type=int, default=10, metavar="N",
-        help="merged hot-spot rows in the report (default: 10)",
     )
     return parser
 
@@ -716,7 +699,6 @@ def _run_sweep(args: argparse.Namespace) -> int:
         cache=_cache_from(args),
         progress=_make_progress(len(jobs)),
         trace_dir=getattr(args, "trace_out", None),
-        profile=getattr(args, "profile", False),
         checkpoint=manifest_path,
         status_path=_status_path(
             args,
@@ -814,7 +796,6 @@ def _run_obs(args: argparse.Namespace) -> int:
         manifest = RunManifest.load(path)
     except OSError as exc:
         raise ValueError(f"cannot read manifest {path}: {exc}") from None
-    top: int = getattr(args, "top", 10)
     records = manifest.records
     ok = sum(1 for r in records if r.status == "ok")
     cached = sum(1 for r in records if r.status == "cached")
@@ -860,7 +841,7 @@ def _run_obs(args: argparse.Namespace) -> int:
     if not observed:
         print(
             "  (no metrics in this manifest; rerun the sweep with "
-            "--trace-out and/or --profile)"
+            "--trace-out)"
         )
         return 0
     for record in observed:
@@ -893,10 +874,6 @@ def _run_obs(args: argparse.Namespace) -> int:
                     f"min={_format_ns(h.get('min'))} "
                     f"max={_format_ns(h.get('max'))}"
                 )
-        if record.hotspots:
-            print("  hot spots:")
-            for line in hotspot_table(record.hotspots, top=top).splitlines():
-                print(f"    {line}")
     return 0
 
 
@@ -981,7 +958,7 @@ def _run_report(args: argparse.Namespace) -> int:
 
     target: Path = args.run_dir
     manifest_path = resolve_manifest_path(target)  # friendly error on miss
-    report = build_report(target, top_hotspots=getattr(args, "top", 10))
+    report = build_report(target)
     out_dir: Path = getattr(args, "out_dir", None) or manifest_path.parent
     out_dir.mkdir(parents=True, exist_ok=True)
     stamp = datetime.now(timezone.utc).strftime("%Y-%m-%d %H:%M:%S UTC")

@@ -1,21 +1,19 @@
-"""Unified observability: metrics registry, span tracing, profiling hooks.
+"""Unified observability: metrics registry and span tracing.
 
-Three facets, one activation model:
+Two facets, one activation model:
 
 - **Metrics** — labelled :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` instruments in a :class:`MetricsRegistry`
   (:mod:`repro.obs.metrics`).
 - **Tracing** — a :class:`Tracer` of spans and instants, exportable as
   Chrome trace-event JSON (Perfetto / ``chrome://tracing``) and JSONL
-  (:mod:`repro.obs.tracing`).
-- **Profiling** — opt-in per-event-callback wall-time attribution in the
-  simulator event loop, aggregated into a hot-spot table
-  (:mod:`repro.obs.profiling`).
+  (:mod:`repro.obs.tracing`).  Each simulator ``run`` records one
+  ``sim.run`` span with its end time and cumulative event count.
 
 Everything is off by default and scoped with :func:`capture`
 (:mod:`repro.obs.runtime`); disabled call sites reduce to no-ops.  The
 experiment runner activates a capture per job when asked
-(``repro sweep --profile --trace-out DIR``) and embeds the snapshots in the
+(``repro sweep --trace-out DIR``) and embeds the snapshots in the
 run manifest; ``repro obs manifest.json`` renders them back.
 
 Two cross-run companions build on the per-run layer (imported lazily —
@@ -39,7 +37,6 @@ from .metrics import (
     NullRegistry,
     fixed_width_edges,
 )
-from .profiling import HotSpot, Profiler, callback_name, hotspot_table
 from .runtime import (
     ObsCapture,
     capture,
@@ -47,7 +44,6 @@ from .runtime import (
     get_registry,
     get_telemetry,
     get_tracer,
-    profiler_for_new_sim,
 )
 from .telemetry import (
     NULL_TELEMETRY,
@@ -78,26 +74,21 @@ __all__ = [
     "FlightRecorder",
     "Gauge",
     "Histogram",
-    "HotSpot",
     "MetricsRegistry",
     "NullRegistry",
     "NullTelemetry",
     "NullTracer",
     "ObsCapture",
-    "Profiler",
     "RingSampler",
     "SIM_TRACK",
     "Span",
     "TELEMETRY_SCHEMA",
     "TelemetryHub",
     "Tracer",
-    "callback_name",
     "capture",
     "enabled",
     "fixed_width_edges",
     "get_registry",
     "get_telemetry",
     "get_tracer",
-    "hotspot_table",
-    "profiler_for_new_sim",
 ]

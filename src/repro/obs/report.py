@@ -1,7 +1,7 @@
 """Cross-run reports: one document per sweep, built from its artifacts.
 
 A finished sweep leaves a trail — the :class:`~repro.runner.manifest.RunManifest`,
-per-figure CSV exports, per-job metrics/hot-spot snapshots, Chrome
+per-figure CSV exports, per-job metrics snapshots, Chrome
 traces, and chaos verdicts — that previously had to be read by hand.
 :func:`build_report` aggregates all of it into a :class:`RunReport` that
 renders as self-contained HTML (inline CSS, no external assets) and as
@@ -13,7 +13,6 @@ markdown with byte-stable tables, suitable for golden-snapshot testing:
   (:mod:`repro.core.requirements`), the same "measure, then compare
   against 3GPP TR 22.804 classes" discipline Figs. 4/5 apply in-run,
 - **latency/jitter summaries** from embedded metrics histograms,
-- merged **hot-spot table** across profiled jobs,
 - a **network telemetry** section (postcard counts, top congested queues,
   per-link utilization) when the sweep ran with ``--telemetry``
   (:mod:`repro.obs.telemetry`),
@@ -54,9 +53,6 @@ from .sweeptrace import (
     load_events,
     phase_breakdown,
 )
-
-#: How many merged hot-spot rows the report shows.
-DEFAULT_TOP_HOTSPOTS = 10
 
 #: Requirement verdict markers (kept ASCII-stable for golden diffs).
 MEETS = "meets"
@@ -215,7 +211,6 @@ class RunReport:
     rows_by_index: dict[int, list[dict[str, Any]]] = field(
         default_factory=dict
     )
-    top_hotspots: int = DEFAULT_TOP_HOTSPOTS
     #: ``sweep.events.jsonl`` events when the sweep ran with
     #: ``--sweeptrace`` (``None`` otherwise).
     sweep_events: list[dict[str, Any]] | None = None
@@ -244,25 +239,6 @@ class RunReport:
                 requirement_verdicts(figure, self.figure_rows(figure))
             )
         return out
-
-    def merged_hotspots(self) -> list[dict[str, Any]]:
-        """Hot-spot rows summed across all profiled jobs, hottest first."""
-        merged: dict[str, dict[str, float]] = {}
-        for record in self.manifest.records:
-            for row in record.hotspots or []:
-                slot = merged.setdefault(
-                    row["name"], {"calls": 0, "total_ns": 0, "max_ns": 0}
-                )
-                slot["calls"] += row.get("calls", 0)
-                slot["total_ns"] += row.get("total_ns", 0)
-                slot["max_ns"] = max(slot["max_ns"], row.get("max_ns", 0))
-        ranked = sorted(
-            merged.items(), key=lambda kv: (-kv[1]["total_ns"], kv[0])
-        )
-        return [
-            {"name": name, **values}
-            for name, values in ranked[: self.top_hotspots]
-        ]
 
     def histogram_summaries(self) -> list[dict[str, Any]]:
         """Per-job histogram stats (count/mean/min/max), stably ordered."""
@@ -403,18 +379,6 @@ class RunReport:
                     f"| {s['job']} | {s['histogram']} | {s['count']} "
                     f"| {_fmt_ns(s['mean_ns'])} | {_fmt_ns(s['min_ns'])} "
                     f"| {_fmt_ns(s['max_ns'])} |"
-                )
-        hotspots = self.merged_hotspots()
-        if hotspots:
-            lines += [
-                "", f"## Hot spots (top {len(hotspots)}, all jobs)", "",
-                "| callback | calls | total | max |",
-                "| --- | --- | --- | --- |",
-            ]
-            for h in hotspots:
-                lines.append(
-                    f"| {h['name']} | {h['calls']} "
-                    f"| {_fmt_ns(h['total_ns'])} | {_fmt_ns(h['max_ns'])} |"
                 )
         tele = self.telemetry_records()
         if tele:
@@ -587,19 +551,6 @@ class RunReport:
                          _fmt_ns(s["mean_ns"]), _fmt_ns(s["min_ns"]),
                          _fmt_ns(s["max_ns"])]
                         for s in summaries
-                    ],
-                )
-            )
-        hotspots = self.merged_hotspots()
-        if hotspots:
-            sections.append(f"<h2>Hot spots (top {len(hotspots)})</h2>")
-            sections.append(
-                table(
-                    ["callback", "calls", "total", "max"],
-                    [
-                        [h["name"], h["calls"], _fmt_ns(h["total_ns"]),
-                         _fmt_ns(h["max_ns"])]
-                        for h in hotspots
                     ],
                 )
             )
@@ -776,9 +727,7 @@ def resolve_manifest_path(target: Path | str) -> Path:
     return candidate
 
 
-def build_report(
-    target: Path | str, top_hotspots: int = DEFAULT_TOP_HOTSPOTS
-) -> RunReport:
+def build_report(target: Path | str) -> RunReport:
     """Aggregate one run directory (or manifest file) into a report.
 
     Row CSVs referenced by each record's ``rows_path`` are loaded when
@@ -821,6 +770,5 @@ def build_report(
         source=base.name or str(base),
         manifest=manifest,
         rows_by_index=rows_by_index,
-        top_hotspots=top_hotspots,
         sweep_events=sweep_events,
     )

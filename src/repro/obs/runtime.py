@@ -15,17 +15,14 @@ By default nothing is active: :func:`get_registry` returns the
 no-op.  :func:`capture` installs live instances for the duration of a
 ``with`` block (the experiment runner wraps each job in one)::
 
-    with capture(profile=True) as obs:
+    with capture() as obs:
         rows = spec.run(seed=0)
     print(obs.registry.snapshot())
-    print(obs.profiler.to_table())
     obs.tracer.write_chrome("job.trace.json")
 
 Captures nest: the innermost block wins, and the previous state is restored
-on exit.  ``profile=True`` additionally attaches a
-:class:`~repro.obs.profiling.Profiler` to every
-:class:`~repro.simcore.simulator.Simulator` constructed inside the block
-(the simulator constructor calls :func:`profiler_for_new_sim`).
+on exit.  Each :meth:`~repro.simcore.simulator.Simulator.run` inside a
+block with tracing on records one ``sim.run`` span.
 """
 
 from __future__ import annotations
@@ -35,22 +32,17 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .metrics import NULL_REGISTRY, MetricsRegistry
-from .profiling import Profiler
 from .tracing import NULL_TRACER, Tracer
 from .telemetry import NULL_TELEMETRY, TelemetryHub
 
 _registry_stack: list[MetricsRegistry] = []
 _tracer_stack: list[Tracer] = []
-_profiler_stack: list[Profiler] = []
 _telemetry_stack: list[TelemetryHub] = []
 
 
 def enabled() -> bool:
     """Whether any capture scope is currently active."""
-    return bool(
-        _registry_stack or _tracer_stack or _profiler_stack
-        or _telemetry_stack
-    )
+    return bool(_registry_stack or _tracer_stack or _telemetry_stack)
 
 
 def get_registry():
@@ -73,18 +65,12 @@ def get_telemetry():
     return _telemetry_stack[-1] if _telemetry_stack else NULL_TELEMETRY
 
 
-def profiler_for_new_sim() -> Profiler | None:
-    """Called by ``Simulator.__init__``: the profiler new sims attach to."""
-    return _profiler_stack[-1] if _profiler_stack else None
-
-
 @dataclass
 class ObsCapture:
     """Handles to the instruments installed by one :func:`capture` scope."""
 
     registry: MetricsRegistry
     tracer: Tracer
-    profiler: Profiler | None = None
     telemetry: TelemetryHub | None = None
 
 
@@ -92,14 +78,13 @@ class ObsCapture:
 def capture(
     metrics: bool = True,
     tracing: bool = True,
-    profile: bool = False,
     registry: MetricsRegistry | None = None,
     tracer: Tracer | None = None,
     telemetry: TelemetryHub | bool | None = None,
 ) -> Iterator[ObsCapture]:
     """Activate observability for the dynamic extent of the block.
 
-    ``metrics`` / ``tracing`` / ``profile`` select which facets go live;
+    ``metrics`` / ``tracing`` select which facets go live;
     pass an explicit ``registry`` or ``tracer`` to accumulate into an
     existing instance (e.g. across several sweeps).  ``telemetry``
     installs an in-band network :class:`TelemetryHub` (``True`` for a
@@ -108,7 +93,6 @@ def capture(
     """
     live_registry = registry if registry is not None else MetricsRegistry()
     live_tracer = tracer if tracer is not None else Tracer()
-    profiler = Profiler() if profile else None
     if telemetry is True:
         hub: TelemetryHub | None = TelemetryHub()
     elif telemetry:
@@ -119,20 +103,15 @@ def capture(
         _registry_stack.append(live_registry)
     if tracing:
         _tracer_stack.append(live_tracer)
-    if profiler is not None:
-        _profiler_stack.append(profiler)
     if hub is not None:
         _telemetry_stack.append(hub)
     try:
         yield ObsCapture(
-            registry=live_registry, tracer=live_tracer, profiler=profiler,
-            telemetry=hub,
+            registry=live_registry, tracer=live_tracer, telemetry=hub,
         )
     finally:
         if hub is not None:
             _telemetry_stack.pop()
-        if profiler is not None:
-            _profiler_stack.pop()
         if tracing:
             _tracer_stack.pop()
         if metrics:

@@ -193,11 +193,11 @@ def resolve_backend(
         from .serial import SerialBackend
 
         return SerialBackend()
-    if name in ("local-pool", "local_pool", "pool"):
+    if name == "local-pool":
         from .local_pool import LocalPoolBackend
 
         return LocalPoolBackend(workers=count)
-    if name in ("subprocess", "subprocess-worker", "worker"):
+    if name == "subprocess":
         from .subprocess_worker import SubprocessWorkerBackend
 
         return SubprocessWorkerBackend(workers=count or 2)

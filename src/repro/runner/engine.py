@@ -302,7 +302,7 @@ def _trace_stem(figure: str, seed: int, index: int) -> str:
 
 def _compute(
     payload: tuple[
-        int, str, int, tuple[tuple[str, Any], ...], str | None, bool,
+        int, str, int, tuple[tuple[str, Any], ...], str | None,
         str | None, int, str, str | None, int,
     ]
 ):
@@ -315,16 +315,16 @@ def _compute(
     result references them (``row_chunks``/``rows_count``) instead of
     carrying the rows inline — the supervising process never holds them.
     """
-    (index, figure, seed, params, trace_dir, profile, telemetry_dir,
-     telemetry_interval, key, stream_root, chunk_rows) = payload[:11]
+    (index, figure, seed, params, trace_dir, telemetry_dir,
+     telemetry_interval, key, stream_root, chunk_rows) = payload[:10]
     # Sweep-trace span context: present only when the sweep runs with
     # tracing on, so payloads — and therefore results — are byte-identical
     # with tracing off.
-    span_ctx = payload[11] if len(payload) > 11 else None
+    span_ctx = payload[10] if len(payload) > 10 else None
     if not isinstance(span_ctx, dict):
         span_ctx = None
     spec = get_spec(figure)
-    observe = trace_dir is not None or profile
+    observe = trace_dir is not None
     hub = None
     if telemetry_dir is not None:
         # Seed the postcard sampler from the job seed: a fixed (job, seed)
@@ -341,8 +341,7 @@ def _compute(
                 span_args["trace"] = span_ctx.get("trace")
                 span_args["span"] = span_ctx.get("span")
             with obs.capture(
-                metrics=observe, tracing=observe, profile=profile,
-                telemetry=hub,
+                metrics=observe, tracing=observe, telemetry=hub,
             ) as cap:
                 with cap.tracer.span(
                     "runner.job", figure=figure, seed=seed, **span_args
@@ -369,14 +368,11 @@ def _compute(
         result["rows"] = list(rows)
     if observe:
         result["metrics"] = cap.registry.snapshot()
-        if cap.profiler is not None:
-            result["hotspots"] = cap.profiler.as_rows()
-        if trace_dir is not None:
-            stem = _trace_stem(figure, seed, index)
-            trace_path = Path(trace_dir) / f"{stem}.trace.json"
-            cap.tracer.write_chrome(trace_path)
-            cap.tracer.write_jsonl(Path(trace_dir) / f"{stem}.trace.jsonl")
-            result["trace_path"] = str(trace_path)
+        stem = _trace_stem(figure, seed, index)
+        trace_path = Path(trace_dir) / f"{stem}.trace.json"
+        cap.tracer.write_chrome(trace_path)
+        cap.tracer.write_jsonl(Path(trace_dir) / f"{stem}.trace.jsonl")
+        result["trace_path"] = str(trace_path)
     if hub is not None:
         if verdict == "fail":
             # Freeze the fabric's recent history next to the bad verdict.
@@ -409,7 +405,6 @@ def run_jobs(
     cache: ResultCache | None = None,
     progress: Callable[[JobRecord], None] | None = None,
     trace_dir: Path | str | None = None,
-    profile: bool = False,
     *,
     backend: "str | ExecutorBackend | None" = None,
     stream_rows: Path | str | bool | None = None,
@@ -469,11 +464,11 @@ def run_jobs(
     failed cells always rerun.
 
     ``trace_dir`` enables span tracing per job and writes one Chrome
-    trace-event file (plus a JSONL twin) per computed job into it.
-    ``profile`` additionally times every simulator event callback and
-    attaches a hot-spot table to each job record.  Either flag also embeds
-    a ``repro.obs`` metrics snapshot in the manifest.  Cached jobs are
-    *not* recomputed to obtain observability data.
+    trace-event file (plus a JSONL twin) per computed job into it; each
+    simulator ``run`` in the job becomes one ``sim.run`` span carrying
+    its end time and event count.  It also embeds a ``repro.obs``
+    metrics snapshot in the manifest.  Cached jobs are *not* recomputed
+    to obtain observability data.
 
     **In-band network telemetry:** ``telemetry_dir`` activates a
     :class:`repro.obs.TelemetryHub` per computed job (postcard sampling
@@ -634,7 +629,7 @@ def run_jobs(
         else:
             payload = (
                 index, job.figure, job.seed, job.params, trace_dir,
-                profile, telemetry_dir, telemetry_interval,
+                telemetry_dir, telemetry_interval,
                 key, stream_root, chunk_rows,
             )
             if recorder is not None:
@@ -699,7 +694,6 @@ def run_jobs(
                 rows=len(rows),
                 stats=result["stats"],
                 metrics=result.get("metrics"),
-                hotspots=result.get("hotspots"),
                 trace_path=result.get("trace_path"),
                 verdict=result.get("verdict"),
                 telemetry=result.get("telemetry"),

@@ -47,17 +47,13 @@ it cost.  The JSON schema (``repro.runner/manifest/v3``)::
           },
           "rows_path": "results/fig5.csv",  // when the caller exported rows
           // -- v2 observability fields (null unless the sweep ran with
-          //    tracing/profiling enabled; see repro.obs) -------------------
+          //    tracing enabled; see repro.obs) ----------------------------
           "metrics": {               // repro.obs MetricsRegistry.snapshot()
             "counters": {"net.host.frames{direction=rx,host=io}": 401, ...},
             "gauges": {},
             "histograms": {"net.port.tx_ns": {"edges": [...], "counts": [...],
                            "count": 1692, "sum": ..., "min": ..., "max": ...}}
           },
-          "hotspots": [              // Profiler.as_rows(): hottest first
-            {"name": "P4Switch.receive.<locals>.<lambda>", "calls": 846,
-             "total_ns": 28610000, "max_ns": 865390, "mean_ns": 33814.4}
-          ],
           "trace_path": "traces/fig5.seed0.job3.trace.json",
           // -- in-band network telemetry (null unless the sweep ran with
           //    telemetry_dir=; see repro.obs.telemetry) -------------------
@@ -72,7 +68,8 @@ it cost.  The JSON schema (``repro.runner/manifest/v3``)::
     }
 
 Only v3 is read.  Optional fields an older v3 file lacks (the
-sweep-trace timing fields, for one) load as ``None``.
+sweep-trace timing fields, for one) load as ``None``, and keys this
+version no longer writes are ignored.
 """
 
 from __future__ import annotations
@@ -106,8 +103,6 @@ class JobRecord:
     rows_path: str | None = None
     #: ``repro.obs`` metrics snapshot (v2; ``None`` when obs was off).
     metrics: dict[str, Any] | None = None
-    #: Profiler hot-spot rows, hottest first (v2; ``None`` when not profiled).
-    hotspots: list[dict[str, Any]] | None = None
     #: Chrome trace-event file written for this job (v2).
     trace_path: str | None = None
     #: Spec verdict over the rows (v2; chaos campaigns: "pass"/"fail").
@@ -161,7 +156,6 @@ class JobRecord:
             "stats": self.stats,
             "rows_path": self.rows_path,
             "metrics": self.metrics,
-            "hotspots": self.hotspots,
             "trace_path": self.trace_path,
             "verdict": self.verdict,
             "telemetry": self.telemetry,
@@ -192,7 +186,6 @@ class JobRecord:
             stats=payload.get("stats"),
             rows_path=payload.get("rows_path"),
             metrics=payload.get("metrics"),
-            hotspots=payload.get("hotspots"),
             trace_path=payload.get("trace_path"),
             verdict=payload.get("verdict"),
             telemetry=payload.get("telemetry"),

@@ -16,10 +16,9 @@ cyclic behaviour, while packet forwarding uses plain callbacks.
 
 ``schedule`` pushes one :class:`~repro.simcore.events.Event` entry onto
 the heap, and the event loop pops entries one at a time: the heap order
-is the total order ``(time, priority, sequence)``.  With no profiler
-attached and no tracer active, :meth:`Simulator.run` takes the fast loop,
-where no observability code runs at all.  With a profiler or tracer
-active it pops the same heap through the instrumented loop.
+is the total order ``(time, priority, sequence)``.  :meth:`Simulator.run`
+has one loop, where no observability code runs at all; with a tracer
+active, ``run`` wraps that same loop in one ``sim.run`` span.
 """
 
 from __future__ import annotations
@@ -181,11 +180,6 @@ class Simulator:
         #: :func:`repro.simcore.stats.collect`.  ``events_scheduled`` is
         #: also the sequence number of the next scheduled event.
         self.stats = SimStats(simulators=1)
-        #: Per-callback wall-time attribution; ``None`` (the default)
-        #: keeps the event loop on the unwrapped fast path.  Set by
-        #: :meth:`repro.obs.Profiler.attach` or inherited from an open
-        #: ``obs.capture(profile=True)`` scope at construction.
-        self._profiler = _obs.profiler_for_new_sim()
         _register(self)
 
     # -- scheduling ---------------------------------------------------------
@@ -272,81 +266,55 @@ class Simulator:
                 f"cannot run until {until}, current time is {self.now}"
             )
         self._running = True
-        # Snapshot per-run observability state (attaching mid-run takes
-        # effect on the next `run` call).  With no profiler and the null
-        # tracer the loop below is the zero-overhead fast path.
-        profiler = self._profiler
+        # The active tracer is read once per run: a capture scope opened
+        # inside a callback takes effect on the next `run` call.
         tracer = _obs.get_tracer()
-        executed = 0
         try:
-            if profiler is None and tracer is NULL_TRACER:
-                executed = self._run_fast(until)
-                if until is not None and until > self.now:
-                    self.now = until
+            if tracer is NULL_TRACER:
+                self._run_fast(until)
             else:
-                executed = self._run_instrumented(until, profiler, tracer)
+                with tracer.span(
+                    "sim.run", start_ns=self.now, until_ns=until
+                ) as span:
+                    self._run_fast(until)
+                    span.set(
+                        end_ns=self.now, events=self.stats.events_executed
+                    )
         finally:
             self._running = False
-            self.stats.events_executed += executed
             self.stats.sim_time_ns = self.now
         return self.now
 
-    def _run_fast(self, until: int | None) -> int:
-        """Uninstrumented event loop: pop, skip if cancelled, fire."""
+    def _run_fast(self, until: int | None) -> None:
+        """The event loop: pop, skip if cancelled, count, fire.
+
+        An event counts as executed once its callback is called, as in
+        :meth:`step`; the count reaches ``stats`` even when a callback
+        raises.  Without an exception, time then advances to ``until``.
+        """
         heap = self._heap
         pop = heappop
         no_arg = NO_ARG
         executed = 0
-        while heap:
-            event = pop(heap)
-            time, _, _, callback, arg = event
-            if callback is None:
-                continue
-            if until is not None and time > until:
-                heappush(heap, event)
-                break
-            self.now = time
-            if arg is no_arg:
-                callback()
-            else:
-                callback(arg)
-            executed += 1
-        return executed
-
-    def _run_instrumented(
-        self, until: int | None, profiler, tracer
-    ) -> int:
-        """Per-event loop with tracer span and profiler attribution."""
-        executed = 0
-        span = tracer.span("sim.run", start_ns=self.now, until_ns=until)
-        with span:
-            while True:
-                event = self._pop(until)
-                if event is None:
+        try:
+            while heap:
+                event = pop(heap)
+                time, _, _, callback, arg = event
+                if callback is None:
+                    continue
+                if until is not None and time > until:
+                    heappush(heap, event)
                     break
-                self.now = event[0]
+                self.now = time
                 executed += 1
-                _fire(event, profiler)
-            if until is not None and until > self.now:
-                self.now = until
-            span.set(
-                end_ns=self.now,
-                events=self.stats.events_executed + executed,
-            )
-        return executed
-
-    def _pop(self, until: int | None = None) -> Event | None:
-        """Remove and return the next live event at or before ``until``."""
-        heap = self._heap
-        while heap:
-            event = heappop(heap)
-            if event[3] is None:
-                continue
-            if until is not None and event[0] > until:
-                heappush(heap, event)
-                return None
-            return event
-        return None
+                if arg is no_arg:
+                    callback()
+                else:
+                    callback(arg)
+        finally:
+            self.stats.events_executed += executed
+        if until is not None and until > self.now:
+            self.now = until
 
     def step(self) -> bool:
         """Execute a single event.  Returns ``False`` if the queue is empty.
@@ -358,15 +326,22 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("cannot step while the simulator is running")
-        event = self._pop()
-        if event is None:
+        heap = self._heap
+        while heap:
+            time, _, _, callback, arg = heappop(heap)
+            if callback is not None:
+                break
+        else:
             return False
-        self.now = event[0]
+        self.now = time
         self.stats.events_executed += 1
         self.stats.sim_time_ns = self.now
         self._running = True
         try:
-            _fire(event, self._profiler)
+            if arg is NO_ARG:
+                callback()
+            else:
+                callback(arg)
         finally:
             self._running = False
         return True
@@ -401,16 +376,6 @@ class Simulator:
                 hook(self.now, message)
         else:
             self.default_sink(self.now, message)
-
-
-def _fire(event: Event, profiler) -> None:
-    """Run one popped event, through ``profiler`` when one is attached."""
-    _, _, _, callback, arg = event
-    args = () if arg is NO_ARG else (arg,)
-    if profiler is None:
-        callback(*args)
-    else:
-        profiler.run_event(callback, *args)
 
 
 def every(

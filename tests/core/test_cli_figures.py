@@ -93,13 +93,11 @@ class TestCli:
 
 
 class TestCliObservability:
-    def test_sweep_positional_figures_with_trace_and_profile(
-        self, tmp_path, capsys
-    ):
+    def test_sweep_positional_figures_with_trace(self, tmp_path, capsys):
         trace_dir = tmp_path / "traces"
         manifest = tmp_path / "manifest.json"
         assert main([
-            "sweep", "--profile", "--trace-out", str(trace_dir),
+            "sweep", "--trace-out", str(trace_dir),
             "fig1", "--no-cache", "--jobs", "1",
             "--manifest", str(manifest),
         ]) == 0
@@ -109,7 +107,8 @@ class TestCliObservability:
     def test_obs_renders_summary(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
         main([
-            "sweep", "--profile", "fig4-delay", "--param", "cycles=30",
+            "sweep", "--trace-out", str(tmp_path / "traces"),
+            "fig4-delay", "--param", "cycles=30",
             "--no-cache", "--jobs", "1", "--manifest", str(manifest),
         ])
         capsys.readouterr()
@@ -117,7 +116,7 @@ class TestCliObservability:
         out = capsys.readouterr().out
         assert "fig4-delay seed=0" in out
         assert "histograms:" in out
-        assert "hot spots:" in out
+        assert "trace: " in out
 
     def test_obs_notes_plain_manifests(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"

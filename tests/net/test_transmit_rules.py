@@ -6,6 +6,8 @@ per frame, counters and telemetry see each frame once, and ``kick``
 restarts a queue a time-aware shaper had held.
 """
 
+import inspect
+
 from repro import obs
 from repro.net import Topology, TrafficClass
 from repro.obs.telemetry import TelemetryHub
@@ -105,6 +107,35 @@ def rt_window_shaper():
             1_000_000, 100_000, rt_pcps=frozenset({6}), rt_offset_ns=300_000
         )
     )
+
+
+class TestIdleHopPath:
+    def test_idle_two_link_path_fires_only_bound_deliveries(self):
+        sim = Simulator()
+        scheduled = []
+        schedule = sim.schedule
+
+        def recording_schedule(callback, *args, **kwargs):
+            scheduled.append(callback)
+            return schedule(callback, *args, **kwargs)
+
+        sim.schedule = recording_schedule
+        topo = Topology(sim)
+        h0, h1 = topo.add_host("h0"), topo.add_host("h1")
+        sw = topo.add_switch("sw")
+        topo.connect(h0, sw)
+        topo.connect(sw, h1)
+        sw.install_route("h1", 1)
+        received = []
+        h1.on_receive(received.append)
+        h0.send("h1", payload_bytes=20)
+        sim.run()
+        assert len(received) == 1
+        # One delivery per link and no wakes on an idle path: each event
+        # is a bound Port.deliver, never a per-frame closure.
+        assert [cb.__qualname__ for cb in scheduled] == ["Port.deliver"] * 2
+        assert all(inspect.ismethod(cb) for cb in scheduled)
+        assert sim.stats.events_executed == 2
 
 
 class TestTimeAwareShaper:

@@ -92,14 +92,6 @@ class TestBuildReport:
         with pytest.raises(ValueError, match="no manifest at"):
             resolve_manifest_path(tmp_path)
 
-    def test_merged_hotspots_sum_across_jobs(self):
-        report = build_report(DATA / "run_v3")
-        merged = {h["name"]: h for h in report.merged_hotspots()}
-        # Port.drain appears in two jobs: 846+100 calls, summed total
-        assert merged["Port.drain"]["calls"] == 946
-        assert merged["Port.drain"]["total_ns"] == 28610000 + 4000000
-        assert merged["Port.drain"]["max_ns"] == 865390
-
     def test_retry_timeline_covers_failures_and_retried_jobs(self):
         report = build_report(DATA / "run_v3")
         labels = [r.figure for r in report.retry_timeline()]

@@ -19,9 +19,6 @@ class TestDefaults:
         assert get_registry() is NULL_REGISTRY
         assert get_tracer() is NULL_TRACER
 
-    def test_new_simulator_has_no_profiler(self):
-        assert Simulator()._profiler is None
-
 
 class TestCapture:
     def test_installs_and_restores(self):
@@ -29,7 +26,6 @@ class TestCapture:
             assert enabled()
             assert get_registry() is cap.registry
             assert get_tracer() is cap.tracer
-            assert cap.profiler is None
         assert not enabled()
         assert get_registry() is NULL_REGISTRY
 
@@ -63,17 +59,6 @@ class TestCapture:
             get_registry().counter("c").inc()
         assert registry.counter("c").value == 2
 
-    def test_profile_attaches_to_new_simulators(self):
-        with capture(profile=True) as cap:
-            sim = Simulator()
-            assert sim._profiler is cap.profiler
-            sim.schedule(lambda: None, after=1)
-            sim.run()
-        assert cap.profiler is not None
-        assert cap.profiler.total_ns > 0
-        # sims created afterwards are back on the fast path
-        assert Simulator()._profiler is None
-
 
 class TestSimulatorIntegration:
     def test_run_emits_span(self):
@@ -85,6 +70,27 @@ class TestSimulatorIntegration:
         assert len(spans) == 1
         assert spans[0]["args"]["end_ns"] == 5
         assert spans[0]["args"]["events"] == 1
+
+    def test_traced_run_until_matches_untraced(self):
+        def script(sim, fired):
+            for index, at in enumerate((30, 10, 20, 10)):
+                sim.schedule(fired.append, index, at=at)
+
+        until = 100
+        plain, plain_fired = Simulator(), []
+        script(plain, plain_fired)
+        plain.run(until=until)
+        with capture() as cap:
+            traced, traced_fired = Simulator(), []
+            script(traced, traced_fired)
+            traced.run(until=until)
+        assert traced.now == plain.now == until
+        assert traced.stats.events_executed == plain.stats.events_executed
+        assert traced_fired == plain_fired == [1, 3, 2, 0]
+        (span,) = [e for e in cap.tracer.events if e["name"] == "sim.run"]
+        assert span["args"]["end_ns"] == until
+        assert span["args"]["until_ns"] == until
+        assert span["args"]["events"] == 4
 
     def test_component_metrics_flow_into_capture(self):
         from repro.net import build_star, install_shortest_path_routes

@@ -90,6 +90,17 @@ class TestResolveBackend:
         with pytest.raises(ValueError, match="serial, local-pool"):
             resolve_backend("quantum", env={})
 
+    @pytest.mark.parametrize(
+        "alias", ["pool", "local_pool", "worker", "subprocess-worker"]
+    )
+    def test_retired_aliases_name_the_canonical_specs(self, alias):
+        with pytest.raises(ValueError) as excinfo:
+            resolve_backend(alias, env={})
+        message = str(excinfo.value)
+        assert f"unknown backend {alias!r}" in message
+        for spec in ("serial", "local-pool", "subprocess", "auto"):
+            assert spec in message
+
 
 class TestComputeSpec:
     def test_module_level_function_round_trips(self):

@@ -20,7 +20,6 @@ def v2_record(**overrides):
         stats={"events_executed": 1000, "sim_time_ns": 10**9},
         rows_path="results/fig5.csv",
         metrics={"counters": {"net.host.frames{host=io}": 4}},
-        hotspots=[{"name": "cb", "calls": 2, "total_ns": 10}],
         trace_path="traces/fig5.trace.json",
         verdict="pass",
     )

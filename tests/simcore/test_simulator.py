@@ -100,6 +100,47 @@ def test_step_inside_a_callback_is_rejected():
         assert seen == [10, ("later", 20)]
 
 
+def _script_raising_at_third(sim, fired):
+    """Four events; the third raises."""
+
+    def boom():
+        fired.append("boom")
+        raise RuntimeError("third event")
+
+    sim.schedule(fired.append, "a", after=1)
+    sim.schedule(fired.append, "b", after=2)
+    sim.schedule(boom, after=3)
+    sim.schedule(fired.append, "d", after=4)
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_raising_callback_keeps_the_event_count(traced):
+    from contextlib import nullcontext
+
+    from repro.obs import capture
+
+    sim, fired = Simulator(), []
+    _script_raising_at_third(sim, fired)
+    with capture() if traced else nullcontext():
+        with pytest.raises(RuntimeError, match="third event"):
+            sim.run()
+    assert fired == ["a", "b", "boom"]
+    assert sim.stats.events_executed == 3
+    assert sim.stats.sim_time_ns == sim.now == 3
+
+    # step() counts an event before firing it: both loops agree.
+    stepped, stepped_fired = Simulator(), []
+    _script_raising_at_third(stepped, stepped_fired)
+    assert stepped.step() and stepped.step()
+    with pytest.raises(RuntimeError, match="third event"):
+        stepped.step()
+    assert stepped_fired == fired
+    assert stepped.stats.events_executed == sim.stats.events_executed
+    # The loop is usable again after the raise; the fourth event runs.
+    sim.run()
+    assert fired[-1] == "d" and sim.stats.events_executed == 4
+
+
 def test_pending_events_counts_live_events():
     sim = Simulator()
     sim.schedule(lambda: None, after=1)
