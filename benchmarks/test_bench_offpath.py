@@ -11,7 +11,7 @@ the benchmark of record (``perf/``), which is where wall-time
 regressions are judged.
 
 This benchmark times each plane *on* against its own *off* run, on the
-workload whose cost it adds to:
+workload whose cost it adds to, alternating off and on within each round:
 
 - capture — a 200k-event timer chain (the event loop);
 - telemetry — one fig6 point, leaf-spine, 64 clients, 400 ms (the
@@ -91,6 +91,7 @@ def _sweep(sweeptrace=None) -> list[str]:
 
 #: Off-mode workloads, one table column each.
 WORKLOADS = {"timer chain": _timer_chain, "fig6": _fig6, "sweep": _sweep}
+OFF_ON = ("off", "on")
 
 
 def _capture() -> int:
@@ -105,13 +106,22 @@ def _telemetry() -> tuple:
     return point
 
 
-def _best_of(fn):
-    best, result = float("inf"), None
+def _interleaved(planes):
+    """Best-of-``ROUNDS`` wall time and output per plane, off and on.
+
+    Each round times a plane's off workload and then its on workload, so
+    machine drift during the run lands on both sides of a ratio alike.
+    """
+    best = {(plane, side): float("inf") for plane in planes for side in OFF_ON}
+    outputs = {}
     for _ in range(ROUNDS):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
+        for plane, (workload, on_fn) in planes.items():
+            for side, fn in zip(OFF_ON, (WORKLOADS[workload], on_fn)):
+                t0 = time.perf_counter()
+                outputs[plane, side] = fn()
+                elapsed = time.perf_counter() - t0
+                best[plane, side] = min(best[plane, side], elapsed)
+    return best, outputs
 
 
 def test_bench_offpath(benchmark, tmp_path):
@@ -121,28 +131,32 @@ def test_bench_offpath(benchmark, tmp_path):
         "telemetry": ("fig6", _telemetry),
         "sweeptrace": ("sweep", lambda: _sweep(sweeptrace=events_path)),
     }
-    off = benchmark.pedantic(
-        lambda: {name: _best_of(fn) for name, fn in WORKLOADS.items()},
-        rounds=1, iterations=1,
+    best, outputs = benchmark.pedantic(
+        _interleaved, args=(planes,), rounds=1, iterations=1
     )
-    assert off["timer chain"][1] == EVENTS
+    assert outputs["capture", "off"] == EVENTS
 
-    rows = [["off", *(f"{off[w][0] * 1e3:.0f}" for w in WORKLOADS), "1.00x"]]
+    off_ms = {
+        workload: f"{best[plane, 'off'] * 1e3:.0f}"
+        for plane, (workload, _) in planes.items()
+    }
+    rows = [["off", *(off_ms[w] for w in WORKLOADS), "1.00x"]]
     ratios = {}
-    for plane, (workload, fn) in planes.items():
-        on_s, on_out = _best_of(fn)
-        off_s, off_out = off[workload]
+    for plane, (workload, _) in planes.items():
         # The plane observes without perturbing: same seed, same output.
-        assert on_out == off_out, f"{plane} changed the {workload} output"
-        ratios[plane] = on_s / off_s
+        assert outputs[plane, "on"] == outputs[plane, "off"], (
+            f"{plane} changed the {workload} output"
+        )
+        ratios[plane] = best[plane, "on"] / best[plane, "off"]
         rows.append([
             plane,
-            *(f"{on_s * 1e3:.0f}" if w == workload else "-"
+            *(f"{best[plane, 'on'] * 1e3:.0f}" if w == workload else "-"
               for w in WORKLOADS),
             f"{ratios[plane]:.2f}x",
         ])
     print_table(
-        f"Off-path planes — wall ms per workload (best of {ROUNDS})",
+        f"Off-path planes — wall ms per workload (best of {ROUNDS}, "
+        f"off and on alternating)",
         ["config", *WORKLOADS, "vs off"],
         rows,
     )

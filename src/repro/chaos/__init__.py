@@ -25,7 +25,6 @@ from .engine import (
     CampaignResult,
     CellReport,
     ReplayReport,
-    factory_binder,
     intervals_fingerprint,
     replay_campaign,
     run_campaign,
@@ -63,7 +62,6 @@ __all__ = [
     "SCENARIOS",
     "campaign_verdict",
     "chaos_registry",
-    "factory_binder",
     "figure_specs",
     "get_chaos_spec",
     "get_scenario",

@@ -21,12 +21,6 @@ one component never depends on any other, so two runs produce
 byte-identical per-cell outage intervals — :meth:`CampaignResult.fingerprint`
 is the replay identity, and :func:`replay_campaign` re-executes and
 compares interval-by-interval.
-
-Faults can optionally touch live objects: pass a *binder* mapping each
-component spec to concrete ``(fail, repair)`` callables (see
-:func:`factory_binder`, which wires a
-:class:`~repro.core.convergence.ConvergedFactory`'s real links and vPLCs).
-Bookkeeping and measurement are identical either way.
 """
 
 from __future__ import annotations
@@ -38,7 +32,6 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .. import __version__
-from ..core.convergence import ConvergedFactory
 from ..core.faults import FaultInjector, FaultTarget, MaintenanceWindow
 from ..figures import Rows
 from ..obs import get_telemetry, get_tracer
@@ -47,11 +40,6 @@ from ..simcore.units import SEC
 from .scenario import ComponentSpec, FaultScenario, MaintenanceSpec
 
 CAMPAIGN_SCHEMA = "repro.chaos/campaign/v1"
-
-#: A binder maps a scenario component to live ``(fail, repair)`` callables.
-Binder = Callable[[ComponentSpec | MaintenanceSpec], tuple[
-    Callable[[], None], Callable[[], None]
-]]
 
 
 def _noop() -> None:
@@ -231,15 +219,11 @@ def _cell_fingerprint(pairs: list[tuple[int, int]]) -> str:
 def run_campaign(
     scenario: FaultScenario,
     seed: int = 0,
-    binder: Binder | None = None,
     params: dict[str, Any] | None = None,
 ) -> CampaignResult:
     """Execute one chaos campaign; pure function of ``(scenario, seed)``.
 
-    ``binder``, when given, attaches each component's fail/repair to live
-    objects (e.g. real links and vPLCs of a
-    :class:`~repro.core.convergence.ConvergedFactory`); measurement is
-    unchanged.  ``params`` is recorded verbatim for provenance.
+    ``params`` is recorded verbatim for provenance.
     """
     sim = Simulator(seed=seed)
     injector = FaultInjector(
@@ -250,24 +234,23 @@ def run_campaign(
     )
     telemetry = get_telemetry()
 
-    def _flight_wrap(fn: Callable[[], None], name: str, kind: str):
-        """When telemetry is on, note the fault on the flight recorder and
-        snapshot the fabric's recent history the moment a fault fires."""
+    def _flight_action(name: str, kind: str) -> Callable[[], None]:
+        """A fail/repair action.  When telemetry is on, it notes the fault
+        on the flight recorder and snapshots the fabric's recent history
+        the moment a fault fires; otherwise it does nothing."""
         if not telemetry.enabled:
-            return fn
+            return _noop
 
-        def wrapped() -> None:
-            fn()
+        def action() -> None:
             telemetry.flight.note(name, sim.now, f"chaos.{kind}")
             if kind == "fault":
                 telemetry.flight.snapshot(f"chaos.fault:{name}", sim.now)
 
-        return wrapped
+        return action
 
     for component in scenario.components:
-        fail, repair = binder(component) if binder else (_noop, _noop)
-        fail = _flight_wrap(fail, component.name, "fault")
-        repair = _flight_wrap(repair, component.name, "repair")
+        fail = _flight_action(component.name, "fault")
+        repair = _flight_action(component.name, "repair")
         injector.register(
             FaultTarget(
                 name=component.name,
@@ -278,9 +261,8 @@ def run_campaign(
             )
         )
     for window in scenario.maintenance:
-        fail, repair = binder(window) if binder else (_noop, _noop)
-        fail = _flight_wrap(fail, window.name, "maintenance")
-        repair = _flight_wrap(repair, window.name, "repair")
+        fail = _flight_action(window.name, "maintenance")
+        repair = _flight_action(window.name, "repair")
         injector.register_maintenance(
             MaintenanceWindow(
                 target=FaultTarget(
@@ -411,47 +393,3 @@ def replay_campaign(
         mismatched_cells=mismatched,
     )
     return result, report
-
-
-def factory_binder(factory: ConvergedFactory) -> Binder:
-    """Bind scenario components onto a live converged factory.
-
-    - ``link-flap`` on cell *i* downs/restores the cell's backhaul link;
-    - ``plc-crash`` on cell *i* crash-stops/restarts the cell's vPLC;
-    - ``virt-incident`` / ``correlated-outage`` crash and restart every
-      vPLC at once (the host-wide incident);
-    - maintenance windows stop and restart the affected cells' vPLCs.
-
-    Component blast radii must fit the factory's cell count.
-    """
-
-    def bind(spec: ComponentSpec | MaintenanceSpec):
-        for cell in spec.affected_cells:
-            if cell >= len(factory.cells):
-                raise ValueError(
-                    f"component {spec.name!r} affects cell {cell}, but the "
-                    f"factory has only {len(factory.cells)} cells"
-                )
-        if isinstance(spec, MaintenanceSpec):
-            plcs = [factory.cells[c].vplc for c in spec.affected_cells]
-            return (
-                lambda: [plc.stop() for plc in plcs],
-                lambda: [plc.start() for plc in plcs],
-            )
-        if spec.kind == "link-flap":
-            (cell,) = spec.affected_cells[:1]
-            leaf = f"leaf{cell // factory.config.vplcs_per_leaf}"
-            link = factory.topo.link_between(f"cell{cell}", leaf)
-            return link.set_down, link.set_up
-        if spec.kind == "plc-crash":
-            (cell,) = spec.affected_cells[:1]
-            plc = factory.cells[cell].vplc
-            return plc.crash, plc.restart
-        # Host-wide incident: every affected vPLC crashes together.
-        plcs = [factory.cells[c].vplc for c in spec.affected_cells]
-        return (
-            lambda: [plc.crash() for plc in plcs],
-            lambda: [plc.restart() for plc in plcs],
-        )
-
-    return bind

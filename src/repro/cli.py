@@ -74,6 +74,7 @@ resume with ``--resume``).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Any
@@ -906,7 +907,6 @@ def _run_obs_flight(args: argparse.Namespace) -> int:
 
 
 def _run_obs_tail(args: argparse.Namespace) -> int:
-    import os
     import time
 
     from .obs.status import (
@@ -1018,8 +1018,21 @@ def dispatch(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point; returns the process exit code."""
-    return dispatch(build_parser().parse_args(argv))
+    """Entry point; returns the process exit code.
+
+    A reader that closes stdout early (``repro list | head -1``) ends the
+    command with exit code 1 instead of a ``BrokenPipeError`` traceback.
+    """
+    try:
+        code = dispatch(build_parser().parse_args(argv))
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit; pointing fd 1 at
+        # devnull keeps that flush from raising a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

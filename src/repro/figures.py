@@ -41,7 +41,7 @@ from .simcore.units import MS
 FORMATS = ("table", "csv", "json")
 
 #: Status marker rendered for cells that produced no data (see
-#: :func:`failure_rows`); mirrors the PacketTracer ``(dropped)`` row.
+#: :func:`failure_rows`).
 FAILED_MARKER = "(failed)"
 
 

@@ -108,6 +108,5 @@ class XdpReflectorHost(Device):
     def _reflect(self, packet: Packet, in_port: Port) -> None:
         reflected = packet.copy_for_replication()
         reflected.src, reflected.dst = packet.dst, packet.src
-        reflected.hops.append(self.name)
         self.reflected += 1
         in_port.send(reflected)

@@ -1,4 +1,4 @@
-"""Measurement substrate: series statistics, CDFs, jitter, availability.
+"""Measurement substrate: CDFs, jitter, availability, binned counts.
 
 These are the metrics the paper says industrial evaluations must report:
 worst-case latency/jitter, consecutive jitter events, watchdog expirations,
@@ -28,7 +28,6 @@ from .jitter import (
     period_jitter,
     watchdog_expirations,
 )
-from .series import SampleSeries, SeriesSummary
 
 __all__ = [
     "BinnedSeries",
@@ -37,8 +36,6 @@ __all__ = [
     "JitterReport",
     "OutageLog",
     "SECONDS_PER_YEAR",
-    "SampleSeries",
-    "SeriesSummary",
     "availability_from_downtime",
     "availability_from_mtbf_mttr",
     "availability_to_nines",

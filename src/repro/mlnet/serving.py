@@ -164,10 +164,6 @@ class InferenceServer:
                           packet.src)
         else:
             self._reassembly[key] = received
-        # The server is the terminal consumer of segment frames: recycle
-        # them unless the host is recording traffic for inspection.
-        if not self.host.record_received:
-            packet.release()
 
     def _enqueue(self, client_id: str, frame_seq: int, reply_to: str) -> None:
         self._queue.append((client_id, frame_seq, reply_to))

@@ -1,13 +1,12 @@
 """Packet-level network substrate.
 
 Devices (switches, hosts), ports, links, queue disciplines, topology
-builders (industrial and data-center), static shortest-path routing, and the
-Section 2.3 flow taxonomy with traffic generators.
+builders (line, ring, star, leaf-spine), static shortest-path routing, and
+the Section 2.3 flow taxonomy with traffic generators.
 """
 
 from .device import Device
 from .flows import (
-    BulkSender,
     CyclicSender,
     ELEPHANT_MIN_BYTES,
     FlowKind,
@@ -17,7 +16,7 @@ from .flows import (
     PoissonSender,
     classify_flow,
 )
-from .host import Host, ServerNode
+from .host import Host
 from .link import Link, Port
 from .mrp import RecoveryEvent, RingRedundancyManager
 from .packet import (
@@ -34,26 +33,19 @@ from .routing import (
     bfs_distances,
     install_shortest_path_routes,
     shortest_path,
-    verify_routes,
 )
 from .switch import Switch
-from .trace import PacketTracer, TraceRecord, postcard_trace_records
 from .topology import (
     DEFAULT_BANDWIDTH_BPS,
     DEFAULT_PROP_DELAY_NS,
     Topology,
-    build_bcube,
-    build_fat_tree,
     build_leaf_spine,
     build_line,
     build_ring,
     build_star,
-    build_tree,
-    path_hop_count,
 )
 
 __all__ = [
-    "BulkSender",
     "CyclicSender",
     "DEFAULT_BANDWIDTH_BPS",
     "DEFAULT_PROP_DELAY_NS",
@@ -70,32 +62,23 @@ __all__ = [
     "MICE_MAX_BYTES",
     "MIN_FRAME_BYTES",
     "Packet",
-    "PacketTracer",
     "PoissonSender",
     "Port",
-    "ServerNode",
     "QueueDiscipline",
     "RecoveryEvent",
     "RingRedundancyManager",
     "StrictPriorityQueue",
     "Switch",
     "Topology",
-    "TraceRecord",
     "TrafficClass",
     "VLAN_TAG_BYTES",
     "WIRE_EXTRA_BYTES",
     "bfs_distances",
-    "build_bcube",
-    "build_fat_tree",
     "build_leaf_spine",
     "build_line",
     "build_ring",
     "build_star",
-    "build_tree",
     "classify_flow",
     "install_shortest_path_routes",
-    "path_hop_count",
-    "postcard_trace_records",
     "shortest_path",
-    "verify_routes",
 ]

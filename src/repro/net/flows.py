@@ -156,61 +156,6 @@ class CyclicSender:
         )
 
 
-class BulkSender:
-    """Transfers ``total_bytes`` as back-to-back MTU frames (mice..elephant)."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        host: Host,
-        spec: FlowSpec,
-        mtu_payload_bytes: int = 1460,
-        inter_packet_gap_ns: int = 0,
-        start_ns: int = 0,
-        on_complete: Callable[[], None] | None = None,
-    ) -> None:
-        if spec.total_bytes is None:
-            raise ValueError("bulk flows need a finite size")
-        self.sim = sim
-        self.host = host
-        self.spec = spec
-        self.mtu_payload_bytes = mtu_payload_bytes
-        self.inter_packet_gap_ns = inter_packet_gap_ns
-        self.stats = FlowStats()
-        self._start_ns = start_ns
-        self._on_complete = on_complete
-        self.completed = False
-
-    def start(self) -> None:
-        """Begin the transfer."""
-        self.sim.process(self._run(), name=f"bulk:{self.spec.flow_id}")
-
-    def _run(self):
-        if self._start_ns:
-            yield self._start_ns
-        remaining = self.spec.total_bytes or 0
-        while remaining > 0:
-            size = min(remaining, self.mtu_payload_bytes)
-            self.stats.packets_sent += 1
-            self.stats.bytes_sent += size
-            self.stats.send_times_ns.append(self.sim.now)
-            self.host.send(
-                dst=self.spec.dst,
-                payload_bytes=size,
-                traffic_class=self.spec.traffic_class,
-                flow_id=self.spec.flow_id,
-                sequence=self.stats.packets_sent,
-            )
-            remaining -= size
-            if self.inter_packet_gap_ns:
-                yield self.inter_packet_gap_ns
-            else:
-                yield None  # let the port drain; avoids unbounded queues
-        self.completed = True
-        if self._on_complete is not None:
-            self._on_complete()
-
-
 class PoissonSender:
     """Open-loop Poisson packet arrivals — generic IT background traffic."""
 

@@ -74,7 +74,7 @@ class Host(Device):
         """Create a packet and hand it to the given port for egress."""
         if not self.ports:
             raise RuntimeError(f"host {self.name} has no ports")
-        packet = Packet.acquire(
+        packet = Packet(
             src=self.name,
             dst=dst,
             payload_bytes=payload_bytes,
@@ -88,70 +88,5 @@ class Host(Device):
         self._m_tx.inc()
         if self._tel is not None:
             self._tel.on_send(packet)
-        self.ports[self._egress_port_for(dst, port_index)].send(packet)
+        self.ports[0 if port_index is None else port_index].send(packet)
         return packet
-
-    def _egress_port_for(self, dst: str, port_index: int | None) -> int:
-        """Pick the egress port (single-homed hosts just use port 0)."""
-        if port_index is not None:
-            return port_index
-        return 0
-
-
-class ServerNode(Host):
-    """A multi-homed host that also forwards — BCube's server-centric role.
-
-    Carries its own forwarding table (destination name -> port index), so
-    routing can run *through* servers.  Forwarding costs
-    ``forwarding_delay_ns`` per transited frame (software NIC-to-NIC
-    forwarding on the server's CPU).
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        forwarding_delay_ns: int = 5_000,
-    ) -> None:
-        super().__init__(sim, name)
-        self.forwarding_delay_ns = forwarding_delay_ns
-        self.forwarding_table: dict[str, int] = {}
-        self.forwarded_frames = 0
-
-    #: ServerNodes may be transited by routed paths.
-    can_transit = True
-
-    def install_route(self, destination: str, port_index: int) -> None:
-        """Pin a route for frames this server relays."""
-        if not 0 <= port_index < len(self.ports):
-            raise ValueError(
-                f"{self.name}: port {port_index} does not exist"
-            )
-        self.forwarding_table[destination] = port_index
-
-    def receive(self, packet: Packet, in_port: Port) -> None:
-        if packet.dst == self.name or packet.dst == "*":
-            super().receive(packet, in_port)
-            return
-        out_index = self.forwarding_table.get(packet.dst)
-        if out_index is None or out_index == in_port.index:
-            return  # not ours and no relay route: drop
-        if self._tel is not None:
-            # Transit through a server counts as an INT hop: stamp ingress
-            # here, egress happens at the outbound port.
-            self._tel.hub.stamp_ingress(packet, self.name, self.sim.now)
-        self.sim.schedule(
-            lambda: self._relay(packet, out_index),
-            after=self.forwarding_delay_ns,
-        )
-
-    def _relay(self, packet: Packet, out_index: int) -> None:
-        packet.hops.append(self.name)
-        self.forwarded_frames += 1
-        self.ports[out_index].send(packet)
-
-    def _egress_port_for(self, dst: str, port_index: int | None) -> int:
-        if port_index is not None:
-            return port_index
-        # Multi-homed: originate along the installed route when known.
-        return self.forwarding_table.get(dst, 0)

@@ -14,9 +14,9 @@ stages, as on real Ethernet:
 
 A port that starts a frame schedules its far-end delivery at once, so a
 frame costs one event per link.  A second, *wake* event is scheduled only
-while a frame waits behind the one on the wire (or a shaper must account
-for its end): it runs :meth:`Port.try_transmit` at ``busy_until_ns``,
-where strict-priority selection must happen.
+while a frame waits behind the one on the wire: it runs
+:meth:`Port.try_transmit` at ``busy_until_ns``, where strict-priority
+selection must happen.
 
 Links can be administratively downed (failure injection) and can drop frames
 through a pluggable loss model — both are needed for the availability
@@ -158,14 +158,8 @@ class Port:
         link.propagate(packet, self, end_ns)
 
     def _arm_wake(self) -> None:
-        """Wake at ``busy_until_ns`` if a frame waits; at most one pending.
-
-        A shaper accounts for every transmission's end (CBS credit), so a
-        shaped port always wakes.
-        """
-        if not self._wake_pending and (
-            len(self.queue) or self.shaper is not None
-        ):
+        """Wake at ``busy_until_ns`` if a frame waits; at most one pending."""
+        if not self._wake_pending and len(self.queue):
             self._wake_pending = True
             self.sim.schedule(self._wake, at=self.busy_until_ns)
 

@@ -15,12 +15,6 @@ its traffic class) precomputed at construction, because the forwarding
 hot path reads them several times per hop.  ``payload_bytes`` is
 therefore fixed at construction; segment at a higher layer instead of
 mutating it.
-
-A module-level free list (:meth:`Packet.acquire` / :meth:`Packet.release`)
-lets high-rate workload generators recycle dead frames instead of
-allocating: ``release`` is an *explicit opt-in* for call sites that own
-the end of a packet's life (e.g. an ML serving endpoint that has consumed
-a frame); a released packet must have no other live references.
 """
 
 from __future__ import annotations
@@ -41,13 +35,6 @@ MIN_FRAME_BYTES = 64
 MAX_PAYLOAD_BYTES = 1500
 
 _packet_ids = itertools.count(1)
-
-#: Free list for :meth:`Packet.acquire`; bounded so a burst cannot pin
-#: unbounded memory.  Sized above the in-flight peak of the bursty ML
-#: workloads (hundreds of clients x hundreds of segments per frame) so
-#: steady state allocates no new packets.
-_free_packets: list["Packet"] = []
-_POOL_LIMIT = 32768
 
 
 class TrafficClass(Enum):
@@ -90,8 +77,6 @@ class Packet:
         simulator never serializes it.
     created_ns:
         Time the packet was created at its source.
-    hops:
-        Device names traversed, appended by the forwarding path.
     arrival_ns:
         When the frame last arrived at the end of a link, stamped by the
         link; a switch processes it later (see ``Switch.receive``).
@@ -108,13 +93,11 @@ class Packet:
         "payload",
         "created_ns",
         "packet_id",
-        "hops",
         "sequence",
         "arrival_ns",
         "pcp",
         "frame_bytes",
         "wire_size_bytes",
-        "_pooled",
     )
 
     def __init__(
@@ -127,7 +110,6 @@ class Packet:
         payload: dict[str, Any] | None = None,
         created_ns: int = 0,
         packet_id: int | None = None,
-        hops: list[str] | None = None,
         sequence: int = 0,
     ) -> None:
         if payload_bytes < 0:
@@ -145,7 +127,6 @@ class Packet:
         self.payload = {} if payload is None else payload
         self.created_ns = created_ns
         self.packet_id = next(_packet_ids) if packet_id is None else packet_id
-        self.hops = [] if hops is None else hops
         self.sequence = sequence
         self.arrival_ns = 0
         self.pcp = traffic_class.value
@@ -153,84 +134,6 @@ class Packet:
         frame = raw if raw >= MIN_FRAME_BYTES else MIN_FRAME_BYTES
         self.frame_bytes = frame
         self.wire_size_bytes = frame + WIRE_EXTRA_BYTES
-        self._pooled = False
-
-    # -- pooling -------------------------------------------------------------
-
-    @classmethod
-    def acquire(
-        cls,
-        src: str,
-        dst: str,
-        payload_bytes: int,
-        traffic_class: TrafficClass = TrafficClass.BEST_EFFORT,
-        flow_id: str = "",
-        payload: dict[str, Any] | None = None,
-        created_ns: int = 0,
-        sequence: int = 0,
-    ) -> "Packet":
-        """Create a packet, reusing a released instance when one is free.
-
-        Identical to the constructor (including a fresh ``packet_id``)
-        except that the object identity may be recycled from the pool.
-        """
-        if not _free_packets:
-            return cls(
-                src=src,
-                dst=dst,
-                payload_bytes=payload_bytes,
-                traffic_class=traffic_class,
-                flow_id=flow_id,
-                payload=payload,
-                created_ns=created_ns,
-                sequence=sequence,
-            )
-        if payload_bytes < 0:
-            raise ValueError("payload size cannot be negative")
-        if payload_bytes > MAX_PAYLOAD_BYTES:
-            raise ValueError(
-                f"payload {payload_bytes}B exceeds Ethernet maximum "
-                f"{MAX_PAYLOAD_BYTES}B; segment at a higher layer"
-            )
-        packet = _free_packets.pop()
-        packet.src = src
-        packet.dst = dst
-        packet.payload_bytes = payload_bytes
-        packet.traffic_class = traffic_class
-        packet.flow_id = flow_id
-        packet.payload = {} if payload is None else payload
-        packet.created_ns = created_ns
-        packet.packet_id = next(_packet_ids)
-        packet.hops = []
-        packet.sequence = sequence
-        packet.pcp = traffic_class.value
-        raw = payload_bytes + ETHERNET_OVERHEAD_BYTES + VLAN_TAG_BYTES
-        frame = raw if raw >= MIN_FRAME_BYTES else MIN_FRAME_BYTES
-        packet.frame_bytes = frame
-        packet.wire_size_bytes = frame + WIRE_EXTRA_BYTES
-        packet._pooled = False
-        return packet
-
-    def release(self) -> None:
-        """Return this packet to the free pool.
-
-        The caller asserts ownership of the packet's end of life: no other
-        component may still reference it.  Double release is a no-op.
-        """
-        if self._pooled:
-            return
-        self._pooled = True
-        # Drop references, never mutate in place: the payload dict may be
-        # shared with the sender that built it.
-        self.payload = None  # type: ignore[assignment]
-        self.hops = None  # type: ignore[assignment]
-        if len(_free_packets) < _POOL_LIMIT:
-            _free_packets.append(self)
-
-    @staticmethod
-    def pool_size() -> int:
-        """Number of released packets currently waiting for reuse."""
-        return len(_free_packets)
 
     # -- wire accounting -----------------------------------------------------
 
@@ -242,7 +145,7 @@ class Packet:
 
     def copy_for_replication(self) -> "Packet":
         """A shallow copy with a fresh packet id (for mirroring/replication)."""
-        clone = Packet.acquire(
+        return Packet(
             src=self.src,
             dst=self.dst,
             payload_bytes=self.payload_bytes,
@@ -252,8 +155,6 @@ class Packet:
             created_ns=self.created_ns,
             sequence=self.sequence,
         )
-        clone.hops = list(self.hops)
-        return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

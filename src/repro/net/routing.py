@@ -2,11 +2,9 @@
 
 Industrial networks are commissioned with fixed routes (Section 2.3), so we
 precompute shortest paths and install static forwarding entries on every
-forwarding device — switches, and :class:`repro.net.host.ServerNode`
-servers in server-centric topologies like BCube.  When several equal-cost
-next hops exist (leaf-spine fabrics), the tie is broken by a deterministic
-hash of ``(device, destination)`` — a static-table stand-in for ECMP that
-spreads destinations across spines.
+switch.  When several equal-cost next hops exist (leaf-spine fabrics), the
+tie is broken by a deterministic hash of ``(device, destination)`` — a
+static-table stand-in for ECMP that spreads destinations across spines.
 
 Paths may only *transit* devices that can forward; a plain host can be an
 endpoint but never a relay, which BFS respects via the transit set.
@@ -130,58 +128,3 @@ def install_shortest_path_routes(
             router.install_route(host.name, port_index)
             installed += 1
     return installed
-
-
-def verify_routes(topo: Topology) -> list[str]:
-    """Check installed routes for loops and dead ends.
-
-    Returns a list of human-readable problems (empty = all good).  Walks
-    every (router, host) pair along the installed tables, transiting any
-    forwarding device.
-    """
-    problems: list[str] = []
-    hosts = {host.name for host in topo.hosts()}
-    routers = [
-        device for device in topo.devices.values() if _can_forward(device)
-    ]
-    max_hops = len(topo.devices) + 1
-    for router in routers:
-        for destination in hosts:
-            if router.name == destination:
-                continue
-            current: Device = router
-            visited: set[str] = set()
-            hops = 0
-            while _can_forward(current) and current.name != destination:
-                if current.name in visited:
-                    problems.append(
-                        f"loop routing to {destination} starting at {router.name}"
-                    )
-                    break
-                visited.add(current.name)
-                out_index = current.forwarding_table.get(destination)  # type: ignore[attr-defined]
-                if out_index is None:
-                    problems.append(
-                        f"{current.name} has no route to {destination}"
-                    )
-                    break
-                peer = current.ports[out_index].peer
-                if peer is None:
-                    problems.append(
-                        f"{current.name} routes {destination} to an unwired port"
-                    )
-                    break
-                current = peer.device
-                hops += 1
-                if hops > max_hops:
-                    problems.append(
-                        f"path to {destination} from {router.name} too long"
-                    )
-                    break
-            else:
-                if current.name != destination:
-                    problems.append(
-                        f"route from {router.name} to {destination} "
-                        f"ends at {current.name}"
-                    )
-    return problems

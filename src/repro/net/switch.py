@@ -10,7 +10,7 @@ A hop costs one arrival-plus-processing event, which the upstream port
 schedules when it starts the frame, for ``propagation_delay_ns +
 processing_delay_ns`` after serialization ends; a frame that queues behind
 another at the egress port adds one wake there.  Ingress work (rx
-counters, taps, learning, INT stamps) therefore runs at arrival +
+counters, learning, INT stamps) therefore runs at arrival +
 processing, but sees the true arrival time via ``packet.arrival_ns``.
 """
 
@@ -51,9 +51,6 @@ class Switch(Device):
         self.forwarded_frames = 0
         self.flooded_frames = 0
         self.filtered_frames = 0
-        #: observers called as ``tap(packet, in_port, arrival_ns)`` on
-        #: every received frame (monitoring hooks)
-        self.taps: list[Callable[[Packet, Port, int], None]] = []
         registry = get_registry()
         self._m_forwarded = registry.counter(
             "net.switch.frames", switch=name, outcome="forwarded"
@@ -88,17 +85,10 @@ class Switch(Device):
         The link calls this ``processing_delay_ns`` after the frame arrived
         at ``packet.arrival_ns``; ingress observers get that arrival time.
         """
-        arrival_ns = packet.arrival_ns
         if self._tel is not None:
-            self._tel.on_ingress(packet, arrival_ns)
-        for tap in self.taps:
-            tap(packet, in_port, arrival_ns)
+            self._tel.on_ingress(packet, packet.arrival_ns)
         if self.learning_enabled and packet.src:
             self._learned[packet.src] = in_port.index
-        self._forward(packet, in_port)
-
-    def _forward(self, packet: Packet, in_port: Port) -> None:
-        packet.hops.append(self.name)
         out_index = self.forwarding_table.get(packet.dst)
         if out_index is None:
             out_index = self._learned.get(packet.dst)

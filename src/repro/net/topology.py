@@ -2,9 +2,10 @@
 
 Section 2.3 contrasts industrial topologies — "line, ring, star, or tree,
 carefully engineered ... largely static after commissioning" — with
-data-center designs (Clos, fat-tree, leaf-spine).  This module builds all of
-them over the same :class:`Device`/:class:`Link` substrate so the Figure 6
-experiments can compare them directly.
+data-center designs (Clos, fat-tree, leaf-spine).  This module holds the
+:class:`Topology` container and builders for the line, ring, star and
+leaf-spine shapes over one :class:`Device`/:class:`Link` substrate; the
+Figure 6 deployments are built on it in :mod:`repro.mlnet.topologies`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Callable, Iterable
 
 from ..simcore import Simulator
 from .device import Device
-from .host import Host, ServerNode
+from .host import Host
 from .link import Link
 from .packet import Packet
 from .queues import QueueDiscipline
@@ -43,10 +44,6 @@ class Topology:
     def add_host(self, name: str) -> Host:
         """Create a host and register it."""
         return self._register(Host(self.sim, name))
-
-    def add_server(self, name: str, forwarding_delay_ns: int = 5_000) -> ServerNode:
-        """Create a forwarding server (for server-centric topologies)."""
-        return self._register(ServerNode(self.sim, name, forwarding_delay_ns))
 
     def add_device(self, device: Device) -> Device:
         """Register an externally constructed device (e.g. a P4 switch)."""
@@ -215,37 +212,6 @@ def build_star(
     return topo
 
 
-def build_tree(
-    sim: Simulator,
-    depth: int,
-    fanout: int,
-    hosts_per_leaf: int = 1,
-    bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS,
-    propagation_delay_ns: int = DEFAULT_PROP_DELAY_NS,
-) -> Topology:
-    """A balanced switch tree with hosts under the leaf switches."""
-    if depth < 1 or fanout < 1:
-        raise ValueError("depth and fanout must be at least 1")
-    topo = Topology(sim, name=f"tree_d{depth}_f{fanout}")
-    root = topo.add_switch("sw_root")
-    level = [root]
-    counter = 0
-    for current_depth in range(1, depth + 1):
-        next_level = []
-        for parent in level:
-            for _ in range(fanout):
-                child = topo.add_switch(f"sw{counter}")
-                counter += 1
-                topo.connect(parent, child, bandwidth_bps, propagation_delay_ns)
-                next_level.append(child)
-        level = next_level
-    for leaf_index, leaf in enumerate(level):
-        for j in range(hosts_per_leaf):
-            host = topo.add_host(f"h{leaf_index}_{j}")
-            topo.connect(leaf, host, bandwidth_bps, propagation_delay_ns)
-    return topo
-
-
 def build_leaf_spine(
     sim: Simulator,
     leaf_count: int,
@@ -269,87 +235,3 @@ def build_leaf_spine(
             host = topo.add_host(f"h{leaf_index}_{j}")
             topo.connect(leaf, host, bandwidth_bps, propagation_delay_ns)
     return topo
-
-
-def build_fat_tree(
-    sim: Simulator,
-    k: int,
-    bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS,
-    propagation_delay_ns: int = DEFAULT_PROP_DELAY_NS,
-) -> Topology:
-    """A k-ary fat tree (k even): k pods, k^2/4 cores, k^3/4 hosts."""
-    if k < 2 or k % 2 != 0:
-        raise ValueError("fat tree requires an even k >= 2")
-    topo = Topology(sim, name=f"fattree_k{k}")
-    half = k // 2
-    cores = [topo.add_switch(f"core{i}") for i in range(half * half)]
-    for pod in range(k):
-        aggs = [topo.add_switch(f"agg{pod}_{i}") for i in range(half)]
-        edges = [topo.add_switch(f"edge{pod}_{i}") for i in range(half)]
-        for agg_index, agg in enumerate(aggs):
-            for edge in edges:
-                topo.connect(agg, edge, bandwidth_bps, propagation_delay_ns)
-            for c in range(half):
-                core = cores[agg_index * half + c]
-                topo.connect(core, agg, bandwidth_bps, propagation_delay_ns)
-        for edge_index, edge in enumerate(edges):
-            for h in range(half):
-                host = topo.add_host(f"h{pod}_{edge_index}_{h}")
-                topo.connect(edge, host, bandwidth_bps, propagation_delay_ns)
-    return topo
-
-
-def build_bcube(
-    sim: Simulator,
-    n: int,
-    k: int = 1,
-    bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS,
-    propagation_delay_ns: int = DEFAULT_PROP_DELAY_NS,
-) -> Topology:
-    """A BCube(n, k): server-centric recursive topology (Guo et al.).
-
-    ``n^(k+1)`` hosts; level-l has ``n^k`` switches, each connecting the
-    ``n`` hosts whose index differs only in digit ``l`` of their base-n
-    representation.  Hosts are :class:`ServerNode` instances, multi-homed
-    with ``k+1`` ports and able to relay — the server-centric property
-    that distinguishes BCube from switch-centric fabrics.
-    """
-    if n < 2 or k < 0:
-        raise ValueError("BCube requires n >= 2 and k >= 0")
-    topo = Topology(sim, name=f"bcube_n{n}_k{k}")
-    host_count = n ** (k + 1)
-    hosts = [topo.add_server(f"h{i}") for i in range(host_count)]
-    for level in range(k + 1):
-        stride = n**level
-        switch_count = host_count // n
-        for switch_index in range(switch_count):
-            switch = topo.add_switch(f"sw{level}_{switch_index}")
-            # Hosts connected to this level-l switch share all base-n
-            # digits except digit l.
-            base = (switch_index % stride) + (switch_index // stride) * (
-                stride * n
-            )
-            for j in range(n):
-                host = hosts[base + j * stride]
-                topo.connect(switch, host, bandwidth_bps, propagation_delay_ns)
-    return topo
-
-
-def path_hop_count(topo: Topology, src: str, dst: str) -> int:
-    """Number of links on the shortest path between two devices (BFS)."""
-    if src == dst:
-        return 0
-    adjacency = topo.adjacency()
-    seen = {src}
-    frontier: list[tuple[str, int]] = [(src, 0)]
-    while frontier:
-        next_frontier: list[tuple[str, int]] = []
-        for current, distance in frontier:
-            for neighbor, _ in adjacency[current]:
-                if neighbor == dst:
-                    return distance + 1
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    next_frontier.append((neighbor, distance + 1))
-        frontier = next_frontier
-    raise ValueError(f"no path from {src!r} to {dst!r}")

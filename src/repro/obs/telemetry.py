@@ -14,9 +14,8 @@ applied to our own simulator):
 - **INT-style postcards** — a seeded 1-in-N packet sampler.  Sampled
   packets accumulate one record per hop (ingress/egress sim-time, queue
   depth seen, per-hop latency) and emit a *postcard* when delivered,
-  giving per-flow path attribution that composes with
-  :class:`~repro.net.trace.PacketTracer` (see
-  :func:`repro.net.trace.postcard_trace_records`).
+  giving per-flow path attribution.  Postcards are the one per-packet
+  path record of the simulated fabric.
 - **A flight recorder** — a per-component ring of recent packet/state
   events (drops, link transitions), snapshotted automatically when a
   chaos fault fires or a figure verdict fails, so a failed requirement
@@ -429,8 +428,8 @@ class TelemetryHub:
         if draft is None:
             return None
         if draft["_pid"] != packet.packet_id:
-            # The packet object was pooled and recycled while its old
-            # draft still lingered; the draft is stale.
+            # A dead packet's id() was reused by a new packet while its
+            # old draft still lingered; the draft is stale.
             del self._inflight[id(packet)]
             return None
         return draft

@@ -112,7 +112,6 @@ class P4Switch(Device):
         for digest_data in ctx.digests:
             for listener in self._digest_listeners:
                 listener(digest_data, ctx)
-        packet.hops.append(self.name)
         for egress_index, overrides in ctx.clones:
             if not 0 <= egress_index < len(self.ports):
                 continue

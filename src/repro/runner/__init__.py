@@ -19,8 +19,6 @@ Public API:
   executors (:class:`SerialBackend`, :class:`LocalPoolBackend`,
   :class:`SubprocessWorkerBackend`); specs like ``"subprocess:2"`` come
   from ``--backend`` / the ``REPRO_BACKEND`` env var.
-- :func:`shard_jobs` — deterministic round-robin split of a job list
-  (or lazy :class:`JobGrid`) across distributed participants.
 - :class:`LazyRows` / :func:`write_row_chunks` — disk-backed streaming
   rows (see :mod:`repro.runner.rowstream`), used when ``run_jobs`` runs
   with ``stream_rows=``.
@@ -62,7 +60,6 @@ from .engine import (
     expand_grid,
     make_job,
     run_jobs,
-    shard_jobs,
 )
 from .rowstream import (
     DEFAULT_CHUNK_ROWS,
@@ -118,6 +115,5 @@ __all__ = [
     "parse_backend_spec",
     "resolve_backend",
     "run_jobs",
-    "shard_jobs",
     "write_row_chunks",
 ]

@@ -248,26 +248,6 @@ def expand_grid(
     return JobGrid(figures, seeds=seeds, grid=grid)
 
 
-def shard_jobs(
-    jobs: Iterable[Job], shards: int
-) -> list[list[Job]]:
-    """Deal ``jobs`` round-robin into ``shards`` ordered buckets.
-
-    The assignment depends only on job order and shard count — every
-    participant in a distributed sweep computes the same split without
-    coordination, and a single pass over a lazy :class:`JobGrid` (or any
-    one-shot iterator) suffices.  Buckets may be empty when there are
-    fewer jobs than shards; concatenating buckets index-by-index
-    round-robin restores the original order.
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    buckets: list[list[Job]] = [[] for _ in range(shards)]
-    for position, job in enumerate(jobs):
-        buckets[position % shards].append(job)
-    return buckets
-
-
 #: Monotonic suffix keeping concurrent probes in one process distinct.
 _PROBE_COUNTER = itertools.count()
 

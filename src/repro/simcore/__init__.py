@@ -5,8 +5,7 @@ Public API:
 - :class:`Simulator` — event loop with integer-nanosecond time.
 - :class:`Process` / :class:`Signal` — generator-coroutine processes.
 - :class:`Event` — a scheduled callback, the entry on the simulator's
-  one binary heap; :class:`EventQueue` — the independent reference queue
-  the tests check the simulator against.
+  one binary heap.
 - :class:`RandomStreams` — named, independent random streams.
 - :class:`Clock`, :class:`PtpSyncModel`, :func:`tap_clock` — clock models.
 - :class:`SimStats` / :func:`collect_stats` — event-loop counters and a
@@ -17,20 +16,18 @@ Public API:
 from .clock import Clock, PtpSyncModel, tap_clock
 from .events import (
     Event,
-    EventQueue,
     PRIORITY_HIGH,
     PRIORITY_LOW,
     PRIORITY_NORMAL,
 )
 from .rng import RandomStreams
-from .simulator import Process, Signal, SimulationError, Simulator, every
+from .simulator import Process, Signal, SimulationError, Simulator
 from .stats import SimStats, collect as collect_stats
 from .units import HOUR, MINUTE, MS, NS, SEC, US
 
 __all__ = [
     "Clock",
     "Event",
-    "EventQueue",
     "HOUR",
     "MINUTE",
     "MS",
@@ -48,6 +45,5 @@ __all__ = [
     "Simulator",
     "US",
     "collect_stats",
-    "every",
     "tap_clock",
 ]

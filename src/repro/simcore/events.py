@@ -9,17 +9,12 @@ priority always fire in scheduling order.
   simulator keeps on its one binary heap: a list ``[time, priority,
   sequence, callback, arg]``, so ``heapq`` orders entries by comparing
   them as C lists and no Python ``__lt__`` ever runs.
-- :class:`EventQueue` — an independent reference queue that orders by an
-  explicit ``(time, priority, sequence)`` key.  The simulator does not
-  use it; ``tests/properties`` runs a plain loop over it as the oracle
-  the simulator's runs are compared against.
 """
 
 from __future__ import annotations
 
-import heapq
 from operator import itemgetter
-from typing import Any, Callable
+from typing import Any
 
 #: Default scheduling priority.  Lower values fire first at equal times.
 PRIORITY_NORMAL = 0
@@ -81,61 +76,3 @@ class Event(list):
             f"Event(t={self.time}, prio={self.priority}, "
             f"seq={self.sequence}{state})"
         )
-
-
-class EventQueue:
-    """The reference queue: a binary heap keyed on ``(time, priority,
-    sequence)`` tuples, with lazy cancellation."""
-
-    __slots__ = ("_heap", "_sequence")
-
-    def __init__(self) -> None:
-        self._sequence = 0
-        self._heap: list[tuple[int, int, int, Event]] = []
-
-    def __len__(self) -> int:
-        return sum(1 for entry in self._heap if not entry[3].cancelled)
-
-    def __bool__(self) -> bool:
-        return self.peek_time() is not None
-
-    def push(
-        self,
-        time: int,
-        callback: Callable[..., Any],
-        priority: int = PRIORITY_NORMAL,
-        arg: Any = NO_ARG,
-    ) -> Event:
-        """Schedule ``callback`` at absolute ``time`` and return the event."""
-        if time < 0:
-            raise ValueError(f"event time must be non-negative, got {time}")
-        sequence = self._sequence
-        self._sequence = sequence + 1
-        event = Event((time, priority, sequence, callback, arg))
-        heapq.heappush(self._heap, (time, priority, sequence, event))
-        return event
-
-    def pop(self) -> Event:
-        """Remove and return the earliest non-cancelled event.
-
-        Raises :class:`IndexError` when the queue holds no live events.
-        """
-        heap = self._heap
-        while heap:
-            event = heapq.heappop(heap)[3]
-            if not event.cancelled:
-                return event
-        raise IndexError("pop from empty event queue")
-
-    def peek_time(self) -> int | None:
-        """Return the time of the earliest live event, or ``None`` if empty."""
-        heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heapq.heappop(heap)
-        if not heap:
-            return None
-        return heap[0][0]
-
-    def clear(self) -> None:
-        """Drop every pending event."""
-        self._heap.clear()

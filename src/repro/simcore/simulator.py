@@ -24,7 +24,7 @@ active, ``run`` wraps that same loop in one ``sim.run`` span.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable, Generator
 
 from ..obs import runtime as _obs
 from ..obs.tracing import NULL_TRACER
@@ -155,12 +155,11 @@ class Simulator:
     heap, and any other value raises :class:`ValueError`.
     """
 
-    #: Where :meth:`trace` messages go when *no* trace hook is registered.
-    #: Defaults to :func:`obs_trace_sink` (the active observability tracer,
-    #: a no-op null sink when observability is off).  Assign a
-    #: ``(time_ns, message)`` callable — on an instance or on the class —
-    #: to redirect unhooked trace output, e.g. ``sim.default_sink = print``
-    #: style debugging sinks.
+    #: Where :meth:`trace` messages go.  Defaults to :func:`obs_trace_sink`
+    #: (the active observability tracer, a no-op null sink when
+    #: observability is off).  Assign a ``(time_ns, message)`` callable —
+    #: on an instance or on the class — to redirect trace output, e.g.
+    #: ``sim.default_sink = print`` style debugging sinks.
     default_sink: Callable[[int, str], None] = staticmethod(obs_trace_sink)
 
     def __init__(self, seed: int = 0, *, scheduler: str | None = None) -> None:
@@ -175,7 +174,6 @@ class Simulator:
         self._heap: list[Event] = []
         self.streams = RandomStreams(seed=seed)
         self._running = False
-        self._trace_hooks: list[Callable[[int, str], None]] = []
         #: Event-loop counters; aggregated across simulators by
         #: :func:`repro.simcore.stats.collect`.  ``events_scheduled`` is
         #: also the sequence number of the next scheduled event.
@@ -353,57 +351,10 @@ class Simulator:
 
     # -- tracing ------------------------------------------------------------
 
-    def add_trace_hook(self, hook: Callable[[int, str], None]) -> None:
-        """Register a ``hook(time_ns, message)`` called by :meth:`trace`.
-
-        Hooks are invoked in registration order.  While at least one hook
-        is registered, hooks replace :attr:`default_sink`.
-        """
-        self._trace_hooks.append(hook)
-
     def trace(self, message: str) -> None:
-        """Emit a trace message.
+        """Emit a trace message to :attr:`default_sink`.
 
-        With hooks registered, every hook receives ``(now, message)`` in
-        registration order.  With none, the message goes to
-        :attr:`default_sink` instead of being silently dropped — by default
-        that routes it into the observability layer (an instant event on
-        the active tracer; a no-op when observability is off).
+        By default that routes it into the observability layer (an instant
+        event on the active tracer; a no-op when observability is off).
         """
-        hooks = self._trace_hooks
-        if hooks:
-            for hook in hooks:
-                hook(self.now, message)
-        else:
-            self.default_sink(self.now, message)
-
-
-def every(
-    sim: Simulator,
-    period: int,
-    action: Callable[[], Any],
-    start: int = 0,
-    jitter_fn: Callable[[], int] | None = None,
-) -> Process:
-    """Start a process that invokes ``action`` every ``period`` ns.
-
-    ``jitter_fn``, when given, returns an extra (non-negative) delay added to
-    each activation — used to model release jitter of periodic tasks.
-    """
-
-    def _loop() -> Iterable[Any]:
-        if start:
-            yield start
-        while True:
-            if jitter_fn is not None:
-                extra = jitter_fn()
-                if extra:
-                    yield extra
-                action()
-                remaining = period - extra
-                yield max(0, remaining)
-            else:
-                action()
-                yield period
-
-    return sim.process(_loop(), name=f"every({period})")
+        self.default_sink(self.now, message)

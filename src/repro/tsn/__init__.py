@@ -2,8 +2,7 @@
 
 - :mod:`repro.tsn.gcl` — 802.1Qbv gate control lists;
 - :mod:`repro.tsn.shaper` — the time-aware shaper with guard bands;
-- :mod:`repro.tsn.scheduler` — no-wait schedule synthesis for cyclic flows;
-- :mod:`repro.tsn.frer` — 802.1CB frame replication & elimination.
+- :mod:`repro.tsn.scheduler` — no-wait schedule synthesis for cyclic flows.
 """
 
 from .annealing import AnnealingSynthesizer
@@ -16,8 +15,6 @@ from .calculus import (
     strict_priority_residual,
     switch_service_curve,
 )
-from .cbs import CreditBasedShaper
-from .frer import SequenceRecovery, StreamMerger, StreamSplitter
 from .preemption import (
     FRAGMENT_OVERHEAD_BYTES,
     MIN_FRAGMENT_BYTES,
@@ -50,7 +47,6 @@ __all__ = [
     "path_delay_bound_s",
     "strict_priority_residual",
     "switch_service_curve",
-    "CreditBasedShaper",
     "FRAGMENT_OVERHEAD_BYTES",
     "GateControlEntry",
     "GateControlList",
@@ -61,9 +57,6 @@ __all__ = [
     "InfeasibleScheduleError",
     "ScheduleSynthesizer",
     "ScheduledFlow",
-    "SequenceRecovery",
-    "StreamMerger",
-    "StreamSplitter",
     "TimeAwareShaper",
     "TsnSchedule",
     "always_open",

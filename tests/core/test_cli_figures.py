@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.figures import (
     Rows,
@@ -90,6 +95,27 @@ class TestCli:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["nonsense"])
+
+    def test_closed_stdout_exits_without_a_traceback(self):
+        # A pipe whose reader is already gone: the first write fails with
+        # EPIPE, as under ``repro list | head -1`` once head has exited.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(repro.__file__).resolve().parent.parent),
+            env.get("PYTHONPATH"),
+        ]))
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "list"], env=env,
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in done.stderr, done.stderr
+        assert done.returncode == 1
 
 
 class TestCliObservability:

@@ -4,9 +4,9 @@ import pytest
 
 from repro.core import ConvergedFactory, FactoryConfig, PROCESS_AUTOMATION
 from repro.core.requirements import MOTION_CONTROL
-from repro.net.routing import verify_routes
 from repro.plc import HARDWARE_PLC
 from repro.simcore import Simulator, MS, SEC
+from tests.net.route_oracle import verify_routes
 
 
 def build(cells=2, devices=2, **kwargs):

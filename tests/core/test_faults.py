@@ -110,9 +110,13 @@ class TestLinkFaults:
         )
         injector.start()
         states = []
-        from repro.simcore import every
 
-        every(sim, 1 * SEC, lambda: states.append(link.up))
+        def sample_link_state():
+            while True:
+                states.append(link.up)
+                yield 1 * SEC
+
+        sim.process(sample_link_state())
         sim.run(until=200 * SEC)
         assert True in states and False in states
 

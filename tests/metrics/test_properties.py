@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 
 from repro.metrics import (
     Cdf,
-    SampleSeries,
     bin_counts,
     jitter_report,
     parallel_availability,
@@ -17,18 +16,6 @@ from repro.metrics import (
 finite_floats = st.floats(
     min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
 )
-
-
-@given(st.lists(finite_floats, min_size=1, max_size=300))
-def test_summary_bounds_are_consistent(values):
-    series = SampleSeries()
-    series.extend(values)
-    summary = series.summary()
-    epsilon = 1e-6 * max(1.0, abs(summary.maximum), abs(summary.minimum))
-    assert summary.minimum <= summary.p50 <= summary.maximum
-    assert summary.p50 <= summary.p90 <= summary.p99 <= summary.p999
-    assert summary.minimum - epsilon <= summary.mean <= summary.maximum + epsilon
-    assert summary.count == len(values)
 
 
 @given(st.lists(finite_floats, min_size=1, max_size=300))

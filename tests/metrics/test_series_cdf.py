@@ -1,55 +1,9 @@
-"""SampleSeries and CDF behaviour."""
+"""CDF behaviour and distribution comparisons."""
 
 import numpy as np
 import pytest
 
-from repro.metrics import Cdf, SampleSeries, dominance_fraction, dominates, median_shift
-
-
-class TestSampleSeries:
-    def test_summary_of_known_values(self):
-        series = SampleSeries("s")
-        series.extend([1.0, 2.0, 3.0, 4.0, 5.0])
-        summary = series.summary()
-        assert summary.count == 5
-        assert summary.mean == pytest.approx(3.0)
-        assert summary.minimum == 1.0
-        assert summary.maximum == 5.0
-        assert summary.p50 == pytest.approx(3.0)
-
-    def test_empty_series_raises(self):
-        with pytest.raises(ValueError):
-            SampleSeries("empty").summary()
-        with pytest.raises(ValueError):
-            SampleSeries("empty").percentile(50)
-
-    def test_add_invalidates_cache(self):
-        series = SampleSeries()
-        series.add(1.0)
-        assert series.percentile(50) == 1.0
-        series.add(100.0)
-        assert series.percentile(100) == 100.0
-
-    def test_values_preserve_insertion_order(self):
-        series = SampleSeries()
-        series.extend([3.0, 1.0, 2.0])
-        assert list(series.values()) == [3.0, 1.0, 2.0]
-
-    def test_summary_as_dict_keys(self):
-        series = SampleSeries()
-        series.extend(range(100))
-        data = series.summary().as_dict()
-        assert set(data) == {
-            "count", "mean", "std", "min", "max", "p50", "p90", "p99", "p99.9",
-        }
-
-    def test_high_percentiles_capture_tail(self):
-        series = SampleSeries()
-        series.extend([1.0] * 999 + [1000.0])
-        summary = series.summary()
-        assert summary.p50 == 1.0
-        assert summary.maximum == 1000.0
-        assert summary.p999 > 1.0
+from repro.metrics import Cdf, dominance_fraction, dominates, median_shift
 
 
 class TestCdf:

@@ -13,8 +13,9 @@ from repro.mlnet import (
     run_deployment,
 )
 from repro.net import Host, Link
-from repro.net.routing import verify_routes
+from repro.net.routing import shortest_path
 from repro.simcore import Simulator, MS, SEC
+from tests.net.route_oracle import verify_routes
 
 
 def direct_pair():
@@ -128,13 +129,11 @@ class TestDeployments:
             sim, 64, OBJECT_IDENTIFICATION, cell_size=32
         )
         # Every client's assigned server sits in the same cell prefix.
-        from repro.net.topology import path_hop_count
-
         for client in deployment.client_hosts[:8]:
-            hops = path_hop_count(
+            path = shortest_path(
                 deployment.topo, client.name, deployment.server_for(client.name)
             )
-            assert hops == 2  # client -> cell switch -> server
+            assert len(path) - 1 == 2  # client -> cell switch -> server
 
     def test_run_deployment_returns_latency_stats(self):
         sim = Simulator(seed=0)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.net import (
-    BulkSender,
     CyclicSender,
     FlowKind,
     FlowSpec,
@@ -107,42 +106,6 @@ class TestCyclicSender:
         sender.start()
         sim.run(until=3 * MS)
         assert sender.stats.send_times_ns[0] == 300_000
-
-
-class TestBulkSender:
-    def test_transfers_exact_total(self):
-        sim, a, b = linked_pair()
-        total = 10_000
-        spec = FlowSpec("bulk", "a", "b", total_bytes=total)
-        received_bytes = []
-        b.on_receive(lambda p: received_bytes.append(p.payload_bytes))
-        sender = BulkSender(sim, a, spec)
-        sender.start()
-        sim.run(until=1 * SEC)
-        assert sender.completed
-        assert sender.stats.bytes_sent == total
-        assert sum(received_bytes) == total
-
-    def test_segments_at_mtu(self):
-        sim, a, b = linked_pair()
-        spec = FlowSpec("bulk", "a", "b", total_bytes=3_000)
-        sender = BulkSender(sim, a, spec, mtu_payload_bytes=1_460)
-        sender.start()
-        sim.run(until=1 * SEC)
-        assert sender.stats.packets_sent == 3  # 1460 + 1460 + 80
-
-    def test_on_complete_callback(self):
-        sim, a, b = linked_pair()
-        done = []
-        spec = FlowSpec("bulk", "a", "b", total_bytes=1_000)
-        BulkSender(sim, a, spec, on_complete=lambda: done.append(sim.now)).start()
-        sim.run(until=1 * SEC)
-        assert len(done) == 1
-
-    def test_unbounded_spec_rejected(self):
-        sim, a, b = linked_pair()
-        with pytest.raises(ValueError):
-            BulkSender(sim, a, FlowSpec("f", "a", "b", period_ns=MS))
 
 
 class TestPoissonSender:

@@ -3,8 +3,8 @@
 A switch hop is one arrival-plus-processing event: the upstream port
 schedules it when the frame starts, for ``propagation_delay_ns +
 processing_delay_ns`` after serialization ends, and every ingress observer
-(taps, the packet tracer, INT postcards) receives the true arrival time as
-a value.  These oracles pin both: the ingress stamps and end-to-end
+(``Switch.receive``, INT postcards) receives the true arrival time as a
+value.  These oracles pin both: the ingress stamps and end-to-end
 latencies on unloaded lines are closed-form, and the kernel's event count
 per frame is fixed by the path length plus one wake per queued frame.
 """
@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.net import PacketTracer, Topology
+from repro.net import Switch, Topology
 from repro.obs.telemetry import TelemetryHub
 from repro.simcore import Simulator
 
@@ -25,11 +25,13 @@ PROCESSING_NS = 1_000
 SW_ARRIVAL_NS = SERIALIZATION_NS + PROPAGATION_NS
 
 
-def h0_sw_h1(sim):
+def h0_sw_h1(sim, switch_type=Switch):
     """h0 -- sw -- h1 at 1 Gbit/s with 500 ns links and static routes."""
     topo = Topology(sim)
     h0, h1 = topo.add_host("h0"), topo.add_host("h1")
-    sw = topo.add_switch("sw", processing_delay_ns=PROCESSING_NS)
+    sw = topo.add_device(
+        switch_type(sim, "sw", processing_delay_ns=PROCESSING_NS)
+    )
     topo.connect(h0, sw, bandwidth_bps=1e9, propagation_delay_ns=PROPAGATION_NS)
     topo.connect(sw, h1, bandwidth_bps=1e9, propagation_delay_ns=PROPAGATION_NS)
     sw.install_route("h1", 1)
@@ -37,21 +39,6 @@ def h0_sw_h1(sim):
 
 
 class TestIngressOracle:
-    def test_tracer_records_switch_arrival_time(self):
-        sim = Simulator()
-        topo, h0, sw, h1 = h0_sw_h1(sim)
-        tracer = PacketTracer(sim)
-        tracer.attach_topology(topo)
-        h0.send("h1", payload_bytes=20, flow_id="f")
-        sim.run()
-        (sw_rx,) = tracer.at_point("sw")
-        assert sw_rx.direction == "rx"
-        assert sw_rx.time_ns == SW_ARRIVAL_NS
-        (h1_rx,) = tracer.at_point("h1")
-        assert h1_rx.time_ns == (
-            SW_ARRIVAL_NS + PROCESSING_NS + SERIALIZATION_NS + PROPAGATION_NS
-        )
-
     def test_postcard_ingress_stamp_and_hop_latency(self):
         with obs.capture(
             metrics=False, tracing=False, telemetry=TelemetryHub(interval=1)
@@ -69,18 +56,21 @@ class TestIngressOracle:
         assert second["hop_ns"] == PROCESSING_NS
         assert second["out_ns"] == SW_ARRIVAL_NS + PROCESSING_NS
 
-    def test_taps_receive_the_arrival_time(self):
-        sim = Simulator()
-        _, h0, sw, _ = h0_sw_h1(sim)
+    def test_receive_sees_the_arrival_after_processing(self):
         seen = []
-        sw.taps.append(
-            lambda packet, port, arrival_ns: seen.append(
-                (packet.src, port.index, arrival_ns, sim.now)
-            )
-        )
+
+        class RecordingSwitch(Switch):
+            def receive(self, packet, in_port):
+                seen.append(
+                    (packet.src, in_port.index, packet.arrival_ns, self.sim.now)
+                )
+                super().receive(packet, in_port)
+
+        sim = Simulator()
+        _, h0, _, _ = h0_sw_h1(sim, RecordingSwitch)
         h0.send("h1", payload_bytes=20)
         sim.run()
-        # The tap runs with the forwarding step but sees the arrival.
+        # Ingress runs with the forwarding step but sees the arrival.
         assert seen == [
             ("h0", 0, SW_ARRIVAL_NS, SW_ARRIVAL_NS + PROCESSING_NS)
         ]

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro import obs
 from repro.net import Host, Link, Packet, Switch, Topology, TrafficClass
+from repro.obs.telemetry import TelemetryHub
 from repro.simcore import Simulator
 
 
@@ -184,22 +186,15 @@ class TestSwitch:
         assert arrivals == [672 + 500 + 1_000 + 672 + 500]
 
     def test_hops_recorded(self):
-        sim, switch, (h0, h1, h2) = self.build()
-        switch.install_route("h1", 1)
-        h1.record_received = True
-        h0.send("h1", payload_bytes=20)
-        sim.run()
-        assert h1.received[0].hops == ["sw"]
-
-    def test_taps_observe_ingress(self):
-        sim, switch, (h0, h1, h2) = self.build()
-        seen = []
-        switch.taps.append(
-            lambda p, port, arrival_ns: seen.append((p.src, port.index))
-        )
-        h0.send("h1", payload_bytes=20)
-        sim.run()
-        assert seen == [("h0", 0)]
+        with obs.capture(
+            metrics=False, tracing=False, telemetry=TelemetryHub(interval=1)
+        ) as handle:
+            sim, switch, (h0, h1, h2) = self.build()
+            switch.install_route("h1", 1)
+            h0.send("h1", payload_bytes=20)
+            sim.run()
+        (card,) = handle.telemetry.postcards
+        assert [hop["dev"] for hop in card["hops"]] == ["h0", "sw"]
 
     def test_clear_learned(self):
         sim, switch, (h0, h1, h2) = self.build()

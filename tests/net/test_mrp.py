@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.fieldbus import ConnectionParams, CyclicConnection, IoDeviceApp
 from repro.net import (
     CyclicSender,
@@ -10,9 +11,14 @@ from repro.net import (
     RingRedundancyManager,
     TrafficClass,
     build_ring,
-    verify_routes,
 )
+from repro.obs.telemetry import TelemetryHub
 from repro.simcore import Simulator, MS, SEC
+from tests.net.route_oracle import verify_routes
+
+#: The commissioned path from h0_0 to h5_0 on a six-switch ring: the long
+#: way round, through every switch, never the sw0-sw5 standby link.
+LONG_WAY = [f"sw{i}" for i in range(6)]
 
 
 def ring_with_manager(switches=6, seed=0):
@@ -25,21 +31,32 @@ def ring_with_manager(switches=6, seed=0):
     return sim, topo, manager
 
 
+def traced():
+    """Postcard every frame of the networks built inside the block."""
+    return obs.capture(
+        metrics=False, tracing=False, telemetry=TelemetryHub(interval=1)
+    )
+
+
+def switch_path(handle):
+    """The switches the one delivered frame crossed, from its postcard."""
+    (card,) = handle.telemetry.postcards
+    return [hop["dev"] for hop in card["hops"] if hop["dev"].startswith("sw")]
+
+
 class TestCommissioning:
     def test_routes_valid_and_loop_free(self):
         sim, topo, manager = ring_with_manager()
         assert verify_routes(topo) == []
 
     def test_standby_link_unused_in_steady_state(self):
-        sim, topo, manager = ring_with_manager()
-        # Traffic from h0 to h5 would cross the standby if it were active
-        # (one hop); commissioned routing must go the long way round.
-        h0, h5 = topo.devices["h0_0"], topo.devices["h5_0"]
-        h5.record_received = True
-        h0.send("h5_0", payload_bytes=50)
-        sim.run(until=2 * MS)
-        assert len(h5.received) == 1
-        assert len(h5.received[0].hops) == 6  # all the other switches
+        with traced() as handle:
+            sim, topo, manager = ring_with_manager()
+            # Traffic from h0 to h5 would cross the standby if it were
+            # active (one hop); commissioned routing must go the long way.
+            topo.devices["h0_0"].send("h5_0", payload_bytes=50)
+            sim.run(until=2 * MS)
+        assert switch_path(handle) == LONG_WAY
 
     def test_foreign_standby_rejected(self):
         sim = Simulator()
@@ -92,20 +109,19 @@ class TestHealing:
         assert gaps.max() > 2 * MS  # there *was* an outage
 
     def test_repair_reverts_to_standby_blocked(self):
-        sim, topo, manager = ring_with_manager()
-        broken = topo.link_between("sw1", "sw2")
-        broken.set_down()
-        sim.run(until=200 * MS)
-        broken.set_up()
-        sim.run(until=500 * MS)
-        kinds = [event.kind for event in manager.events]
-        assert kinds == ["failure", "repair"]
-        # After revert, the commissioned path shape is back.
-        h0, h5 = topo.devices["h0_0"], topo.devices["h5_0"]
-        h5.record_received = True
-        h0.send("h5_0", payload_bytes=50)
-        sim.run(until=600 * MS)
-        assert len(h5.received[0].hops) == 6
+        with traced() as handle:
+            sim, topo, manager = ring_with_manager()
+            broken = topo.link_between("sw1", "sw2")
+            broken.set_down()
+            sim.run(until=200 * MS)
+            broken.set_up()
+            sim.run(until=500 * MS)
+            kinds = [event.kind for event in manager.events]
+            assert kinds == ["failure", "repair"]
+            # After revert, the commissioned path shape is back.
+            topo.devices["h0_0"].send("h5_0", payload_bytes=50)
+            sim.run(until=600 * MS)
+        assert switch_path(handle) == LONG_WAY
 
     def test_fieldbus_relation_survives_ring_failure(self):
         sim, topo, manager = ring_with_manager(seed=5)

@@ -56,15 +56,12 @@ class TestPacket:
         original = Packet(
             src="a", dst="b", payload_bytes=10, payload={"k": 1}, sequence=7
         )
-        original.hops.append("sw1")
         clone = original.copy_for_replication()
         assert clone.packet_id != original.packet_id
         assert clone.payload == original.payload
         assert clone.sequence == 7
         clone.payload["k"] = 2
-        clone.hops.append("sw2")
         assert original.payload["k"] == 1
-        assert original.hops == ["sw1"]
 
     def test_traffic_class_pcp_mapping(self):
         assert TrafficClass.NETWORK_CONTROL.pcp == 7

@@ -6,16 +6,16 @@ from hypothesis import strategies as st
 from repro.net import (
     Packet,
     StrictPriorityQueue,
+    Topology,
     TrafficClass,
     build_leaf_spine,
     build_ring,
-    build_tree,
     install_shortest_path_routes,
     shortest_path,
-    verify_routes,
 )
 from repro.net.routing import bfs_distances
 from repro.simcore import Simulator
+from tests.net.route_oracle import verify_routes
 
 
 @given(st.integers(3, 12), st.integers(1, 3))
@@ -37,7 +37,20 @@ def test_leaf_spine_routes_always_loop_free(leaves, spines, hosts):
 @given(st.integers(1, 3), st.integers(1, 3))
 @settings(deadline=None, max_examples=15)
 def test_tree_path_lengths_symmetric(depth, fanout):
-    topo = build_tree(Simulator(), depth, fanout, hosts_per_leaf=1)
+    # A balanced switch tree: ``depth`` levels of ``fanout`` children under
+    # one root, and one host under each leaf switch.
+    topo = Topology(Simulator())
+    level = [topo.add_switch("root")]
+    for d in range(depth):
+        children = []
+        for p, parent in enumerate(level):
+            for c in range(fanout):
+                child = topo.add_switch(f"sw{d}_{p}_{c}")
+                topo.connect(parent, child)
+                children.append(child)
+        level = children
+    for i, leaf in enumerate(level):
+        topo.connect(leaf, topo.add_host(f"h{i}"))
     hosts = topo.hosts()
     if len(hosts) >= 2:
         a, b = hosts[0].name, hosts[-1].name

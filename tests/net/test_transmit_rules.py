@@ -146,6 +146,17 @@ class TestTimeAwareShaper:
         sim.run(until=1_000_000)
         assert received == [300_000 + 672 + PROPAGATION_NS]
 
+    def test_frame_inside_its_window_costs_one_event(self):
+        sim, a, _, received = two_hosts()
+        a.ports[0].shaper = rt_window_shaper()
+        sim.run(until=300_000)
+        a.send("b", payload_bytes=20, traffic_class=TrafficClass.CYCLIC_RT)
+        sim.run(until=1_000_000)
+        assert received == [300_000 + 672 + PROPAGATION_NS]
+        # The delivery only: with nothing queued behind the frame, the
+        # shaped port arms no wake at the end of its transmission.
+        assert sim.stats.events_executed == 1
+
     def test_kick_restarts_a_stalled_queue(self):
         sim, a, _, received = two_hosts()
         port = a.ports[0]

@@ -22,7 +22,6 @@ from repro.net import (
     Switch,
     Topology,
     TrafficClass,
-    postcard_trace_records,
 )
 from repro.obs.telemetry import (
     NULL_TELEMETRY,
@@ -129,7 +128,7 @@ class TestPostcardSampling:
             payload={}, created_ns=sim.now, sequence=1,
         )
         fields.update(overrides)
-        return Packet.acquire(**fields)
+        return Packet(**fields)
 
     def test_interval_one_samples_everything(self):
         sim = Simulator()
@@ -167,10 +166,10 @@ class TestPostcardSampling:
         hub = TelemetryHub(interval=1)
         packet = self._packet(sim)
         hub.begin_postcard(packet, 0)
-        packet.release()
-        recycled = self._packet(sim)  # same object, new packet_id
-        assert recycled is packet
-        hub.finish_postcard(recycled, "b", 10)
+        # A dead packet's id() can be reused by a new packet: model that
+        # as the same object carrying a new packet_id.
+        packet.packet_id += 1_000_000
+        hub.finish_postcard(packet, "b", 10)
         assert hub.postcards == []
 
     def test_inflight_is_bounded_with_oldest_first_eviction(self):
@@ -330,16 +329,6 @@ class TestPersistence:
         assert snapshot_paths(path) == [path]
         with pytest.raises(FileNotFoundError):
             snapshot_paths(tmp_path / "missing")
-
-    def test_postcards_project_onto_trace_records(self):
-        _, hub = run_line(telemetry=TelemetryHub(interval=1))
-        records = hub.postcards and postcard_trace_records(hub.postcards)
-        assert records
-        times = [r.time_ns for r in records]
-        assert times == sorted(times)
-        rx = [r for r in records if r.direction == "rx"]
-        assert len(rx) == len(hub.postcards)
-        assert all(r.point == "b" for r in rx)
 
     def test_summarize_postcards_groups_by_flow(self):
         _, hub = run_line(telemetry=TelemetryHub(interval=1))

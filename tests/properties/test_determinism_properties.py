@@ -9,7 +9,7 @@ the rest of the repo builds on:
 - the simulator fires events in a total order — ``(time, priority,
   insertion sequence)`` — for *any* interleaving of schedule/step/cancel,
   and so does the reference loop over
-  :class:`repro.simcore.events.EventQueue` it is compared against;
+  :class:`tests.simcore.reference_loop.EventQueue` it is compared against;
 - :class:`repro.simcore.rng.RandomStreams` streams are independent: the
   draws of one stream never depend on which other streams exist or when
   they draw;

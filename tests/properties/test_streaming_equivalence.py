@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from repro.runner import SerialBackend, make_job, run_jobs, shard_jobs
+from repro.runner import SerialBackend, make_job, run_jobs
 from tests.runner.faulty import BOOM, STEADY, WIDE, registered
 
 #: Trials per property.  Each failure message carries the trial seed.
@@ -68,7 +68,8 @@ def test_sharded_streaming_sweep_matches_in_memory(seed, tmp_path):
         shards = rng.randrange(2, 5)
         baseline = run_jobs(jobs, workers=1, backend=SerialBackend())
         sharded = {}
-        for i, shard in enumerate(shard_jobs(jobs, shards)):
+        for i in range(shards):
+            shard = jobs[i::shards]
             if not shard:
                 continue
             part = run_jobs(
@@ -94,32 +95,3 @@ def test_sharded_streaming_sweep_matches_in_memory(seed, tmp_path):
             assert left.rows.to_csv() == right.rows.to_csv(), (
                 f"trial seed {seed}: CSV bytes diverged for {key}"
             )
-
-
-@pytest.mark.parametrize("seed", trial_seeds(7400))
-def test_shard_jobs_partitions_exactly(seed):
-    rng = random.Random(seed)
-    with registered(BOOM, STEADY, WIDE):
-        jobs = random_jobs(rng)
-    shards = rng.randrange(1, 7)
-    parts = shard_jobs(jobs, shards)
-    assert len(parts) == shards, f"trial seed {seed}"
-    flat = [job for part in parts for job in part]
-    # Every job lands in exactly one shard; none invented, none lost.
-    assert sorted(map(id, flat)) == sorted(map(id, jobs)), (
-        f"trial seed {seed}"
-    )
-    assert max(len(p) for p in parts) - min(len(p) for p in parts) <= 1, (
-        f"trial seed {seed}: shards unbalanced"
-    )
-
-
-@pytest.mark.parametrize("seed", trial_seeds(7700))
-def test_sharding_is_deterministic(seed):
-    rng = random.Random(seed)
-    with registered(BOOM, STEADY, WIDE):
-        jobs = random_jobs(rng)
-    shards = rng.randrange(1, 5)
-    first = shard_jobs(jobs, shards)
-    second = shard_jobs(jobs, shards)
-    assert first == second, f"trial seed {seed}"

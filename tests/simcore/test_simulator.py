@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.simcore import SimulationError, Simulator, every
-from repro.simcore.units import MS, US
+from repro.simcore import SimulationError, Simulator
 
 
 def test_time_starts_at_zero():
@@ -275,49 +274,6 @@ class TestProcesses:
         assert results == [42]
 
 
-class TestEvery:
-    def test_every_runs_periodically(self):
-        sim = Simulator()
-        times = []
-        every(sim, 100, lambda: times.append(sim.now))
-        sim.run(until=450)
-        assert times == [0, 100, 200, 300, 400]
-
-    def test_every_with_start_offset(self):
-        sim = Simulator()
-        times = []
-        every(sim, 100, lambda: times.append(sim.now), start=30)
-        sim.run(until=250)
-        assert times == [30, 130, 230]
-
-    def test_every_with_jitter_does_not_drift(self):
-        sim = Simulator()
-        times = []
-        every(sim, 1 * MS, lambda: times.append(sim.now), jitter_fn=lambda: 50 * US)
-        sim.run(until=5 * MS)
-        # Activation k happens at k*period + jitter, with no accumulation.
-        assert times == [50 * US + k * MS for k in range(5)]
-
-
-def test_trace_hooks_receive_messages():
-    sim = Simulator()
-    seen = []
-    sim.add_trace_hook(lambda t, msg: seen.append((t, msg)))
-    sim.schedule(lambda: sim.trace("hello"), after=5)
-    sim.run()
-    assert seen == [(5, "hello")]
-
-
-def test_trace_hooks_called_in_registration_order():
-    sim = Simulator()
-    order = []
-    sim.add_trace_hook(lambda t, msg: order.append("first"))
-    sim.add_trace_hook(lambda t, msg: order.append("second"))
-    sim.add_trace_hook(lambda t, msg: order.append("third"))
-    sim.trace("x")
-    assert order == ["first", "second", "third"]
-
-
 def test_unhooked_trace_goes_to_default_sink():
     sim = Simulator()
     seen = []
@@ -325,15 +281,6 @@ def test_unhooked_trace_goes_to_default_sink():
     sim.schedule(lambda: sim.trace("lonely"), after=3)
     sim.run()
     assert seen == [(3, "lonely")]
-
-
-def test_hooks_replace_default_sink():
-    sim = Simulator()
-    sunk, hooked = [], []
-    sim.default_sink = lambda t, msg: sunk.append(msg)
-    sim.add_trace_hook(lambda t, msg: hooked.append(msg))
-    sim.trace("x")
-    assert hooked == ["x"] and sunk == []
 
 
 def test_unhooked_trace_routes_into_observability():

@@ -1,6 +1,6 @@
 """Event-loop statistics and the collect() aggregation context."""
 
-from repro.simcore import MS, Simulator, collect_stats, every
+from repro.simcore import MS, Simulator, collect_stats
 from repro.simcore.stats import SimStats
 
 
@@ -35,7 +35,13 @@ class TestSimulatorStats:
     def test_process_counter_and_periodic_events(self):
         sim = Simulator()
         ticks = []
-        every(sim, MS, lambda: ticks.append(sim.now))
+
+        def tick():
+            while True:
+                ticks.append(sim.now)
+                yield MS
+
+        sim.process(tick())
         sim.run(until=5 * MS)
         assert sim.stats.processes_started == 1
         assert len(ticks) == 6  # t = 0..5 ms inclusive

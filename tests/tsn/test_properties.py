@@ -8,7 +8,6 @@ from repro.tsn import (
     ArrivalCurve,
     GateControlEntry,
     GateControlList,
-    SequenceRecovery,
     ServiceCurve,
     delay_bound_s,
     protected_window_gcl,
@@ -71,17 +70,6 @@ def test_protected_window_partitions_the_cycle(cycle_scale, window_ppm, pcp):
     for probe in range(0, cycle, max(1, cycle // 17)):
         open_pcps, _ = gcl.state_at(probe)
         assert open_pcps in (frozenset({6, 7}), ALL_PCPS - frozenset({6, 7}))
-
-
-@given(st.lists(st.integers(0, 1000), min_size=1, max_size=300))
-def test_sequence_recovery_never_duplicates_within_window(sequences):
-    recovery = SequenceRecovery(history_length=2000)
-    delivered = []
-    for sequence in sequences:
-        if recovery.accept(sequence):
-            delivered.append(sequence)
-    assert len(delivered) == len(set(delivered))
-    assert set(delivered) == set(sequences)
 
 
 @given(
