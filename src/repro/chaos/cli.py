@@ -32,6 +32,7 @@ import json
 from pathlib import Path
 
 from ..runner import RunManifest, expand_grid, run_jobs
+from ..runner.manifest import job_label
 from .engine import CampaignResult, replay_campaign, run_campaign
 from .spec import chaos_registry, get_chaos_spec
 
@@ -60,12 +61,6 @@ def _run_list() -> int:
             f"requirement {scenario.requirement.name}]"
         )
     return 0
-
-
-def _job_label(record) -> str:
-    parts = [record.figure, f"seed={record.seed}"]
-    parts += [f"{k}={v}" for k, v in record.params.items()]
-    return " ".join(parts)
 
 
 def _run_run(args: argparse.Namespace) -> int:
@@ -110,12 +105,12 @@ def _run_run(args: argparse.Namespace) -> int:
         record = outcome.record
         if not record.ok:
             print(
-                f"  {_job_label(record)}: {record.status.upper()} "
+                f"  {job_label(record)}: {record.status.upper()} "
                 f"({record.error})"
             )
             continue
         verdict = (record.verdict or "?").upper()
-        print(f"  {_job_label(record)}: {verdict}")
+        print(f"  {job_label(record)}: {verdict}")
         if campaign_dir is not None:
             # Recompute inline to obtain the full outage intervals (cheap;
             # rows alone carry only per-cell fingerprints).
@@ -231,12 +226,12 @@ def _report_manifest(manifest: RunManifest, path: Path) -> int:
             f" [{record.attempts} attempts]" if record.attempts > 1 else ""
         )
         print(
-            f"  {_job_label(record)}: "
+            f"  {job_label(record)}: "
             f"{(record.verdict or '?').upper()}{suffix}"
         )
     for record in manifest.failures():
         print(
-            f"  {_job_label(record)}: {record.status.upper()} "
+            f"  {job_label(record)}: {record.status.upper()} "
             f"({record.error or '?'})"
         )
     failed = sum(1 for r in judged if r.verdict == "fail")

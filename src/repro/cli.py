@@ -88,7 +88,7 @@ from .figures import (
     get_spec,
     registry,
 )
-from .obs.metrics import sorted_histogram_items
+from .obs.metrics import format_ns, sorted_histogram_items
 from .runner import (
     DEFAULT_CACHE_DIR,
     JobRecord,
@@ -97,6 +97,7 @@ from .runner import (
     expand_grid,
     run_jobs,
 )
+from .runner.manifest import job_label
 
 #: Exit code for a sweep that completed but with failed/timed-out jobs.
 EXIT_DEGRADED = 3
@@ -748,22 +749,6 @@ def _run_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _format_ns(value: float | None) -> str:
-    if value is None:
-        return "-"
-    if value >= 1e6:
-        return f"{value / 1e6:.2f}ms"
-    if value >= 1e3:
-        return f"{value / 1e3:.2f}us"
-    return f"{value:.0f}ns"
-
-
-def _job_label(record: JobRecord) -> str:
-    parts = [record.figure, f"seed={record.seed}"]
-    parts += [f"{k}={v}" for k, v in record.params.items()]
-    return " ".join(parts)
-
-
 def _run_obs_timeline(args: argparse.Namespace) -> int:
     """``repro obs timeline RUN_DIR [--chrome OUT]``."""
     from .obs import sweeptrace as st
@@ -811,7 +796,7 @@ def _run_obs(args: argparse.Namespace) -> int:
     print(f"{summary}; {len(observed)} with observability data")
     for record in manifest.failures():
         print(
-            f"  {_job_label(record)}: {record.status.upper()} after "
+            f"  {job_label(record)}: {record.status.upper()} after "
             f"{record.attempts} attempt(s): {record.error or '?'}"
         )
     slowest = sorted(
@@ -823,7 +808,7 @@ def _run_obs(args: argparse.Namespace) -> int:
         print("\nslowest jobs:")
         table = [("job", "wall", "attempts", "backend")] + [
             (
-                _job_label(record),
+                job_label(record),
                 f"{record.wall_time_s:.2f}s",
                 str(record.attempts),
                 record.backend or "-",
@@ -849,7 +834,7 @@ def _run_obs(args: argparse.Namespace) -> int:
         timing = f"{record.wall_time_s:.2f}s"
         if record.attempts > 1:
             timing += f", {record.attempts} attempts"
-        print(f"\n{_job_label(record)}  [{timing}]")
+        print(f"\n{job_label(record)}  [{timing}]")
         if record.trace_path:
             print(f"  trace: {record.trace_path}")
         metrics = record.metrics or {}
@@ -871,9 +856,9 @@ def _run_obs(args: argparse.Namespace) -> int:
                 mean = (h.get("sum", 0) / count) if count else 0.0
                 print(
                     f"    {key}  count={count} "
-                    f"mean={_format_ns(mean)} "
-                    f"min={_format_ns(h.get('min'))} "
-                    f"max={_format_ns(h.get('max'))}"
+                    f"mean={format_ns(mean)} "
+                    f"min={format_ns(h.get('min'))} "
+                    f"max={format_ns(h.get('max'))}"
                 )
     return 0
 
@@ -954,7 +939,7 @@ def _run_obs_tail(args: argparse.Namespace) -> int:
 def _run_report(args: argparse.Namespace) -> int:
     from datetime import datetime, timezone
 
-    from .obs.report import build_report, resolve_manifest_path
+    from .obs.report import MEETS, build_report, resolve_manifest_path
 
     target: Path = args.run_dir
     manifest_path = resolve_manifest_path(target)  # friendly error on miss
@@ -970,7 +955,7 @@ def _run_report(args: argparse.Namespace) -> int:
     print(f"wrote {html_path}")
     print(f"wrote {md_path}")
     verdicts = report.all_requirement_verdicts()
-    met = sum(1 for v in verdicts if v.verdict == "meets")
+    met = sum(1 for v in verdicts if v.verdict == MEETS)
     print(
         f"{len(manifest.records)} job(s): {manifest.cache_hits} cached, "
         f"{manifest.cache_misses} computed, {manifest.failed} failed; "

@@ -2,7 +2,10 @@
 
 - :mod:`repro.core.requirements` — Section 2 timing / availability /
   traffic-class requirements with the paper's numbers;
-- :mod:`repro.core.compliance` — measurement-vs-requirement checks;
+- :mod:`repro.core.compliance` — a cyclic arrival series checked against
+  a timing class (jitter, watchdog, consecutive events); each bound is
+  judged by the requirement objects themselves (``admits_latency_ns``,
+  ``admits_jitter_ns``, ``admits``);
 - :mod:`repro.core.convergence` — the converged IT/OT factory facade.
 """
 
@@ -21,12 +24,7 @@ from .faults import (
     FaultTarget,
     MaintenanceWindow,
 )
-from .compliance import (
-    ComplianceResult,
-    check_availability,
-    check_latency,
-    check_timing,
-)
+from .compliance import ComplianceResult, check_timing
 from .convergence import Cell, ConvergedFactory, FactoryConfig
 from .requirements import (
     AvailabilityRequirement,
@@ -71,7 +69,5 @@ __all__ = [
     "TRAFFIC_CLASSES",
     "TimingRequirement",
     "TrafficClassRequirement",
-    "check_availability",
-    "check_latency",
     "check_timing",
 ]

@@ -1,10 +1,13 @@
-"""Compliance evaluation: measurements against Section 2 requirements.
+"""Compliance evaluation: a cyclic arrival series against a timing class.
 
-Given the artifacts our measurement layer produces — jitter reports,
-latency series, outage logs — decide whether a deployment meets a timing or
-availability class, and say *why not* when it does not.  This is the
-reporting discipline the paper demands from vPLC evaluations (worst case,
-consecutive events, watchdog behaviour), packaged as an API.
+:func:`check_timing` decides whether a deployment meets a Section 2
+timing class and says *why not* when it does not: worst-case jitter,
+watchdog expirations and consecutive jitter events, the reporting
+discipline the paper demands from vPLC evaluations.  The bound itself is
+judged by :meth:`TimingRequirement.admits_jitter_ns`; a single worst-case
+latency or an observed availability is judged directly by
+:meth:`TimingRequirement.admits_latency_ns` and
+:meth:`AvailabilityRequirement.admits`.
 """
 
 from __future__ import annotations
@@ -13,13 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..metrics.availability import OutageLog
 from ..metrics.jitter import (
     jitter_report,
     longest_consecutive_jitter,
     watchdog_expirations,
 )
-from .requirements import AvailabilityRequirement, TimingRequirement
+from .requirements import TimingRequirement
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,7 @@ def check_timing(
     run_length = longest_consecutive_jitter(arrivals_ns, period, threshold)
     expirations = watchdog_expirations(arrivals_ns, period, watchdog_factor)
     violations = []
-    if not requirement.admits_jitter(report):
+    if not requirement.admits_jitter_ns(report.max_abs_jitter_ns):
         violations.append(
             f"worst-case jitter {report.max_abs_jitter_ns:.0f} ns exceeds "
             f"{requirement.max_jitter_ns} ns"
@@ -83,55 +85,3 @@ def check_timing(
         },
     )
 
-
-def check_latency(
-    requirement: TimingRequirement,
-    latencies_ns: "np.ndarray | list[int]",
-) -> ComplianceResult:
-    """Check an end-to-end latency series against a timing class."""
-    series = np.asarray(latencies_ns, dtype=float)
-    if series.size == 0:
-        raise ValueError("latency series is empty")
-    worst = float(series.max())
-    violations = []
-    if not requirement.admits_latency_ns(worst):
-        violations.append(
-            f"worst-case latency {worst:.0f} ns exceeds "
-            f"{requirement.max_latency_ns} ns"
-        )
-    return ComplianceResult(
-        requirement=requirement.name,
-        passed=not violations,
-        violations=tuple(violations),
-        details={
-            "worst_ns": worst,
-            "p999_ns": float(np.percentile(series, 99.9)),
-            "mean_ns": float(series.mean()),
-        },
-    )
-
-
-def check_availability(
-    requirement: AvailabilityRequirement,
-    outages: OutageLog,
-) -> ComplianceResult:
-    """Check an outage log against an availability class."""
-    observed = outages.availability
-    violations = []
-    if not requirement.admits(observed):
-        violations.append(
-            f"observed availability {observed:.7f} below "
-            f"{requirement.availability:.7f} "
-            f"(projected {outages.projected_yearly_downtime_s():.1f} s/year "
-            f"downtime vs budget "
-            f"{requirement.downtime_budget_s_per_year:.1f} s/year)"
-        )
-    return ComplianceResult(
-        requirement=requirement.name,
-        passed=not violations,
-        violations=tuple(violations),
-        details={
-            "observed_availability": observed,
-            "projected_yearly_downtime_s": outages.projected_yearly_downtime_s(),
-        },
-    )

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..metrics.availability import downtime_per_year_s, nines_to_availability
-from ..metrics.jitter import JitterReport
 from ..simcore.units import MS, US
 
 
@@ -33,9 +32,9 @@ class TimingRequirement:
         if min(self.cycle_ns, self.max_latency_ns, self.max_jitter_ns) <= 0:
             raise ValueError("timing bounds must be positive")
 
-    def admits_jitter(self, report: JitterReport) -> bool:
-        """True when measured worst-case jitter is within the bound."""
-        return report.max_abs_jitter_ns <= self.max_jitter_ns
+    def admits_jitter_ns(self, worst_case_jitter_ns: float) -> bool:
+        """True when a worst-case absolute jitter fits the bound."""
+        return worst_case_jitter_ns <= self.max_jitter_ns
 
     def admits_latency_ns(self, worst_case_latency_ns: float) -> bool:
         """True when a worst-case latency fits the bound."""

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..simcore import Process, Simulator
 from .host import Host
-from .packet import Packet, TrafficClass
+from .packet import TrafficClass
 
 KB = 1_000
 MB = 1_000_000

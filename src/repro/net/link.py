@@ -69,7 +69,6 @@ class Port:
         self.rx_frames = 0
         self.tx_bytes = 0
         self.rx_bytes = 0
-        self.egress_drops = 0
         # One shared per-frame serialization-time histogram across all
         # ports (ns buckets); null and free when observability is off.
         self._m_tx_ns = get_registry().histogram("net.port.tx_ns")
@@ -100,7 +99,6 @@ class Port:
                 return
         tel = self._tel
         if not self.queue.enqueue(packet):
-            self.egress_drops += 1
             if tel is not None:
                 tel.on_drop(packet)
             return
@@ -214,8 +212,6 @@ class Link:
         #: a frame lands to decide whether it was lost.
         self._transitions: list[tuple[int, bool]] = []
         self.lost_frames = 0
-        #: administrative down transitions (fault injection bookkeeping)
-        self.downs = 0
         port_a.link = self
         port_b.link = self
         port_a._peer_port = port_b
@@ -289,7 +285,6 @@ class Link:
         already propagating when the link fails still arrives.
         """
         if self.up:
-            self.downs += 1
             self._m_transitions.inc()
             if self._tel is not None:
                 self._tel.on_state(up=False)

@@ -16,7 +16,6 @@ import hashlib
 from collections import deque
 
 from .device import Device
-from .host import Host
 from .topology import Topology
 
 

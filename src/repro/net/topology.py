@@ -10,7 +10,7 @@ Figure 6 deployments are built on it in :mod:`repro.mlnet.topologies`.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable
 
 from ..simcore import Simulator
 from .device import Device

@@ -351,3 +351,14 @@ def sorted_histogram_items(
     in registration order — render identically to freshly written ones.
     """
     return sorted(histograms.items())
+
+
+def format_ns(value: float | None) -> str:
+    """A nanosecond figure in ns/us/ms with two decimals; ``-`` for none."""
+    if value is None:
+        return "-"
+    if value >= 1e6:
+        return f"{value / 1e6:.2f}ms"
+    if value >= 1e3:
+        return f"{value / 1e3:.2f}us"
+    return f"{value:.0f}ns"

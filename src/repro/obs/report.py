@@ -3,23 +3,31 @@
 A finished sweep leaves a trail — the :class:`~repro.runner.manifest.RunManifest`,
 per-figure CSV exports, per-job metrics snapshots, Chrome
 traces, and chaos verdicts — that previously had to be read by hand.
-:func:`build_report` aggregates all of it into a :class:`RunReport` that
-renders as self-contained HTML (inline CSS, no external assets) and as
-markdown with byte-stable tables, suitable for golden-snapshot testing:
+:func:`build_report` aggregates all of it into a :class:`RunReport`.
+
+The report's content is built once, by :meth:`RunReport.blocks`, as an
+ordered list of plain blocks — a heading, a bullet list, a table
+(headers plus rows of cells) or a paragraph — and two short emitters
+render that list: :meth:`RunReport.to_markdown` as byte-stable markdown
+tables and :meth:`RunReport.to_html` as self-contained HTML (inline CSS,
+no external assets, good/bad cell colouring).  The sections, in order:
 
 - per-figure **status table** (status / attempts / wall time / verdict),
 - **requirement-class verdicts**: each figure's exported rows judged
-  against the paper's §2 timing and availability classes
-  (:mod:`repro.core.requirements`), the same "measure, then compare
-  against 3GPP TR 22.804 classes" discipline Figs. 4/5 apply in-run,
+  against the paper's §2 timing and availability classes, every
+  comparison made by :mod:`repro.core.requirements`
+  (``admits_latency_ns``, ``admits_jitter_ns``, ``admits``), the same
+  "measure, then compare against 3GPP TR 22.804 classes" discipline
+  Figs. 4/5 apply in-run,
 - **latency/jitter summaries** from embedded metrics histograms,
 - a **network telemetry** section (postcard counts, top congested queues,
   per-link utilization) when the sweep ran with ``--telemetry``
   (:mod:`repro.obs.telemetry`),
 - a **"Where the time went"** section when the sweep ran with
-  ``--sweeptrace``: the critical-path phase breakdown (queue / spawn /
-  compute / retry / checkpoint / idle) from ``sweep.events.jsonl`` plus
-  per-job queue/compute timings from the manifest's PR-10 fields,
+  ``--sweeptrace`` or its manifest carries per-job timings: the
+  critical-path phase breakdown (queue / spawn / compute / retry /
+  checkpoint / idle) from ``sweep.events.jsonl`` plus per-job
+  queue/compute timings from the manifest,
 - a **failure/retry timeline** from the supervisor's v3 attempt fields,
 - **chaos campaign verdicts** when the sweep contained ``chaos-*`` cells.
 
@@ -42,9 +50,9 @@ from ..core.requirements import (
     INDUSTRIAL_SIX_NINES,
     TIMING_CLASSES,
 )
-from ..runner.manifest import JobRecord, RunManifest
+from ..runner.manifest import JobRecord, RunManifest, job_label
 from ..simcore.units import MS, US
-from .metrics import sorted_histogram_items
+from .metrics import format_ns, sorted_histogram_items
 from .sweeptrace import (
     EVENTS_FILENAME,
     PHASES,
@@ -59,6 +67,18 @@ MEETS = "meets"
 MISSES = "misses"
 NO_DATA = "n/a"
 
+#: One unit of report content: ``("h2" | "h3", text)``, ``("ul", items)``,
+#: ``("p", text)`` or ``("table", headers, rows)``.
+Block = tuple[Any, ...]
+
+#: Figures judged against the timing classes: the exported column holding
+#: each row's p99, its unit in ns, and whether it is latency or jitter.
+_TIMING_COLUMNS = {
+    "fig4-delay": ("p99_us", US, "latency"),
+    "fig4-jitter": ("p99_ns", 1, "jitter"),
+    "fig6": ("p99_latency_ms", MS, "latency"),
+}
+
 
 def _num(value: Any) -> float | None:
     """Best-effort numeric coercion for CSV-sourced row values."""
@@ -72,16 +92,6 @@ def _fmt_s(value: float) -> str:
     return f"{value:.2f}s"
 
 
-def _fmt_ns(value: float | None) -> str:
-    if value is None:
-        return "-"
-    if value >= 1e6:
-        return f"{value / 1e6:.2f}ms"
-    if value >= 1e3:
-        return f"{value / 1e3:.2f}us"
-    return f"{value:.0f}ns"
-
-
 def _fmt_util(value: float | None) -> str:
     if value is None:
         return "-"
@@ -92,10 +102,10 @@ def _params_text(params: dict[str, Any]) -> str:
     return " ".join(f"{k}={v}" for k, v in sorted(params.items())) or "-"
 
 
-def job_label(record: JobRecord) -> str:
-    parts = [record.figure, f"seed={record.seed}"]
-    parts += [f"{k}={v}" for k, v in sorted(record.params.items())]
-    return " ".join(parts)
+def _verdict(admitted: bool | None) -> str:
+    if admitted is None:
+        return NO_DATA
+    return MEETS if admitted else MISSES
 
 
 @dataclass(frozen=True)
@@ -115,21 +125,19 @@ def _timing_verdicts(
     """Judge a worst-case latency or jitter against every timing class."""
     out = []
     for req in TIMING_CLASSES:
-        bound_ns = (
-            req.max_jitter_ns if kind == "jitter" else req.max_latency_ns
-        )
-        bound = f"{kind} <= {_fmt_ns(bound_ns)}"
-        if observed_ns is None:
-            verdict = NO_DATA
+        if kind == "jitter":
+            bound_ns, admits = req.max_jitter_ns, req.admits_jitter_ns
         else:
-            verdict = MEETS if observed_ns <= bound_ns else MISSES
+            bound_ns, admits = req.max_latency_ns, req.admits_latency_ns
         out.append(
             RequirementVerdict(
                 figure=figure,
                 requirement=req.name,
-                bound=bound,
+                bound=f"{kind} <= {format_ns(bound_ns)}",
                 observed=observed_text,
-                verdict=verdict,
+                verdict=_verdict(
+                    None if observed_ns is None else admits(observed_ns)
+                ),
             )
         )
     return out
@@ -151,20 +159,12 @@ def requirement_verdicts(
     classes that *would* apply.
     """
     rows = rows or []
-    if figure == "fig4-delay":
-        worst_us = _worst(rows, "p99_us")
-        worst_ns = worst_us * US if worst_us is not None else None
-        text = f"p99 {_fmt_ns(worst_ns)}" if worst_ns is not None else NO_DATA
-        return _timing_verdicts(figure, worst_ns, text, kind="latency")
-    if figure == "fig4-jitter":
-        worst_ns = _worst(rows, "p99_ns")
-        text = f"p99 {_fmt_ns(worst_ns)}" if worst_ns is not None else NO_DATA
-        return _timing_verdicts(figure, worst_ns, text, kind="jitter")
-    if figure == "fig6":
-        worst_ms = _worst(rows, "p99_latency_ms")
-        worst_ns = worst_ms * MS if worst_ms is not None else None
-        text = f"p99 {_fmt_ns(worst_ns)}" if worst_ns is not None else NO_DATA
-        return _timing_verdicts(figure, worst_ns, text, kind="latency")
+    if figure in _TIMING_COLUMNS:
+        column, unit_ns, kind = _TIMING_COLUMNS[figure]
+        worst = _worst(rows, column)
+        worst_ns = worst * unit_ns if worst is not None else None
+        text = f"p99 {format_ns(worst_ns)}" if worst_ns is not None else NO_DATA
+        return _timing_verdicts(figure, worst_ns, text, kind)
     if figure == "fig5":
         # I/O availability around the switchover: 50 ms bins with zero
         # delivered packets count as downtime.
@@ -183,23 +183,26 @@ def requirement_verdicts(
                 f"I/O availability {availability:.4f} "
                 f"({outage * 50}ms outage / {len(bins) * 50}ms)"
             )
-        out = []
-        for req in (INDUSTRIAL_SIX_NINES, DATACENTER_TYPICAL):
-            if availability is None:
-                verdict = NO_DATA
-            else:
-                verdict = MEETS if req.admits(availability) else MISSES
-            out.append(
-                RequirementVerdict(
-                    figure=figure,
-                    requirement=req.name,
-                    bound=f"availability >= {req.availability:.6f}",
-                    observed=text,
-                    verdict=verdict,
-                )
+        return [
+            RequirementVerdict(
+                figure=figure,
+                requirement=req.name,
+                bound=f"availability >= {req.availability:.6f}",
+                observed=text,
+                verdict=_verdict(
+                    None if availability is None else req.admits(availability)
+                ),
             )
-        return out
+            for req in (INDUSTRIAL_SIX_NINES, DATACENTER_TYPICAL)
+        ]
     return []
+
+
+def _titled_table(
+    level: str, title: str, headers: list[str], rows: list[list[Any]]
+) -> list[Block]:
+    """A heading and its table, or nothing when there are no rows."""
+    return [(level, title), ("table", headers, rows)] if rows else []
 
 
 @dataclass
@@ -296,7 +299,7 @@ class RunReport:
         return out
 
     def timing_records(self) -> list[JobRecord]:
-        """Jobs carrying PR-10 queue/compute timings, in job order."""
+        """Jobs carrying queue/compute timings, in job order."""
         return [
             record
             for record in self.manifest.records
@@ -325,343 +328,130 @@ class RunReport:
             if record.figure.startswith("chaos-")
         ]
 
-    # -- markdown ----------------------------------------------------------
+    # -- content -----------------------------------------------------------
 
-    def to_markdown(self, generated_at: str | None = None) -> str:
+    def blocks(self) -> list[Block]:
+        """The report body after its title, in order, for both emitters."""
         m = self.manifest
-        lines = [f"# Run report — {self.source}", ""]
-        if generated_at:
-            lines += [f"*Generated {generated_at}.*", ""]
-        lines += [
-            f"- jobs: {len(m.records)} "
-            f"({m.cache_hits} cached, {m.cache_misses} computed, "
-            f"{m.failed} failed)",
-            f"- workers: {m.workers}",
-            f"- cache dir: {m.cache_dir or '(caching disabled)'}",
-            f"- wall time: {_fmt_s(m.wall_time_s)}",
-            "",
-            "## Figure status",
-            "",
-            "| figure | seed | params | status | attempts | wall | rows "
-            "| verdict |",
-            "| --- | --- | --- | --- | --- | --- | --- | --- |",
+        out: list[Block] = [
+            ("ul", [
+                f"jobs: {len(m.records)} ({m.cache_hits} cached, "
+                f"{m.cache_misses} computed, {m.failed} failed)",
+                f"workers: {m.workers}",
+                f"cache dir: {m.cache_dir or '(caching disabled)'}",
+                f"wall time: {_fmt_s(m.wall_time_s)}",
+            ]),
+            ("h2", "Figure status"),
+            ("table",
+             ["figure", "seed", "params", "status", "attempts", "wall",
+              "rows", "verdict"],
+             [[r.figure, r.seed, _params_text(r.params), r.status,
+               r.attempts, _fmt_s(r.wall_time_s), r.rows, r.verdict or "-"]
+              for r in m.records]),
+            ("h2", "Requirement classes (paper §2)"),
         ]
-        for record in m.records:
-            lines.append(
-                f"| {record.figure} | {record.seed} "
-                f"| {_params_text(record.params)} | {record.status} "
-                f"| {record.attempts} | {_fmt_s(record.wall_time_s)} "
-                f"| {record.rows} | {record.verdict or '-'} |"
-            )
         verdicts = self.all_requirement_verdicts()
-        lines += ["", "## Requirement classes (paper §2)", ""]
         if verdicts:
-            lines += [
-                "| figure | class | bound | observed | verdict |",
-                "| --- | --- | --- | --- | --- |",
-            ]
-            for v in verdicts:
-                lines.append(
-                    f"| {v.figure} | {v.requirement} | {v.bound} "
-                    f"| {v.observed} | {v.verdict} |"
-                )
+            out.append((
+                "table", ["figure", "class", "bound", "observed", "verdict"],
+                [[v.figure, v.requirement, v.bound, v.observed, v.verdict]
+                 for v in verdicts],
+            ))
         else:
-            lines.append("No figure in this run maps to a §2 class.")
-        summaries = self.histogram_summaries()
-        if summaries:
-            lines += [
-                "", "## Latency / jitter histograms", "",
-                "| job | histogram | count | mean | min | max |",
-                "| --- | --- | --- | --- | --- | --- |",
-            ]
-            for s in summaries:
-                lines.append(
-                    f"| {s['job']} | {s['histogram']} | {s['count']} "
-                    f"| {_fmt_ns(s['mean_ns'])} | {_fmt_ns(s['min_ns'])} "
-                    f"| {_fmt_ns(s['max_ns'])} |"
-                )
-        tele = self.telemetry_records()
-        if tele:
+            out.append(("p", "No figure in this run maps to a §2 class."))
+        out += _titled_table(
+            "h2", "Latency / jitter histograms",
+            ["job", "histogram", "count", "mean", "min", "max"],
+            [[s["job"], s["histogram"], s["count"], format_ns(s["mean_ns"]),
+              format_ns(s["min_ns"]), format_ns(s["max_ns"])]
+             for s in self.histogram_summaries()],
+        )
+        if self.telemetry_records():
             totals = self.telemetry_overview()
-            lines += [
-                "", "## Network telemetry", "",
-                f"- telemetry jobs: {totals['jobs']}",
-                f"- INT postcards: {totals['postcards']} "
-                f"({totals['packets_sampled']} packets sampled)",
-                f"- flight recorder: {totals['flight_events']} events, "
-                f"{totals['flight_snapshots']} snapshots",
+            out += [
+                ("h2", "Network telemetry"),
+                ("ul", [
+                    f"telemetry jobs: {totals['jobs']}",
+                    f"INT postcards: {totals['postcards']} "
+                    f"({totals['packets_sampled']} packets sampled)",
+                    f"flight recorder: {totals['flight_events']} events, "
+                    f"{totals['flight_snapshots']} snapshots",
+                ]),
             ]
-            queues = self.telemetry_queue_rows()
-            if queues:
-                lines += [
-                    "", "### Top congested queues", "",
-                    "| job | queue | max depth | samples |",
-                    "| --- | --- | --- | --- |",
-                ]
-                for q in queues:
-                    lines.append(
-                        f"| {q['job']} | {q['queue']} | {q['max_depth']} "
-                        f"| {q['samples']} |"
-                    )
-            links = self.telemetry_link_rows()
-            if links:
-                lines += [
-                    "", "### Link utilization", "",
-                    "| job | port | tx bytes | busy | utilization |",
-                    "| --- | --- | --- | --- | --- |",
-                ]
-                for l in links:
-                    lines.append(
-                        f"| {l['job']} | {l['port']} | {l['tx_bytes']} "
-                        f"| {_fmt_ns(l['busy_ns'])} "
-                        f"| {_fmt_util(l.get('utilization'))} |"
-                    )
+            out += _titled_table(
+                "h3", "Top congested queues",
+                ["job", "queue", "max depth", "samples"],
+                [[q["job"], q["queue"], q["max_depth"], q["samples"]]
+                 for q in self.telemetry_queue_rows()],
+            )
+            out += _titled_table(
+                "h3", "Link utilization",
+                ["job", "port", "tx bytes", "busy", "utilization"],
+                [[l["job"], l["port"], l["tx_bytes"], format_ns(l["busy_ns"]),
+                  _fmt_util(l.get("utilization"))]
+                 for l in self.telemetry_link_rows()],
+            )
         phases = self.sweep_phases()
         timed = self.timing_records()
         if phases is not None or timed:
-            lines += ["", "## Where the time went", ""]
-            if phases is not None:
-                total = sum(phases.values())
-                lines += [
-                    "| phase | time | share |",
-                    "| --- | --- | --- |",
-                ]
-                for phase in PHASES:
-                    seconds = phases.get(phase, 0.0)
-                    if seconds <= 0 and phase != "compute":
-                        continue
-                    share = (seconds / total * 100) if total else 0.0
-                    lines.append(
-                        f"| {phase} | {_fmt_s(seconds)} | {share:.1f}% |"
-                    )
-                lines.append(f"| total | {_fmt_s(total)} | 100.0% |")
-            if timed:
-                lines += [
-                    "",
-                    "| job | queue | compute | wall | attempts |",
-                    "| --- | --- | --- | --- | --- |",
-                ]
-                for record in timed:
-                    lines.append(
-                        f"| {job_label(record)} "
-                        f"| {_fmt_s(record.queue_s or 0.0)} "
-                        f"| {_fmt_s(record.compute_s or 0.0)} "
-                        f"| {_fmt_s(record.wall_time_s)} "
-                        f"| {record.attempts} |"
-                    )
-        lines += ["", "## Failures and retries", ""]
+            out.append(("h2", "Where the time went"))
+        if phases is not None:
+            total = sum(phases.values())
+            phase_rows = []
+            for phase in PHASES:
+                seconds = phases.get(phase, 0.0)
+                if seconds <= 0 and phase != "compute":
+                    continue
+                share = (seconds / total * 100) if total else 0.0
+                phase_rows.append([phase, _fmt_s(seconds), f"{share:.1f}%"])
+            phase_rows.append(["total", _fmt_s(total), "100.0%"])
+            out.append(("table", ["phase", "time", "share"], phase_rows))
+        if timed:
+            out.append((
+                "table", ["job", "queue", "compute", "wall", "attempts"],
+                [[job_label(r), _fmt_s(r.queue_s or 0.0),
+                  _fmt_s(r.compute_s or 0.0), _fmt_s(r.wall_time_s),
+                  r.attempts]
+                 for r in timed],
+            ))
+        out.append(("h2", "Failures and retries"))
         timeline = self.retry_timeline()
         if timeline:
-            lines += [
-                "| job | status | attempts | error |",
-                "| --- | --- | --- | --- |",
-            ]
-            for record in timeline:
-                lines.append(
-                    f"| {job_label(record)} | {record.status} "
-                    f"| {record.attempts} | {record.error or '-'} |"
-                )
+            out.append((
+                "table", ["job", "status", "attempts", "error"],
+                [[job_label(r), r.status, r.attempts, r.error or "-"]
+                 for r in timeline],
+            ))
         else:
-            lines.append("Every job completed on its first attempt.")
-        chaos = self.chaos_records()
-        if chaos:
-            lines += [
-                "", "## Chaos campaign verdicts", "",
-                "| campaign | seed | params | verdict |",
-                "| --- | --- | --- | --- |",
-            ]
-            for record in chaos:
-                lines.append(
-                    f"| {record.figure} | {record.seed} "
-                    f"| {_params_text(record.params)} "
-                    f"| {record.verdict or record.status} |"
-                )
-        return "\n".join(lines) + "\n"
+            out.append(("p", "Every job completed on its first attempt."))
+        out += _titled_table(
+            "h2", "Chaos campaign verdicts",
+            ["campaign", "seed", "params", "verdict"],
+            [[r.figure, r.seed, _params_text(r.params), r.verdict or r.status]
+             for r in self.chaos_records()],
+        )
+        return out
 
-    # -- html --------------------------------------------------------------
+    # -- emitters ----------------------------------------------------------
+
+    def to_markdown(self, generated_at: str | None = None) -> str:
+        """Markdown: one blank line between blocks, pipe tables."""
+        parts = [f"# Run report — {self.source}"]
+        if generated_at:
+            parts.append(f"*Generated {generated_at}.*")
+        parts += [_markdown_block(block) for block in self.blocks()]
+        return "\n\n".join(parts) + "\n"
 
     def to_html(self, generated_at: str | None = None) -> str:
         """Self-contained HTML (inline CSS, no external assets)."""
-        m = self.manifest
-
-        def esc(value: Any) -> str:
-            return html.escape(str(value))
-
-        def table(headers: list[str], rows: list[list[Any]]) -> str:
-            head = "".join(f"<th>{esc(h)}</th>" for h in headers)
-            body = []
-            for row in rows:
-                cells = []
-                for cell in row:
-                    css = ""
-                    if cell in ("ok", "cached", MEETS, "pass"):
-                        css = ' class="good"'
-                    elif cell in ("failed", "timeout", MISSES, "fail"):
-                        css = ' class="bad"'
-                    cells.append(f"<td{css}>{esc(cell)}</td>")
-                body.append("<tr>" + "".join(cells) + "</tr>")
-            return (
-                f"<table><thead><tr>{head}</tr></thead>"
-                f"<tbody>{''.join(body)}</tbody></table>"
-            )
-
-        sections: list[str] = []
-        sections.append(
-            "<ul>"
-            f"<li>jobs: {len(m.records)} ({m.cache_hits} cached, "
-            f"{m.cache_misses} computed, {m.failed} failed)</li>"
-            f"<li>workers: {m.workers}</li>"
-            f"<li>cache dir: {esc(m.cache_dir or '(caching disabled)')}</li>"
-            f"<li>wall time: {_fmt_s(m.wall_time_s)}</li>"
-            "</ul>"
-        )
-        sections.append("<h2>Figure status</h2>")
-        sections.append(
-            table(
-                ["figure", "seed", "params", "status", "attempts", "wall",
-                 "rows", "verdict"],
-                [
-                    [r.figure, r.seed, _params_text(r.params), r.status,
-                     r.attempts, _fmt_s(r.wall_time_s), r.rows,
-                     r.verdict or "-"]
-                    for r in m.records
-                ],
-            )
-        )
-        verdicts = self.all_requirement_verdicts()
-        sections.append("<h2>Requirement classes (paper §2)</h2>")
-        if verdicts:
-            sections.append(
-                table(
-                    ["figure", "class", "bound", "observed", "verdict"],
-                    [[v.figure, v.requirement, v.bound, v.observed,
-                      v.verdict] for v in verdicts],
-                )
-            )
-        else:
-            sections.append("<p>No figure in this run maps to a §2 class.</p>")
-        summaries = self.histogram_summaries()
-        if summaries:
-            sections.append("<h2>Latency / jitter histograms</h2>")
-            sections.append(
-                table(
-                    ["job", "histogram", "count", "mean", "min", "max"],
-                    [
-                        [s["job"], s["histogram"], s["count"],
-                         _fmt_ns(s["mean_ns"]), _fmt_ns(s["min_ns"]),
-                         _fmt_ns(s["max_ns"])]
-                        for s in summaries
-                    ],
-                )
-            )
-        tele = self.telemetry_records()
-        if tele:
-            totals = self.telemetry_overview()
-            sections.append("<h2>Network telemetry</h2>")
-            sections.append(
-                "<ul>"
-                f"<li>telemetry jobs: {totals['jobs']}</li>"
-                f"<li>INT postcards: {totals['postcards']} "
-                f"({totals['packets_sampled']} packets sampled)</li>"
-                f"<li>flight recorder: {totals['flight_events']} events, "
-                f"{totals['flight_snapshots']} snapshots</li>"
-                "</ul>"
-            )
-            queues = self.telemetry_queue_rows()
-            if queues:
-                sections.append("<h3>Top congested queues</h3>")
-                sections.append(
-                    table(
-                        ["job", "queue", "max depth", "samples"],
-                        [
-                            [q["job"], q["queue"], q["max_depth"],
-                             q["samples"]]
-                            for q in queues
-                        ],
-                    )
-                )
-            links = self.telemetry_link_rows()
-            if links:
-                sections.append("<h3>Link utilization</h3>")
-                sections.append(
-                    table(
-                        ["job", "port", "tx bytes", "busy", "utilization"],
-                        [
-                            [l["job"], l["port"], l["tx_bytes"],
-                             _fmt_ns(l["busy_ns"]),
-                             _fmt_util(l.get("utilization"))]
-                            for l in links
-                        ],
-                    )
-                )
-        phases = self.sweep_phases()
-        timed = self.timing_records()
-        if phases is not None or timed:
-            sections.append("<h2>Where the time went</h2>")
-            if phases is not None:
-                total = sum(phases.values())
-                phase_rows = []
-                for phase in PHASES:
-                    seconds = phases.get(phase, 0.0)
-                    if seconds <= 0 and phase != "compute":
-                        continue
-                    share = (seconds / total * 100) if total else 0.0
-                    phase_rows.append(
-                        [phase, _fmt_s(seconds), f"{share:.1f}%"]
-                    )
-                phase_rows.append(["total", _fmt_s(total), "100.0%"])
-                sections.append(
-                    table(["phase", "time", "share"], phase_rows)
-                )
-            if timed:
-                sections.append(
-                    table(
-                        ["job", "queue", "compute", "wall", "attempts"],
-                        [
-                            [job_label(r), _fmt_s(r.queue_s or 0.0),
-                             _fmt_s(r.compute_s or 0.0),
-                             _fmt_s(r.wall_time_s), r.attempts]
-                            for r in timed
-                        ],
-                    )
-                )
-        sections.append("<h2>Failures and retries</h2>")
-        timeline = self.retry_timeline()
-        if timeline:
-            sections.append(
-                table(
-                    ["job", "status", "attempts", "error"],
-                    [
-                        [job_label(r), r.status, r.attempts, r.error or "-"]
-                        for r in timeline
-                    ],
-                )
-            )
-        else:
-            sections.append(
-                "<p>Every job completed on its first attempt.</p>"
-            )
-        chaos = self.chaos_records()
-        if chaos:
-            sections.append("<h2>Chaos campaign verdicts</h2>")
-            sections.append(
-                table(
-                    ["campaign", "seed", "params", "verdict"],
-                    [
-                        [r.figure, r.seed, _params_text(r.params),
-                         r.verdict or r.status]
-                        for r in chaos
-                    ],
-                )
-            )
         stamp = (
-            f"<p class=\"stamp\">Generated {esc(generated_at)}.</p>"
+            f"<p class=\"stamp\">Generated {_esc(generated_at)}.</p>"
             if generated_at
             else ""
         )
         return (
             "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">"
-            f"<title>Run report — {esc(self.source)}</title>"
+            f"<title>Run report — {_esc(self.source)}</title>"
             "<style>"
             "body{font-family:system-ui,sans-serif;margin:2rem;"
             "color:#1a1a1a;max-width:70rem}"
@@ -674,11 +464,60 @@ class RunReport:
             "td.good{background:#e7f5e7}td.bad{background:#fbe5e5}"
             ".stamp{color:#777;font-size:.8rem}"
             "</style></head><body>"
-            f"<h1>Run report — {esc(self.source)}</h1>"
+            f"<h1>Run report — {_esc(self.source)}</h1>"
             + stamp
-            + "".join(sections)
+            + "".join(_html_block(block) for block in self.blocks())
             + "</body></html>\n"
         )
+
+
+def _markdown_row(cells: list[Any]) -> str:
+    return "| " + " | ".join(str(cell) for cell in cells) + " |"
+
+
+def _markdown_block(block: Block) -> str:
+    kind = block[0]
+    if kind == "table":
+        headers, rows = block[1], block[2]
+        lines = [_markdown_row(headers), _markdown_row(["---"] * len(headers))]
+        lines += [_markdown_row(row) for row in rows]
+        return "\n".join(lines)
+    if kind == "ul":
+        return "\n".join(f"- {item}" for item in block[1])
+    if kind == "p":
+        return block[1]
+    return f"{'#' * int(kind[1])} {block[1]}"
+
+
+def _esc(value: Any) -> str:
+    return html.escape(str(value))
+
+
+def _html_cell(cell: Any) -> str:
+    css = ""
+    if cell in ("ok", "cached", MEETS, "pass"):
+        css = ' class="good"'
+    elif cell in ("failed", "timeout", MISSES, "fail"):
+        css = ' class="bad"'
+    return f"<td{css}>{_esc(cell)}</td>"
+
+
+def _html_block(block: Block) -> str:
+    kind = block[0]
+    if kind == "table":
+        head = "".join(f"<th>{_esc(h)}</th>" for h in block[1])
+        body = "".join(
+            "<tr>" + "".join(_html_cell(cell) for cell in row) + "</tr>"
+            for row in block[2]
+        )
+        return (
+            f"<table><thead><tr>{head}</tr></thead>"
+            f"<tbody>{body}</tbody></table>"
+        )
+    if kind == "ul":
+        items = "".join(f"<li>{_esc(item)}</li>" for item in block[1])
+        return f"<ul>{items}</ul>"
+    return f"<{kind}>{_esc(block[1])}</{kind}>"
 
 
 def _load_rows_csv(path: Path) -> list[dict[str, Any]]:

@@ -47,6 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..net.link import Link, Port
     from ..net.packet import Packet
     from ..net.switch import Switch
+    from ..tsn.shaper import TimeAwareShaper
 
 TELEMETRY_SCHEMA = "repro.obs/telemetry/v1"
 
@@ -292,11 +293,12 @@ class LinkProbe:
 class ShaperProbe:
     """Cumulative TSN shaper block counts as time series."""
 
-    __slots__ = ("_guard_ring", "_gate_ring", "guard_blocks", "gate_blocks")
+    __slots__ = ("_shaper", "_guard_ring", "_gate_ring")
 
-    def __init__(self, hub: "TelemetryHub", name: str) -> None:
-        self.guard_blocks = 0
-        self.gate_blocks = 0
+    def __init__(
+        self, hub: "TelemetryHub", name: str, shaper: "TimeAwareShaper"
+    ) -> None:
+        self._shaper = shaper
         self._guard_ring = hub.sampler(
             "tsn.shaper.blocks", shaper=name, reason="guard_band"
         )
@@ -305,12 +307,10 @@ class ShaperProbe:
         )
 
     def on_guard_band(self, now_ns: int) -> None:
-        self.guard_blocks += 1
-        self._guard_ring.record(now_ns, self.guard_blocks)
+        self._guard_ring.record(now_ns, self._shaper.guard_band_blocks)
 
     def on_gate_closed(self, now_ns: int) -> None:
-        self.gate_blocks += 1
-        self._gate_ring.record(now_ns, self.gate_blocks)
+        self._gate_ring.record(now_ns, self._shaper.gate_closed_blocks)
 
 
 class TelemetryHub:
@@ -375,11 +375,11 @@ class TelemetryHub:
     def link_probe(self, link: "Link") -> LinkProbe:
         return LinkProbe(self, link)
 
-    def shaper_probe(self) -> ShaperProbe:
+    def shaper_probe(self, shaper: "TimeAwareShaper") -> ShaperProbe:
         # Shapers carry no identity; assign them construction-order names.
         name = f"shaper{self._shaper_count}"
         self._shaper_count += 1
-        return ShaperProbe(self, name)
+        return ShaperProbe(self, name, shaper)
 
     # -- INT postcards -------------------------------------------------------
 
@@ -629,7 +629,7 @@ class NullTelemetry:
     def link_probe(self, link: "Link") -> None:
         return None
 
-    def shaper_probe(self) -> None:
+    def shaper_probe(self, shaper: "TimeAwareShaper") -> None:
         return None
 
 

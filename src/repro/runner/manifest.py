@@ -203,6 +203,13 @@ class JobRecord:
         )
 
 
+def job_label(record: JobRecord) -> str:
+    """``figure seed=S k=v ...`` with parameters in sorted order."""
+    parts = [record.figure, f"seed={record.seed}"]
+    parts += [f"{k}={v}" for k, v in sorted(record.params.items())]
+    return " ".join(parts)
+
+
 @dataclass
 class RunManifest:
     """Summary of one sweep: job records plus cache/timing counters."""

@@ -72,7 +72,6 @@ class _PreemptingPort:
         port = self.port
         tel = port._tel
         if not port.queue.enqueue(packet):
-            port.egress_drops += 1
             if tel is not None:
                 tel.on_drop(packet)
             return

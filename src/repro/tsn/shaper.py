@@ -31,7 +31,7 @@ class TimeAwareShaper:
             "tsn.shaper.blocks", reason="gate_closed"
         )
         # Block-count time series when the telemetry plane is active.
-        self._tel = get_telemetry().shaper_probe()
+        self._tel = get_telemetry().shaper_probe(self)
 
     def select(
         self,

@@ -10,8 +10,6 @@ from repro.core import (
     MACHINE_TOOLS,
     MOTION_CONTROL,
     PROCESS_AUTOMATION,
-    check_availability,
-    check_latency,
     check_timing,
 )
 from repro.metrics import OutageLog
@@ -115,31 +113,29 @@ class TestTimingCompliance:
 
 class TestLatencyCompliance:
     def test_pass_and_fail(self):
-        good = check_latency(MOTION_CONTROL, [200_000] * 100)
-        assert good.passed
-        bad = check_latency(MOTION_CONTROL, [200_000] * 99 + [400_000])
-        assert not bad.passed
-        assert bad.details["worst_ns"] == 400_000
-
-    def test_empty_series_rejected(self):
-        with pytest.raises(ValueError):
-            check_latency(MOTION_CONTROL, [])
+        assert MOTION_CONTROL.admits_latency_ns(200_000)
+        assert MOTION_CONTROL.admits_latency_ns(250 * US)  # bound inclusive
+        assert not MOTION_CONTROL.admits_latency_ns(400_000)
+        # Jitter is judged the same way, against its own bound.
+        assert MOTION_CONTROL.admits_jitter_ns(1 * US)
+        assert not MOTION_CONTROL.admits_jitter_ns(1 * US + 1)
 
 
 class TestAvailabilityCompliance:
     def test_clean_log_passes_six_nines(self):
         log = OutageLog(observation_s=3600.0, outage_durations_s=())
-        assert check_availability(INDUSTRIAL_SIX_NINES, log).passed
+        assert INDUSTRIAL_SIX_NINES.admits(log.availability)
 
     def test_one_minute_outage_fails_six_nines(self):
         log = OutageLog(observation_s=24 * 3600.0, outage_durations_s=(60.0,))
-        result = check_availability(INDUSTRIAL_SIX_NINES, log)
-        assert not result.passed
-        assert result.details["projected_yearly_downtime_s"] > 31.5
+        assert not INDUSTRIAL_SIX_NINES.admits(log.availability)
+        assert log.projected_yearly_downtime_s() > (
+            INDUSTRIAL_SIX_NINES.downtime_budget_s_per_year
+        )
 
     def test_same_outage_passes_datacenter_class(self):
         log = OutageLog(observation_s=30 * 24 * 3600.0, outage_durations_s=(60.0,))
-        assert check_availability(DATACENTER_TYPICAL, log).passed
+        assert DATACENTER_TYPICAL.admits(log.availability)
 
 
 class TestValidation:

@@ -3,7 +3,8 @@
 The fixture run directories under ``tests/obs/data/`` are checked in —
 one v3 manifest (with failures, retries, chaos cells, metrics, and
 hot spots) and one minimal v3 manifest converted from a v2-era run (no
-failures, no retries) — and the rendered markdown is golden-snapshotted under ``tests/golden/``.
+failures, no retries) — and the rendered markdown and HTML are
+golden-snapshotted under ``tests/golden/``.
 Refresh with ``pytest --update-golden``.
 """
 
@@ -200,6 +201,15 @@ class TestSweepTimelineSection:
         assert "<h2>Where the time went</h2>" in html
         assert "retry" in html
 
+    def test_job_timings_without_trace_keep_one_blank_line(self):
+        # Per-job timings alone still open the section, followed by one
+        # blank line like every other heading.
+        report = build_report(DATA / "run_sweeptrace")
+        report.sweep_events = None
+        text = report.to_markdown()
+        assert "## Where the time went\n\n| job | queue |" in text
+        assert "| phase |" not in text
+
     def test_markdown_is_byte_stable(self, update_golden):
         text = build_report(DATA / "run_sweeptrace").to_markdown()
         assert_matches_golden(
@@ -215,6 +225,15 @@ class TestGoldenRendering:
     def test_markdown_is_byte_stable_v2(self, update_golden):
         text = build_report(DATA / "run_v2").to_markdown()
         assert_matches_golden(text, "report_v2.golden.md", update_golden)
+
+    @pytest.mark.parametrize(
+        "run", ["v2", "v3", "telemetry", "sweeptrace"]
+    )
+    def test_html_is_byte_stable(self, run, update_golden):
+        text = build_report(DATA / f"run_{run}").to_html()
+        assert_matches_golden(
+            text, f"report_{run}.golden.html", update_golden
+        )
 
     def test_markdown_deterministic_across_builds(self):
         a = build_report(DATA / "run_v3").to_markdown()

@@ -19,6 +19,8 @@ from repro import obs
 from repro.net import (
     Host,
     Link,
+    Packet,
+    StrictPriorityQueue,
     Switch,
     Topology,
     TrafficClass,
@@ -36,6 +38,7 @@ from repro.obs.telemetry import (
     summarize_postcards,
 )
 from repro.simcore import Simulator
+from repro.tsn import TimeAwareShaper, protected_window_gcl
 from tests.simcore.reference_loop import ReferenceSimulator
 
 
@@ -264,7 +267,31 @@ class TestWiring:
         assert NULL_TELEMETRY.enabled is False
         assert NULL_TELEMETRY.port_probe(None) is None
         assert NULL_TELEMETRY.host_probe(None) is None
-        assert NULL_TELEMETRY.shaper_probe() is None
+        assert NULL_TELEMETRY.shaper_probe(None) is None
+
+    def test_shaper_series_record_the_shapers_own_counts(self):
+        with obs.capture(
+            metrics=False, tracing=False, telemetry=TelemetryHub(interval=1)
+        ) as handle:
+            # A 1 us RT window fits no 1400 B frame at 1 Gbit/s.
+            shaper = TimeAwareShaper(protected_window_gcl(1_000_000, 1_000))
+            queue = StrictPriorityQueue()
+            queue.enqueue(Packet(
+                src="a", dst="b", payload_bytes=1400,
+                traffic_class=TrafficClass.CYCLIC_RT,
+            ))
+            for now_ns in (0, 500, 2_000):
+                shaper.select(now_ns, queue, 1e9)
+        rings = handle.telemetry.samplers
+        guard = rings[_series_key(
+            "tsn.shaper.blocks", {"shaper": "shaper0", "reason": "guard_band"}
+        )]
+        gate = rings[_series_key(
+            "tsn.shaper.blocks", {"shaper": "shaper0", "reason": "gate_closed"}
+        )]
+        assert (shaper.guard_band_blocks, shaper.gate_closed_blocks) == (2, 1)
+        assert guard.samples == [(0, 1), (500, 2)]
+        assert gate.samples == [(2_000, 1)]
 
     def test_capture_installs_probes_and_collects(self):
         arrivals, hub = run_line(telemetry=TelemetryHub(interval=1))

@@ -180,7 +180,7 @@ class TestTelemetry:
                 # One on the wire, one queued, one dropped.
                 port.send(big_be(sequence))
             sim.run(until=1 * MS)
-        assert port.egress_drops == 1
+        assert port.queue.drops == 1
         events = handle.telemetry.flight.snapshot("check")["components"]
         assert [event["kind"] for event in events[port.name]] == [
             "queue.drop"
