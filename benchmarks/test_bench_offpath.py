@@ -2,10 +2,12 @@
 
 Three planes observe a run and are off by default: **capture** (metrics +
 tracing, ``obs.capture()``), **telemetry** (INT-style postcards and
-rings) and **sweeptrace** (the sweep lifecycle event stream).  Off, each
-is structurally null: no capture scope means null registries and
-tracers, components cache a ``None`` telemetry probe, and the engine
-builds no sweep-trace recorder.  Any cost the off path did add would
+rings) and **sweeptrace** (the sweep lifecycle events written to a
+file).  Off, capture and telemetry are structurally null: no capture
+scope means null registries and tracers, and components cache a
+``None`` telemetry probe.  The engine always folds its lifecycle events
+in memory (status and manifest timings come from them); off, it writes
+no events file.  Any cost the off path did add would
 show as ``wall_s`` on the ``fig6-heavy`` and ``sweep-cold`` workloads of
 the benchmark of record (``perf/``), which is where wall-time
 regressions are judged.

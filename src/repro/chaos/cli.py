@@ -67,9 +67,9 @@ def _run_run(args: argparse.Namespace) -> int:
     from ..cli import (
         EXIT_DEGRADED,
         _backend_kwargs,
-        _report_degraded,
+        _report_done,
         _resilience_kwargs,
-        _status_path,
+        _sweeptrace_kwargs,
         parse_param_grid,
         parse_seeds,
     )
@@ -93,12 +93,11 @@ def _run_run(args: argparse.Namespace) -> int:
         workers=getattr(args, "jobs", None),
         cache=ResultCache(cache_dir) if cache_dir is not None else None,
         checkpoint=manifest_path,
-        status_path=_status_path(
-            args,
-            manifest_path.parent if manifest_path is not None else None,
-        ),
         **_resilience_kwargs(args),
         **_backend_kwargs(args),
+        **_sweeptrace_kwargs(
+            args, manifest_path.parent if manifest_path is not None else None
+        ),
     )
     campaign_dir: Path | None = getattr(args, "campaign_dir", None)
     for outcome in result.outcomes:
@@ -137,13 +136,12 @@ def _run_run(args: argparse.Namespace) -> int:
         f"{len(failed)} fail"
         + (f", {len(crashed)} crashed" if crashed else "")
     )
-    if crashed:
-        hint = (
-            f"resume with: repro chaos run ... --resume {manifest_path}"
-            if manifest_path is not None
-            else "rerun with --manifest to enable --resume"
-        )
-        _report_degraded(result, hint)
+    hint = (
+        f"resume with: repro chaos run ... --resume {manifest_path}"
+        if manifest_path is not None
+        else "rerun with --manifest to enable --resume"
+    )
+    if not _report_done(result, hint):
         return EXIT_DEGRADED
     if failed and getattr(args, "strict", False):
         return 1

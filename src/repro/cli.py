@@ -57,11 +57,17 @@ behind.  Failed cells render a ``(failed)`` marker row instead of
 aborting the sweep.
 
 Cross-run observability (see :mod:`repro.obs.report`,
-:mod:`repro.obs.status`)::
+:mod:`repro.obs.sweeptrace`, :mod:`repro.obs.status`)::
 
-    python -m repro all --out-dir results/      # heartbeats results/status.json
+    python -m repro all --out-dir results/      # results/sweep.events.jsonl
     python -m repro obs tail results/ --follow  # live ok/failed/retry counts
+    python -m repro obs timeline results/       # where the sweep's time went
     python -m repro report results/             # report.html + report.md
+
+A sweep with a run directory (``--out-dir``, or the directory of
+``--manifest``) writes its lifecycle events there as
+``sweep.events.jsonl``; the progress line, ``obs tail`` and ``obs
+timeline`` are all folds over those events.
 
 ``report`` aggregates a run directory's manifest, row CSVs, metrics, and
 verdicts into a self-contained HTML + markdown report.
@@ -141,27 +147,16 @@ def _add_telemetry_args(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_status_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--status", type=Path, default=None, metavar="FILE",
-        help=(
-            "live status heartbeat file (default: status.json in --out-dir "
-            "or next to --manifest; see 'repro obs tail')"
-        ),
-    )
-    sub.add_argument(
-        "--no-status", action="store_true",
-        help="disable the live status heartbeat",
-    )
+def _add_sweeptrace_arg(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--sweeptrace", nargs="?", const="auto", default=None,
         metavar="FILE",
         help=(
-            "record the sweep control plane's distributed trace "
-            "(submission, attempts, retries, worker lifecycle, "
-            "checkpoints, cache hits) to FILE (default: "
-            "sweep.events.jsonl next to the manifest; see "
-            "'repro obs timeline')"
+            "write the sweep's lifecycle events to FILE instead of "
+            "sweep.events.jsonl in the run directory (--out-dir, or next "
+            "to --manifest); with no FILE and no run directory, to "
+            "./sweep.events.jsonl; read by 'repro obs tail' and "
+            "'repro obs timeline'"
         ),
     )
 
@@ -190,7 +185,9 @@ def _add_backend_args(sub: argparse.ArgumentParser) -> None:
         help=(
             "executor backend NAME[:WORKERS]: serial, local-pool[:N], or "
             "subprocess:N ('repro worker' children over stdio); default: "
-            "auto (env REPRO_BACKEND, else picked from --jobs)"
+            "env REPRO_BACKEND, else auto: serial when --jobs or the "
+            "number of uncached jobs is 1 and there is no --timeout, "
+            "local-pool otherwise"
         ),
     )
     sub.add_argument(
@@ -253,7 +250,7 @@ def _add_chaos_parser(subparsers: argparse._SubParsersAction) -> None:
     )
     _add_backend_args(sub)
     _add_resilience_args(sub)
-    _add_status_args(sub)
+    _add_sweeptrace_arg(sub)
 
     sub = actions.add_parser(
         "replay",
@@ -329,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_cache_args(sub)
     _add_resilience_args(sub)
-    _add_status_args(sub)
+    _add_sweeptrace_arg(sub)
     _add_telemetry_args(sub)
 
     sub = subparsers.add_parser(
@@ -371,14 +368,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_cache_args(sub)
     _add_resilience_args(sub)
-    _add_status_args(sub)
+    _add_sweeptrace_arg(sub)
     _add_telemetry_args(sub)
 
     subparsers.add_parser(
         "worker",
         help=(
             "run as a stdio job-protocol worker (internal: spawned by the "
-            "'subprocess' executor backend, locally or over SSH)"
+            "'subprocess' executor backend)"
         ),
     )
 
@@ -387,26 +384,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser(
         "obs",
         help=(
-            "observability: summarize a run manifest, 'tail' a running "
-            "sweep's status heartbeat, render a sweep 'timeline', or "
-            "inspect 'telemetry' / 'flight' snapshots"
+            "observability: summarize a run manifest, 'tail' a sweep's "
+            "status, render a sweep 'timeline', or inspect 'telemetry' / "
+            "'flight' snapshots"
         ),
     )
     sub.add_argument(
         "target", metavar="RUN|tail|timeline|telemetry|flight",
         help=(
             "manifest JSON (or run directory) written by 'repro sweep'/"
-            "'repro all'; or the literal 'tail' to watch a live sweep; "
-            "'timeline' to render the control-plane Gantt + critical "
-            "path from a --sweeptrace run; or 'telemetry' / 'flight' to "
+            "'repro all'; or the literal 'tail' to show a sweep's status "
+            "(live with --follow); 'timeline' to render the "
+            "control-plane Gantt + critical path; or 'telemetry' / "
+            "'flight' to "
             "render *.telemetry.json snapshots written by --telemetry"
         ),
     )
     sub.add_argument(
         "tail_path", nargs="?", type=Path, default=None, metavar="PATH",
         help=(
-            "with 'tail': the status.json (or the sweep's run directory "
-            "holding one); with 'timeline': the run directory (or its "
+            "with 'tail' or 'timeline': the sweep's run directory (or its "
             "sweep.events.jsonl); with 'telemetry'/'flight': a "
             ".telemetry.json file or the telemetry directory; default: "
             "current directory"
@@ -477,62 +474,26 @@ def _cache_from(args: argparse.Namespace) -> ResultCache | None:
     return ResultCache(getattr(args, "cache_dir", DEFAULT_CACHE_DIR))
 
 
-def _make_progress(total: int):
-    """Build a per-job progress printer with live counts and an ETA.
+def _print_progress(record: JobRecord, status: dict[str, Any]) -> None:
+    """One stderr line per completed job: the job's outcome, then the
+    sweep's status fold (counts, running cells, ETA), which already
+    counts it."""
+    from .obs.status import format_status
 
-    The running ``[done/total ok=.. failed=..]`` prefix and the ETA are
-    the in-terminal twin of the ``status.json`` heartbeat: both are
-    derived from completed :class:`JobRecord` durations only, so neither
-    can perturb results.
-    """
-    done = ok = failed = 0
-    durations: list[float] = []
-
-    def progress(record: JobRecord) -> None:
-        nonlocal done, ok, failed
-        done += 1
-        label = " ".join(
-            [record.figure, f"seed={record.seed}"]
-            + [f"{k}={v}" for k, v in record.params.items()]
+    if not record.ok:
+        state = (
+            f"{record.status.upper()} after "
+            f"{record.attempts} attempt(s): {record.error}"
         )
-        if not record.ok:
-            failed += 1
-            state = (
-                f"{record.status.upper()} after "
-                f"{record.attempts} attempt(s): {record.error}"
-            )
-        else:
-            ok += 1
-            if not record.cached and record.wall_time_s > 0:
-                durations.append(record.wall_time_s)
-            state = "cached" if record.cached else f"{record.wall_time_s:.2f}s"
-            state += f" ({record.rows} rows)"
-            if record.attempts > 1:
-                state += f" [{record.attempts} attempts]"
-        prefix = f"[{done}/{total} ok={ok} failed={failed}]"
-        eta = ""
-        remaining = total - done
-        if remaining and durations:
-            eta_s = remaining * (sum(durations) / len(durations))
-            eta = f" eta ~{eta_s:.0f}s"
-        print(f"  {prefix} {label}: {state}{eta}", file=sys.stderr)
-
-    return progress
-
-
-def _status_path(
-    args: argparse.Namespace, *bases: Path | None
-) -> Path | None:
-    """Resolve the heartbeat location: --status wins, then the run dir."""
-    if getattr(args, "no_status", False):
-        return None
-    explicit = getattr(args, "status", None)
-    if explicit is not None:
-        return explicit
-    for base in bases:
-        if base is not None:
-            return Path(base) / "status.json"
-    return None
+    else:
+        state = "cached" if record.cached else f"{record.wall_time_s:.2f}s"
+        state += f" ({record.rows} rows)"
+        if record.attempts > 1:
+            state += f" [{record.attempts} attempts]"
+    print(
+        f"  {job_label(record)}: {state}  {format_status(status)}",
+        file=sys.stderr,
+    )
 
 
 def _telemetry_kwargs(
@@ -556,15 +517,18 @@ def _telemetry_kwargs(
 def _sweeptrace_kwargs(
     args: argparse.Namespace, *bases: Path | None
 ) -> dict[str, Any]:
-    """Resolve ``--sweeptrace [FILE]`` against the run directory."""
+    """Where the sweep's events go: ``--sweeptrace FILE``, else the run
+    directory, else (bare ``--sweeptrace``) the current directory."""
     choice = getattr(args, "sweeptrace", None)
-    if choice is None:
-        return {}
-    if choice != "auto":
+    if choice is not None and choice != "auto":
         return {"sweeptrace": Path(choice)}
     from .obs.sweeptrace import EVENTS_FILENAME
 
-    base = next((Path(b) for b in bases if b is not None), Path("."))
+    base = next((Path(b) for b in bases if b is not None), None)
+    if base is None:
+        if choice is None:
+            return {}
+        base = Path(".")
     return {"sweeptrace": base / EVENTS_FILENAME}
 
 
@@ -590,13 +554,21 @@ def _backend_kwargs(args: argparse.Namespace) -> dict[str, Any]:
     return kwargs
 
 
-def _report_degraded(result, resume_hint: str) -> None:
+def _report_done(result, resume_hint: str) -> bool:
+    """Print the sweep's final status line; ``False`` (after a resume
+    hint) when it ended degraded."""
+    from .obs.status import format_status
+
+    print(f"  {format_status(result.status)}", file=sys.stderr)
+    if result.ok:
+        return True
     failures = result.failures
     print(
         f"repro: {len(failures)} of {len(result.outcomes)} job(s) "
         f"failed; completed cells are kept ({resume_hint})",
         file=sys.stderr,
     )
+    return False
 
 
 def _csv_name(record: JobRecord, multi: bool) -> str:
@@ -638,9 +610,8 @@ def _run_all(args: argparse.Namespace) -> int:
         jobs,
         workers=getattr(args, "jobs", None),
         cache=_cache_from(args),
-        progress=_make_progress(len(jobs)),
+        progress=_print_progress,
         checkpoint=manifest_path,
-        status_path=_status_path(args, out_dir),
         **_backend_kwargs(args),
         **_telemetry_kwargs(args, out_dir),
         **_sweeptrace_kwargs(args, out_dir),
@@ -669,10 +640,9 @@ def _run_all(args: argparse.Namespace) -> int:
         f"{result.manifest.failed} failed, "
         f"{result.manifest.wall_time_s:.2f}s)"
     )
-    if not result.ok:
-        _report_degraded(
-            result, f"resume with: repro all --resume {manifest_path}"
-        )
+    if not _report_done(
+        result, f"resume with: repro all --resume {manifest_path}"
+    ):
         return EXIT_DEGRADED
     return 0
 
@@ -695,29 +665,17 @@ def _run_sweep(args: argparse.Namespace) -> int:
     if manifest_path is not None:
         manifest_path.parent.mkdir(parents=True, exist_ok=True)
     out_dir: Path | None = getattr(args, "out_dir", None)
+    run_dir = manifest_path.parent if manifest_path is not None else None
     result = run_jobs(
         jobs,
         workers=getattr(args, "jobs", None),
         cache=_cache_from(args),
-        progress=_make_progress(len(jobs)),
+        progress=_print_progress,
         trace_dir=getattr(args, "trace_out", None),
         checkpoint=manifest_path,
-        status_path=_status_path(
-            args,
-            out_dir,
-            manifest_path.parent if manifest_path is not None else None,
-        ),
         **_backend_kwargs(args),
-        **_telemetry_kwargs(
-            args,
-            out_dir,
-            manifest_path.parent if manifest_path is not None else None,
-        ),
-        **_sweeptrace_kwargs(
-            args,
-            out_dir,
-            manifest_path.parent if manifest_path is not None else None,
-        ),
+        **_telemetry_kwargs(args, out_dir, run_dir),
+        **_sweeptrace_kwargs(args, out_dir, run_dir),
         **_resilience_kwargs(args),
     )
     if out_dir is not None:
@@ -738,13 +696,12 @@ def _run_sweep(args: argparse.Namespace) -> int:
         print(f"wrote {manifest_path}", file=sys.stderr)
     else:
         print(result.manifest.to_json())
-    if not result.ok:
-        hint = (
-            f"resume with: repro sweep ... --resume {manifest_path}"
-            if manifest_path is not None
-            else "rerun with --manifest to enable --resume"
-        )
-        _report_degraded(result, hint)
+    hint = (
+        f"resume with: repro sweep ... --resume {manifest_path}"
+        if manifest_path is not None
+        else "rerun with --manifest to enable --resume"
+    )
+    if not _report_done(result, hint):
         return EXIT_DEGRADED
     return 0
 
@@ -892,48 +849,39 @@ def _run_obs_flight(args: argparse.Namespace) -> int:
 
 
 def _run_obs_tail(args: argparse.Namespace) -> int:
+    """``repro obs tail RUN_DIR [--follow]``: fold the sweep's events
+    into one status line; with ``--follow``, re-fold the file each poll
+    and print every changed line until the sweep ends."""
     import time
 
-    from .obs.status import (
-        STATE_RUNNING,
-        format_status,
-        load_status,
-        resolve_status_path,
-    )
+    from .obs.status import STATE_RUNNING, fold_status, format_status
+    from .obs.sweeptrace import load_events, resolve_events_path
 
     target = getattr(args, "tail_path", None) or Path(".")
     follow: bool = getattr(args, "follow", False)
     interval: float = max(getattr(args, "interval", 0.5), 0.05)
-    path = resolve_status_path(target)  # friendly ValueError when missing
-    last_stamp: float | None = None
-    last_inode: int | None = None
+    path = resolve_events_path(target)  # friendly ValueError when missing
+    last_line: str | None = None
     status: dict[str, Any] = {}
     while True:
         try:
-            inode = os.stat(path).st_ino
-            status = load_status(path)
+            status = fold_status(load_events(path))
         except (OSError, ValueError):
-            # The supervisor swaps status.json in atomically, but a fresh
-            # sweep recreating the file can leave a gap where it is
-            # missing or half-readable; keep polling instead of dying.
+            # A sweep starting over in the same directory truncates the
+            # file, and one starting up may not have written its first
+            # line yet; keep polling instead of dying.
             if not follow:
                 raise
             time.sleep(interval)
             continue
-        if inode != last_inode:
-            # New inode = the file was atomically replaced (heartbeat or
-            # a brand-new sweep reusing the path): treat it as fresh even
-            # if its updated_at matches what we last printed.
-            last_inode = inode
-            last_stamp = None
-        stamp = status.get("updated_at")
-        if stamp != last_stamp:
-            print(format_status(status), flush=True)
-            last_stamp = stamp
-        if not follow or status.get("state") != STATE_RUNNING:
+        line = format_status(status)
+        if line != last_line:
+            print(line, flush=True)
+            last_line = line
+        if not follow or status["state"] != STATE_RUNNING:
             break
         time.sleep(interval)
-    return EXIT_DEGRADED if status.get("failed") else 0
+    return EXIT_DEGRADED if status["failed"] else 0
 
 
 def _run_report(args: argparse.Namespace) -> int:

@@ -21,8 +21,12 @@ Two cross-run companions build on the per-run layer (imported lazily —
 
 - :mod:`repro.obs.report` — aggregate one finished run's manifest, rows,
   metrics, and verdicts into self-contained HTML + markdown reports.
-- :mod:`repro.obs.status` — the live ``status.json`` heartbeat a running
-  sweep maintains for ``repro obs tail --follow``.
+- :mod:`repro.obs.sweeptrace` — the sweep's one lifecycle event stream
+  (``sweep.events.jsonl``), its timeline and critical path
+  (``repro obs timeline``).
+- :mod:`repro.obs.status` — the fold over those events that gives a
+  sweep's counts, retries, running cells and ETA: the CLI progress line,
+  ``SweepResult.status`` and ``repro obs tail [--follow]`` all read it.
 """
 
 import importlib

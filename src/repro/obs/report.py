@@ -23,11 +23,11 @@ no external assets, good/bad cell colouring).  The sections, in order:
 - a **network telemetry** section (postcard counts, top congested queues,
   per-link utilization) when the sweep ran with ``--telemetry``
   (:mod:`repro.obs.telemetry`),
-- a **"Where the time went"** section when the sweep ran with
-  ``--sweeptrace`` or its manifest carries per-job timings: the
-  critical-path phase breakdown (queue / spawn / compute / retry /
-  checkpoint / idle) from ``sweep.events.jsonl`` plus per-job
-  queue/compute timings from the manifest,
+- a **"Where the time went"** section when the run directory holds the
+  sweep's ``sweep.events.jsonl`` or its manifest carries per-job
+  timings: the critical-path phase breakdown (queue / spawn / compute /
+  retry / checkpoint / idle) from the events plus per-job queue/compute
+  timings from the manifest,
 - a **failure/retry timeline** from the supervisor's v3 attempt fields,
 - **chaos campaign verdicts** when the sweep contained ``chaos-*`` cells.
 
@@ -214,8 +214,8 @@ class RunReport:
     rows_by_index: dict[int, list[dict[str, Any]]] = field(
         default_factory=dict
     )
-    #: ``sweep.events.jsonl`` events when the sweep ran with
-    #: ``--sweeptrace`` (``None`` otherwise).
+    #: ``sweep.events.jsonl`` events when the run directory holds them
+    #: (``None`` otherwise).
     sweep_events: list[dict[str, Any]] | None = None
 
     # -- derived sections --------------------------------------------------

@@ -1,136 +1,127 @@
-"""Live sweep telemetry: a heartbeated, machine-readable ``status.json``.
+"""Sweep status: one fold over the sweep's lifecycle events.
 
-A multi-hour ``repro all`` used to be a black box between per-job progress
-lines.  :class:`SweepStatus` gives the supervisor a single small file it
-rewrites (atomically) on every job start, retry, and completion — plus the
-final state — so anything on the same filesystem can watch a sweep without
-touching its workers, cache keys, or results.  The JSON schema
-(``repro.obs/status/v1``)::
+A sweep reports its lifecycle once, as the event stream of
+:mod:`repro.obs.sweeptrace` (``sweep.events.jsonl``).  Status is not a
+second record of the same facts but a left fold over those events:
+:class:`StatusFold` applies one event at a time and
+:meth:`StatusFold.snapshot` reads off::
 
     {
-      "schema": "repro.obs/status/v1",
-      "pid": 12345,
       "state": "running",          // "running" | "done" | "degraded"
       "total": 20,                 // jobs in the sweep
       "done": 12,                  // completed (any status)
-      "ok": 9,
+      "ok": 9,                     // computed and ok
       "cached": 2,
-      "failed": 1,                 // failed/timeout so far
-      "retries": 3,                // retry attempts charged so far
-      "workers": 4,
-      "backend": "local-pool",     // executor backend; null before dispatch
-      "current": ["fig5 seed=3"],  // cells in flight right now
-      "elapsed_s": 81.4,
-      "eta_s": 42.0,               // null until a computed job finishes
-      "updated_at": 1754476800.0,  // unix time of this heartbeat
+      "failed": 1,                 // failed/timeout after their last attempt
+      "retries": 3,                // retries scheduled so far
+      "workers": 2,                // parallelism of the backend that ran
+      "backend": "local-pool",     // null until pending jobs are dispatched
+      "current": ["fig5 seed=3"],  // cells in flight, labelled by job_label
+      "elapsed_s": 81.4,           // sweep start to the last event
+      "eta_s": 42.0,               // null before a computed job finishes
+      "updated_at": 1754476800.0,  // unix time of the last event
       "last_error": "fig6 seed=1: ValueError: ..."   // or null
     }
 
-Readers use :func:`resolve_status_path` (accepts the file or the sweep's
-run directory) and :func:`format_status` (the one-line rendering shared by
-the in-terminal progress line and ``repro obs tail``).
-
-The writer lives entirely in the supervising parent process: worker
-payloads, cache keys, and simulation results are byte-identical with or
-without a status file.  Heartbeat I/O failures are swallowed after the
-first write succeeds — losing telemetry must never fail a sweep.
+Three consumers read this one fold: the engine's recorder keeps it up to
+date in memory (the CLI progress line and :attr:`SweepResult.status
+<repro.runner.SweepResult.status>` read it), and ``repro obs tail``
+re-folds the events file of a running or finished sweep.  The fold reads
+no clock and touches no file, so replaying the same events gives the
+same status.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
-from pathlib import Path
-from typing import Any
-
-STATUS_SCHEMA = "repro.obs/status/v1"
-
-#: Conventional file name inside a sweep's run directory.
-STATUS_FILENAME = "status.json"
+from typing import Any, Iterable
 
 STATE_RUNNING = "running"
 STATE_DONE = "done"
 STATE_DEGRADED = "degraded"
 
 
-class SweepStatus:
-    """Writer side: owned by the sweep supervisor, one per ``run_jobs``."""
+class StatusFold:
+    """Sweep status accumulated one lifecycle event at a time."""
 
-    def __init__(
-        self,
-        path: Path | str,
-        total: int,
-        workers: int = 1,
-        backend: str | None = None,
-    ) -> None:
-        self.path = Path(path)
-        self.total = total
-        self.workers = max(workers, 1)
-        #: Executor backend name; settable after construction because the
-        #: engine resolves it only once it knows what is pending.
-        self.backend = backend
+    def __init__(self) -> None:
+        self.started = False
+        self.total = 0
         self.done = 0
         self.ok = 0
         self.cached = 0
         self.failed = 0
         self.retries = 0
+        self.workers = 1
+        self.backend: str | None = None
         self.last_error: str | None = None
         self.state = STATE_RUNNING
+        self._t0 = 0.0
+        self._last_ts = 0.0
+        self._elapsed: float | None = None
+        self._labels: dict[int, str] = {}
         self._current: dict[int, str] = {}
-        self._durations: list[float] = []
-        self._started = time.monotonic()
-        self._broken = False
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._flush()
+        self._compute_s = 0.0
+        self._computed = 0
 
-    # -- supervisor hooks --------------------------------------------------
-
-    def job_started(self, index: int, label: str) -> None:
-        self._current[index] = label
-        self._flush()
-
-    def job_retried(self, index: int, label: str) -> None:
-        self.retries += 1
-        self._current.pop(index, None)
-        self._flush()
-
-    def job_finished(self, index: int, record: Any) -> None:
-        """Count one completed :class:`~repro.runner.manifest.JobRecord`."""
-        self._current.pop(index, None)
-        self.done += 1
-        if record.status == "cached":
+    def apply(self, event: dict[str, Any]) -> None:
+        """Fold one event (a ``sweep.events.jsonl`` line, parsed)."""
+        kind = event.get("ev")
+        ts = event.get("ts", self._last_ts)
+        if kind == "sweep_start":
+            self.started = True
+            self.total = event.get("total", 0)
+            self._t0 = ts
+        elif kind == "dispatch":
+            self.backend = event.get("backend")
+            self.workers = max(event.get("workers", 1), 1)
+        elif kind == "submitted":
+            self._labels[event["job"]] = event.get("label") or str(
+                event.get("figure", "?")
+            )
+        elif kind == "cache_hit":
+            self.done += 1
             self.cached += 1
-        elif record.ok:
-            self.ok += 1
-            if record.wall_time_s > 0:
-                self._durations.append(record.wall_time_s)
-        else:
-            self.failed += 1
-            label = f"{record.figure} seed={record.seed}"
-            self.last_error = f"{label}: {record.error or record.status}"
-        self._flush()
-
-    def finalize(self) -> None:
-        self.state = STATE_DEGRADED if self.failed else STATE_DONE
-        self._current.clear()
-        self._flush()
-
-    # -- snapshotting ------------------------------------------------------
+        elif kind == "attempt_start":
+            job = event["job"]
+            self._current[job] = self._labels.get(job, f"job {job}")
+        elif kind == "retry_scheduled":
+            self.retries += 1
+        elif kind == "attempt_end":
+            job = event["job"]
+            self._current.pop(job, None)
+            if event.get("final"):
+                self.done += 1
+                outcome = event.get("outcome")
+                if outcome == "ok":
+                    self.ok += 1
+                    self._compute_s += event.get("wall_s", 0.0)
+                    self._computed += 1
+                else:
+                    self.failed += 1
+                    label = self._labels.get(job, f"job {job}")
+                    self.last_error = (
+                        f"{label}: {event.get('error') or outcome}"
+                    )
+        elif kind == "sweep_end":
+            self.state = STATE_DEGRADED if self.failed else STATE_DONE
+            self._current.clear()
+            self._elapsed = event.get("wall_s")
+        self._last_ts = max(self._last_ts, ts)
 
     def eta_s(self) -> float | None:
-        """Remaining-work estimate from completed computed-job durations."""
-        if not self._durations:
-            return None
+        """Remaining jobs times the mean computed-job time, per worker;
+        ``None`` before the first computed job and once nothing remains."""
         remaining = max(self.total - self.done, 0)
-        mean = sum(self._durations) / len(self._durations)
-        return remaining * mean / self.workers
+        if not self._computed or not remaining:
+            return None
+        return remaining * (self._compute_s / self._computed) / self.workers
 
     def snapshot(self) -> dict[str, Any]:
         eta = self.eta_s()
+        elapsed = self._elapsed
+        if elapsed is None:
+            elapsed = max(self._last_ts - self._t0, 0.0)
         return {
-            "schema": STATUS_SCHEMA,
-            "pid": os.getpid(),
             "state": self.state,
             "total": self.total,
             "done": self.done,
@@ -141,59 +132,28 @@ class SweepStatus:
             "workers": self.workers,
             "backend": self.backend,
             "current": [self._current[k] for k in sorted(self._current)],
-            "elapsed_s": round(time.monotonic() - self._started, 3),
+            "elapsed_s": round(elapsed, 3),
             "eta_s": round(eta, 3) if eta is not None else None,
-            "updated_at": time.time(),
+            "updated_at": self._last_ts,
             "last_error": self.last_error,
         }
 
-    def _flush(self) -> None:
-        if self._broken:
-            return
-        tmp = self.path.with_name(
-            f".{self.path.name}.tmp.{os.getpid()}"
-        )
-        try:
-            tmp.write_text(json.dumps(self.snapshot(), indent=2) + "\n")
-            os.replace(tmp, self.path)
-        except OSError:
-            # Telemetry is best-effort: a full disk or vanished directory
-            # mid-sweep must not take the sweep down with it.
-            self._broken = True
 
+def fold_status(events: Iterable[dict[str, Any]]) -> dict[str, Any]:
+    """The status snapshot of an event stream (see :class:`StatusFold`).
 
-# -- reader side -----------------------------------------------------------
-
-
-def resolve_status_path(target: Path | str) -> Path:
-    """Resolve a status file from a path or a sweep run directory.
-
-    Raises a friendly :class:`ValueError` (not a traceback) when nothing
-    is there yet — e.g. ``repro obs tail`` pointed at a sweep that has not
-    started, or at the wrong directory.
+    Raises :class:`ValueError` when the stream has no ``sweep_start``:
+    the file is not a sweep trace, or its first line is not written yet.
     """
-    target = Path(target)
-    candidate = target / STATUS_FILENAME if target.is_dir() else target
-    if not candidate.exists():
-        where = target if target.is_dir() else candidate.parent
+    fold = StatusFold()
+    for event in events:
+        fold.apply(event)
+    if not fold.started:
         raise ValueError(
-            f"no status file at {candidate}; point 'repro obs tail' at the "
-            f"sweep's run directory (the one holding {STATUS_FILENAME}, "
-            f"next to manifest.json) or start the sweep with --status. "
-            f"Looked in: {where}"
+            "not a sweep trace: no sweep_start event (is the sweep still "
+            "starting, or is this some other file?)"
         )
-    return candidate
-
-
-def load_status(path: Path | str) -> dict[str, Any]:
-    """Read and validate one status snapshot."""
-    payload = json.loads(Path(path).read_text())
-    if payload.get("schema") != STATUS_SCHEMA:
-        raise ValueError(
-            f"{path} is not a sweep status file "
-            f"(schema {payload.get('schema')!r}, expected {STATUS_SCHEMA})"
-        )
-    return payload
+    return fold.snapshot()
 
 
 def _format_eta(eta: float | None) -> str:

@@ -1,21 +1,25 @@
-"""End-to-end sweep tracing: the control plane's own distributed trace.
+"""The sweep lifecycle event stream, and the timeline built from it.
 
-PR-8 split sweep execution across processes (engine → executor backend →
-``repro worker`` children), but observability stopped at the process
-boundary: a job was a single ``wall_time_s`` in the manifest and nothing
-explained where a sweep's wall time actually went.  This module is the
-knowledge plane over that control plane:
+A sweep reports each lifecycle fact once, to one
+:class:`SweepTraceRecorder` that :func:`repro.runner.run_jobs` always
+builds.  Everything else about a sweep's progress is derived from that
+stream:
 
 - the engine mints a run-level **trace id** (a digest of the sorted job
   keys — the same grid gets the same trace on every replay) and one
   **span id** per job cell;
-- every backend emits structured lifecycle events through the engine's
-  ``on_event`` channel — ``submitted``, ``queued``, ``attempt_start``,
-  ``attempt_end`` (with outcome), ``retry_scheduled``,
-  ``worker_spawn``/``worker_ready``/``worker_dead``, ``checkpoint``,
-  ``cache_hit`` — which a :class:`SweepTraceRecorder` appends to
-  ``sweep.events.jsonl`` (schema :data:`SWEEPTRACE_SCHEMA`) next to the
-  manifest;
+- the engine and every backend report through one channel —
+  ``sweep_start``, ``submitted``, ``queued``, ``cache_hit``,
+  ``dispatch`` (the backend and its worker count), ``attempt_start``,
+  ``attempt_end`` (with outcome; ``final`` on the attempt that ended the
+  job), ``retry_scheduled``, ``worker_spawn``/``worker_ready``/
+  ``worker_dead``, ``checkpoint``, ``sweep_end``;
+- the recorder folds each event into the live status
+  (:mod:`repro.obs.status`: counts, retries, running cells, ETA) and
+  into each job's manifest timings (``queue_s``, ``compute_s``,
+  ``attempt_timings``), and appends it to ``sweep.events.jsonl``
+  (schema :data:`SWEEPTRACE_SCHEMA`) only when given a path — the CLI
+  writes it into the run directory, where ``repro obs tail`` re-folds it;
 - the worker stdio protocol carries the span context, so the child-side
   ``runner.job`` Chrome spans are correlated with the engine's job spans
   by span id;
@@ -33,11 +37,10 @@ knowledge plane over that control plane:
 Determinism: event *content* is a pure function of the grid and the
 retry schedule — ids are digests, ordering follows the engine's
 deterministic dispatch — so two replays of the same ``(grid, seed)``
-produce byte-identical files modulo the volatile timing fields
-(:data:`VOLATILE_KEYS`, compare with :func:`canonical_lines`).  The
-writer is best-effort exactly like the status heartbeat: a full disk
-never takes the sweep down, and results are byte-identical with tracing
-on or off.
+produce identical files apart from wall-clock stamps, measured
+durations, process ids and timing-laden error text.  The file sink is
+best-effort: a full disk never takes the sweep down.  Job payloads,
+cache keys and rows do not depend on whether the file is written.
 """
 
 from __future__ import annotations
@@ -49,17 +52,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, TextIO
 
+from .status import StatusFold
+
 SWEEPTRACE_SCHEMA = "repro.obs/sweeptrace/v1"
 
 #: Conventional file name inside a sweep's run directory.
 EVENTS_FILENAME = "sweep.events.jsonl"
-
-#: Top-level event fields that vary between replays (wall-clock stamps,
-#: measured durations, process ids, timing-laden error text).  Everything
-#: else is replay-stable; see :func:`canonical_lines`.
-VOLATILE_KEYS = frozenset(
-    {"ts", "dur_s", "wall_s", "delay_s", "pid", "error"}
-)
 
 #: Phase names :func:`phase_breakdown` reports, in display order.
 PHASES = ("compute", "queue", "spawn", "retry", "checkpoint", "idle")
@@ -90,86 +88,75 @@ def job_span_id(trace: str, key: str) -> str:
     return digest.hexdigest()
 
 
-# -- writer -----------------------------------------------------------------
-
-
-class SweepTraceWriter:
-    """Append-only JSONL event sink; best-effort like the status file."""
-
-    def __init__(self, path: Path | str) -> None:
-        self.path = Path(path)
-        self._handle: TextIO | None = None
-        self._broken = False
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = open(self.path, "w", encoding="utf-8")
-        except OSError:
-            self._broken = True
-
-    def emit(self, ev: str, **fields: Any) -> None:
-        """Append one event line; ``None`` fields are omitted."""
-        if self._broken or self._handle is None:
-            return
-        record: dict[str, Any] = {"ev": ev, "ts": round(time.time(), 6)}
-        record.update((k, v) for k, v in fields.items() if v is not None)
-        try:
-            self._handle.write(
-                json.dumps(record, sort_keys=True, separators=(",", ":"))
-            )
-            self._handle.write("\n")
-            self._handle.flush()
-        except (OSError, ValueError):
-            # Telemetry is best-effort: a full disk or a closed handle
-            # mid-sweep must never fail the sweep itself.
-            self._broken = True
-
-    def close(self) -> None:
-        if self._handle is not None:
-            try:
-                self._handle.close()
-            except OSError:
-                pass
-            self._handle = None
+# -- recorder ---------------------------------------------------------------
 
 
 class SweepTraceRecorder:
-    """Engine-side recorder: turns ``on_event`` traffic into trace events
-    plus per-job timing aggregates for the manifest.
+    """The engine's one lifecycle sink.
 
-    Owned by :func:`repro.runner.run_jobs`; one per sweep.  All clocks
-    are the supervising process's wall clock — job payloads, cache keys,
-    and results are byte-identical with or without a recorder.
+    :func:`repro.runner.run_jobs` builds one per sweep and reports every
+    lifecycle fact to it once.  Each event updates the in-memory
+    :class:`~repro.obs.status.StatusFold` (:attr:`status`) and the
+    per-job timing aggregates behind the manifest's ``queue_s``,
+    ``compute_s`` and ``attempt_timings``; it is appended to ``path``
+    only when one is given, as one sorted-key JSON line.  The file is
+    best-effort: a path that cannot be opened or a write that fails
+    stops the file, never the sweep.  All clocks are the supervising
+    process's wall clock.
     """
 
     def __init__(
-        self,
-        path: Path | str,
-        keys: Iterable[str],
-        total: int,
-        workers: int,
+        self, keys: Iterable[str], path: Path | str | None = None
     ) -> None:
         keys = list(keys)
         self.trace = sweep_trace_id(keys)
-        self._spans = {
-            index: job_span_id(self.trace, key)
-            for index, key in enumerate(keys)
-        }
-        self._keys = list(keys)
-        self._writer = SweepTraceWriter(path)
+        self._spans = [job_span_id(self.trace, key) for key in keys]
+        self._keys = keys
+        self._file: TextIO | None = None
+        if path is not None:
+            try:
+                self._file = open(path, "w", encoding="utf-8")
+            except OSError:
+                pass
+        self.status = StatusFold()
         self._started = time.time()
-        #: index -> (figure, seed) labels for task-less event emission.
-        self._labels: dict[int, tuple[str, int]] = {}
+        #: index -> figure, for task-less event emission.
+        self._figures: dict[int, str] = {}
         self._submitted: dict[int, float] = {}
         self._first_start: dict[int, float] = {}
         self._open_attempts: dict[int, tuple[int, float]] = {}
         self._attempt_log: dict[int, list[dict[str, Any]]] = {}
-        self._writer.emit(
+        self._emit(
             "sweep_start",
             schema=SWEEPTRACE_SCHEMA,
             trace=self.trace,
-            total=total,
-            workers=workers,
+            total=len(keys),
         )
+
+    def _emit(self, ev: str, **fields: Any) -> float:
+        """Record one event (``None`` fields omitted); returns its time."""
+        now = time.time()
+        event: dict[str, Any] = {"ev": ev, "ts": round(now, 6)}
+        event.update((k, v) for k, v in fields.items() if v is not None)
+        self.status.apply(event)
+        if self._file is not None:
+            try:
+                self._file.write(
+                    json.dumps(event, sort_keys=True, separators=(",", ":"))
+                    + "\n"
+                )
+                self._file.flush()
+            except OSError:
+                self._close()
+        return now
+
+    def _close(self) -> None:
+        if self._file is not None:
+            try:
+                self._file.close()
+            except OSError:
+                pass
+            self._file = None
 
     def span_for(self, index: int) -> str:
         return self._spans[index]
@@ -182,28 +169,26 @@ class SweepTraceRecorder:
     # -- engine hooks ------------------------------------------------------
 
     def job_submitted(
-        self, index: int, figure: str, seed: int, position: int
+        self, index: int, figure: str, seed: int, label: str, position: int
     ) -> None:
-        now = time.time()
-        self._labels[index] = (figure, seed)
-        self._submitted[index] = now
-        self._writer.emit(
+        self._figures[index] = figure
+        self._submitted[index] = self._emit(
             "submitted",
             span=self._spans[index],
             job=index,
             figure=figure,
             seed=seed,
+            label=label,
             key=self._keys[index],
         )
-        self._writer.emit(
+        self._emit(
             "queued", span=self._spans[index], job=index, position=position
         )
 
     def cache_hit(
         self, index: int, figure: str, seed: int, wall_s: float
     ) -> None:
-        self._labels[index] = (figure, seed)
-        self._writer.emit(
+        self._emit(
             "cache_hit",
             span=self._spans[index],
             job=index,
@@ -212,11 +197,15 @@ class SweepTraceRecorder:
             wall_s=round(wall_s, 6),
         )
 
+    def dispatch(self, backend: str, workers: int) -> None:
+        """The pending jobs go to ``backend`` with ``workers`` slots."""
+        self._emit("dispatch", backend=backend, workers=workers)
+
     def checkpoint(self, done: int, dur_s: float) -> None:
-        self._writer.emit("checkpoint", done=done, dur_s=round(dur_s, 6))
+        self._emit("checkpoint", done=done, dur_s=round(dur_s, 6))
 
     def handle(self, kind: str, task: Any, info: Any = None) -> None:
-        """Dispatch one ``on_event`` emission from a backend."""
+        """The ``on_event`` channel the engine hands its backend."""
         info = info if isinstance(info, dict) else {}
         if task is None and kind in ("start", "retry", "attempt_end"):
             return  # job-level events need a task to attribute to
@@ -225,9 +214,9 @@ class SweepTraceRecorder:
                 task.index, task.attempts, worker=info.get("worker")
             )
         elif kind == "retry":
-            self._writer.emit(
+            self._emit(
                 "retry_scheduled",
-                span=self._spans.get(task.index),
+                span=self._spans[task.index],
                 job=task.index,
                 figure=task.figure,
                 attempt=task.attempts,
@@ -240,9 +229,10 @@ class SweepTraceRecorder:
                 wall_s=info.get("wall_s"),
                 pid=info.get("pid"),
                 error=info.get("error"),
+                final=info.get("final", False),
             )
         elif kind in ("worker_spawn", "worker_ready", "worker_dead"):
-            self._writer.emit(
+            self._emit(
                 kind,
                 worker=info.get("worker"),
                 pid=info.get("pid"),
@@ -252,18 +242,16 @@ class SweepTraceRecorder:
     def _attempt_start(
         self, index: int, attempt: int, worker: int | None = None
     ) -> None:
-        now = time.time()
-        self._first_start.setdefault(index, now)
-        self._open_attempts[index] = (attempt, now)
-        figure, _ = self._labels.get(index, ("?", 0))
-        self._writer.emit(
+        now = self._emit(
             "attempt_start",
-            span=self._spans.get(index),
+            span=self._spans[index],
             job=index,
-            figure=figure,
+            figure=self._figures.get(index, "?"),
             attempt=attempt,
             worker=worker,
         )
+        self._first_start.setdefault(index, now)
+        self._open_attempts[index] = (attempt, now)
 
     def attempt_end(
         self,
@@ -272,12 +260,14 @@ class SweepTraceRecorder:
         wall_s: float | None = None,
         pid: int | None = None,
         error: str | None = None,
+        final: bool = False,
     ) -> None:
+        """Close the job's open attempt; ``final`` marks the attempt that
+        ended the job (its ``ok`` or its last charged failure)."""
         now = time.time()
         attempt, opened = self._open_attempts.pop(index, (1, now))
         if wall_s is None:
             wall_s = max(now - opened, 0.0)
-        figure, _ = self._labels.get(index, ("?", 0))
         self._attempt_log.setdefault(index, []).append(
             {
                 "attempt": attempt,
@@ -286,49 +276,48 @@ class SweepTraceRecorder:
                 "wall_s": round(wall_s, 6),
             }
         )
-        self._writer.emit(
+        self._emit(
             "attempt_end",
-            span=self._spans.get(index),
+            span=self._spans[index],
             job=index,
-            figure=figure,
+            figure=self._figures.get(index, "?"),
             attempt=attempt,
             outcome=outcome,
             wall_s=round(wall_s, 6),
             pid=pid,
             error=error,
+            final=final or None,
         )
 
     def timings_for(self, index: int) -> dict[str, Any]:
-        """Per-job ``queue_s``/``compute_s``/``attempt_timings`` for the
-        manifest record (tolerant-read additive fields)."""
+        """Per-job ``queue_s``/``compute_s``/``attempt_timings``/``span``
+        for the job's manifest record."""
         log = self._attempt_log.get(index, [])
         queue_s = None
         if index in self._submitted and index in self._first_start:
-            queue_s = max(
-                self._first_start[index] - self._submitted[index], 0.0
+            queue_s = round(
+                max(self._first_start[index] - self._submitted[index], 0.0),
+                6,
             )
         return {
-            "queue_s": round(queue_s, 6) if queue_s is not None else None,
+            "queue_s": queue_s,
             "compute_s": round(sum(a["wall_s"] for a in log), 6)
             if log
             else None,
             "attempt_timings": log or None,
+            "span": self._spans[index],
         }
 
-    def finalize(
-        self, wall_s: float, ok: int, failed: int, cached: int,
-        backend: str | None = None,
-    ) -> None:
-        self._writer.emit(
+    def finalize(self, wall_s: float) -> None:
+        self._emit(
             "sweep_end",
             trace=self.trace,
-            backend=backend,
-            ok=ok,
-            failed=failed,
-            cached=cached,
+            ok=self.status.ok,
+            failed=self.status.failed,
+            cached=self.status.cached,
             wall_s=round(wall_s, 6),
         )
-        self._writer.close()
+        self._close()
 
 
 # -- loading ----------------------------------------------------------------
@@ -341,10 +330,11 @@ def resolve_events_path(target: Path | str) -> Path:
     if not candidate.exists():
         where = target if target.is_dir() else candidate.parent
         raise ValueError(
-            f"no sweep trace at {candidate}; run the sweep with "
-            f"--sweeptrace (writes {EVENTS_FILENAME} next to the "
-            f"manifest) and point 'repro obs timeline' at the run "
-            f"directory. Looked in: {where}"
+            f"no sweep trace at {candidate}; point 'repro obs tail' or "
+            f"'repro obs timeline' at the sweep's run directory (its "
+            f"--out-dir, or the directory of its --manifest, where "
+            f"{EVENTS_FILENAME} is written; --sweeptrace FILE puts it "
+            f"elsewhere). Looked in: {where}"
         )
     return candidate
 
@@ -363,19 +353,6 @@ def load_events(path: Path | str) -> list[dict[str, Any]]:
         if isinstance(event, dict) and "ev" in event:
             events.append(event)
     return events
-
-
-def canonical_lines(path: Path | str) -> list[str]:
-    """Events re-serialized without the volatile timing fields.
-
-    Two replays of the same ``(grid, seed)`` sweep compare equal on
-    these lines — the byte-stability contract of the schema.
-    """
-    out = []
-    for event in load_events(path):
-        stable = {k: v for k, v in event.items() if k not in VOLATILE_KEYS}
-        out.append(json.dumps(stable, sort_keys=True, separators=(",", ":")))
-    return out
 
 
 # -- timeline model ---------------------------------------------------------
@@ -409,6 +386,8 @@ class JobTrack:
     key: str | None = None
     submitted: float | None = None
     cached: bool = False
+    #: The job's ``job_label`` (params included), from ``submitted``.
+    label: str | None = None
 
 
 @dataclass
@@ -449,6 +428,8 @@ class SweepTimeline:
         track = self.jobs.get(index)
         if track is None:
             return f"job {index}"
+        if track.label:
+            return track.label
         seed = f" seed={track.seed}" if track.seed is not None else ""
         return f"{track.figure}{seed}"
 
@@ -465,8 +446,10 @@ def build_timeline(events: list[dict[str, Any]]) -> SweepTimeline:
         if kind == "sweep_start":
             tl.trace = event.get("trace", "")
             tl.total = event.get("total", 0)
-            tl.workers = event.get("workers", 1)
             tl.t0 = ts
+        elif kind == "dispatch":
+            tl.backend = event.get("backend")
+            tl.workers = event.get("workers", 1)
         elif kind == "submitted":
             job = int(event["job"])
             tl.jobs[job] = JobTrack(
@@ -476,6 +459,7 @@ def build_timeline(events: list[dict[str, Any]]) -> SweepTimeline:
                 span=event.get("span"),
                 key=event.get("key"),
                 submitted=ts,
+                label=event.get("label"),
             )
         elif kind == "cache_hit":
             job = int(event["job"])
@@ -550,7 +534,6 @@ def build_timeline(events: list[dict[str, Any]]) -> SweepTimeline:
             track.died = ts
         elif kind == "sweep_end":
             tl.t1 = ts
-            tl.backend = event.get("backend")
             tl.ok = event.get("ok", 0)
             tl.failed = event.get("failed", 0)
             tl.cached = event.get("cached", 0)

@@ -1,17 +1,20 @@
 """Executor backends for the sweep engine.
 
 The engine (:func:`repro.runner.run_jobs`) is backend-agnostic: it
-expands grids, serves cache hits, writes manifests/checkpoints/status —
-and hands the pending tasks to an :class:`ExecutorBackend` to actually
+expands grids, serves cache hits, writes manifests/checkpoints and the
+lifecycle events — and hands the pending tasks to an :class:`ExecutorBackend` to actually
 run.  Three backends ship today:
 
 - :class:`SerialBackend` — in-process, deterministic, pool-free;
 - :class:`LocalPoolBackend` — the supervised ``ProcessPoolExecutor``
-  with quarantine-based guilt attribution (the former default path);
+  with quarantine-based guilt attribution;
 - :class:`SubprocessWorkerBackend` — ``repro worker`` children over a
-  stdio JSON protocol, the stepping stone to multi-host sweeps.
+  stdio JSON protocol.
 
-All three honor one contract (retries, timeouts, heartbeat events,
+Unless a backend is named, the engine picks one: serial for one worker
+or one uncached job without a timeout, the local pool otherwise.
+
+All three honor one contract (retries, timeouts, lifecycle events,
 uncharged bystanders), enforced by
 ``tests/runner/test_backend_conformance.py``.
 """

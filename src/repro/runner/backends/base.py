@@ -2,12 +2,13 @@
 
 An :class:`ExecutorBackend` is the thing :func:`repro.runner.run_jobs`
 hands its pending tasks to.  The engine owns everything backend-agnostic
-— grid expansion, cache lookups, manifest records, checkpointing, status
-heartbeats — and the backend owns exactly one job: *execute these tasks
-under this retry policy and call ``finish`` exactly once per task*.
+— grid expansion, cache lookups, manifest records, checkpointing, the
+lifecycle event stream — and the backend owns exactly one job: *execute
+these tasks under this retry policy and call ``finish`` exactly once per
+task*.
 
-The contract every backend (and any future SSH / work-queue backend)
-must honor — enforced by ``tests/runner/test_backend_conformance.py``:
+The contract every backend must honor — enforced by
+``tests/runner/test_backend_conformance.py``:
 
 - ``finish(index, result)`` is called exactly once per task, from the
   supervising process.  ``result`` is the worker's success dict, or a
@@ -27,13 +28,13 @@ Backend specs (CLI ``--backend`` / env ``REPRO_BACKEND``) are
 ``name[:workers]``::
 
     serial            # in-process, deterministic, no pool
-    local-pool        # supervised ProcessPoolExecutor (default)
+    local-pool        # supervised ProcessPoolExecutor
     local-pool:8      # ... with an explicit worker count
     subprocess:2      # 2 'repro worker' children over stdio
 
-``subprocess`` is the stepping stone to multi-host execution: the parent
-speaks a line-oriented JSON job protocol that works unchanged over an
-SSH pipe, and workers share the content-addressed result store.
+With no spec (or ``auto``) the engine chooses: ``serial`` when the sweep
+has one worker or one uncached job and no timeout, ``local-pool``
+otherwise.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ class ExecutorBackend(Protocol):
     #: Short name recorded on every job's manifest record.
     name: str
 
-    #: Parallelism the backend offers (recorded in manifest/status).
+    #: Parallelism the backend offers (the manifest's ``workers``, the
+    #: sweep trace's ``dispatch`` event and the status ETA divisor).
     workers: int
 
     def run(
@@ -109,10 +111,12 @@ def charge_failure(
 
     Every charged attempt closes with ``on_event("attempt_end", task,
     {...})`` carrying the outcome, so the sweep trace sees failed and
-    timed-out attempts exactly like successful ones.  ``release`` is a
-    backend hook invoked just before a task is finalized (the local pool
-    lifts its quarantine there).
+    timed-out attempts exactly like successful ones; ``final`` marks the
+    attempt after which no retry follows.  ``release`` is a backend hook
+    invoked just before a task is finalized (the local pool lifts its
+    quarantine there).
     """
+    retry = task.attempts <= policy.retries
     if on_event is not None:
         on_event(
             "attempt_end",
@@ -121,9 +125,10 @@ def charge_failure(
                 "outcome": status,
                 "wall_s": result.get("wall_time_s"),
                 "error": result.get("error"),
+                "final": not retry,
             },
         )
-    if task.attempts <= policy.retries:
+    if retry:
         obs.get_registry().counter(
             RETRIES_COUNTER, figure=task.figure
         ).inc()

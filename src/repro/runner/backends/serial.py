@@ -10,7 +10,7 @@ Timeouts are enforced *post hoc*: a frame cannot kill itself, so a task
 that exceeds ``RetryPolicy.timeout_s`` runs to completion, has its
 result discarded, and is recorded (and retried/charged) exactly as a
 pool timeout would be — same ``"timeout"`` status, same backoff, same
-heartbeat events.  Preemptive enforcement needs process isolation; pick
+lifecycle events.  Preemptive enforcement needs process isolation; pick
 ``local-pool`` or ``subprocess`` for hung-job protection.
 """
 

@@ -2,12 +2,9 @@
 
 ``SubprocessWorkerBackend`` drives a small fleet of ``python -m repro
 worker`` child processes over the line-oriented JSON protocol defined in
-:mod:`repro.runner.worker`.  It is the stepping stone from the local pool
-to multi-host execution: nothing on the wire is a pickle or a file
-descriptor, so the same parent loop works unchanged when the pipe runs
-through ``ssh host repro worker`` instead of a local fork — workers
-already share results through the content-addressed row/cache store
-rather than the protocol.
+:mod:`repro.runner.worker`: nothing on the wire is a pickle or a file
+descriptor, and workers share results through the content-addressed
+row/cache store rather than the protocol.
 
 Compared with the local pool, guilt attribution is *simpler* here: each
 child runs exactly one job at a time on its own pipe, so a child dying
@@ -16,7 +13,7 @@ innocent bystanders on other children are never disturbed.  Timeouts are
 likewise surgical: only the offending child is killed.
 
 Retry bookkeeping (backoff schedule, ``chaos.runner.retries`` counter,
-``on_event`` heartbeats) is shared with every other backend through
+``on_event`` lifecycle events) is shared with every other backend through
 :func:`~repro.runner.backends.base.charge_failure`.
 """
 

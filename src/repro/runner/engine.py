@@ -40,7 +40,7 @@ from .backends import (
     resolve_backend,
 )
 from .cache import ResultCache, cache_key
-from .manifest import JobRecord, RunManifest
+from .manifest import JobRecord, RunManifest, job_label
 from .rowstream import DEFAULT_CHUNK_ROWS, LazyRows, write_row_chunks
 from .supervisor import (
     OK_STATUSES,
@@ -95,6 +95,8 @@ class SweepResult:
 
     outcomes: list[JobOutcome]
     manifest: RunManifest
+    #: Final :mod:`repro.obs.status` snapshot of the sweep's events.
+    status: dict[str, Any]
 
     @property
     def failures(self) -> list[JobOutcome]:
@@ -283,7 +285,7 @@ def _trace_stem(figure: str, seed: int, index: int) -> str:
 def _compute(
     payload: tuple[
         int, str, int, tuple[tuple[str, Any], ...], str | None,
-        str | None, int, str, str | None, int,
+        str | None, int, str, str | None, int, dict[str, str],
     ]
 ):
     """Worker: run one figure job and return (index, result dict).
@@ -294,15 +296,10 @@ def _compute(
     as content-addressed JSONL chunks (see :mod:`.rowstream`) and the
     result references them (``row_chunks``/``rows_count``) instead of
     carrying the rows inline — the supervising process never holds them.
+    The last element is the job's sweep-trace span context.
     """
     (index, figure, seed, params, trace_dir, telemetry_dir,
-     telemetry_interval, key, stream_root, chunk_rows) = payload[:10]
-    # Sweep-trace span context: present only when the sweep runs with
-    # tracing on, so payloads — and therefore results — are byte-identical
-    # with tracing off.
-    span_ctx = payload[10] if len(payload) > 10 else None
-    if not isinstance(span_ctx, dict):
-        span_ctx = None
+     telemetry_interval, key, stream_root, chunk_rows, span_ctx) = payload
     spec = get_spec(figure)
     observe = trace_dir is not None
     hub = None
@@ -313,13 +310,10 @@ def _compute(
     start = time.perf_counter()
     with collect_stats() as stats:
         if observe or hub is not None:
-            span_args = dict(params)
-            if span_ctx is not None:
-                # Stamping the engine-minted ids onto the child-side job
-                # span is what correlates this process's Chrome trace
-                # with the parent's sweep.events.jsonl.
-                span_args["trace"] = span_ctx.get("trace")
-                span_args["span"] = span_ctx.get("span")
+            # Stamping the engine-minted ids onto the child-side job span
+            # is what correlates this process's Chrome trace with the
+            # parent's sweep.events.jsonl.
+            span_args = dict(params, **span_ctx)
             with obs.capture(
                 metrics=observe, tracing=observe, telemetry=hub,
             ) as cap:
@@ -334,10 +328,8 @@ def _compute(
         "stats": stats.as_dict(),
         "wall_time_s": time.perf_counter() - start,
         "verdict": verdict,
+        "worker_pid": os.getpid(),
     }
-    if span_ctx is not None:
-        result["worker_pid"] = os.getpid()
-        result["span"] = span_ctx.get("span")
     if stream_root is not None:
         chunk_paths, count = write_row_chunks(
             stream_root, key, rows, chunk_rows
@@ -383,7 +375,7 @@ def run_jobs(
     jobs: Iterable[Job],
     workers: int | None = None,
     cache: ResultCache | None = None,
-    progress: Callable[[JobRecord], None] | None = None,
+    progress: Callable[[JobRecord, dict[str, Any]], None] | None = None,
     trace_dir: Path | str | None = None,
     *,
     backend: "str | ExecutorBackend | None" = None,
@@ -396,7 +388,6 @@ def run_jobs(
     backoff: RetryPolicy | float | None = None,
     resume_from: RunManifest | Path | str | None = None,
     checkpoint: Path | str | None = None,
-    status_path: Path | str | None = None,
     sweeptrace: Path | str | None = None,
 ) -> SweepResult:
     """Execute ``jobs``, serving repeats from ``cache`` when given.
@@ -416,7 +407,9 @@ def run_jobs(
     pool even for one auto-selected job — a hung job can only be killed
     from outside its process.  Results, manifests, retries, and
     checkpoints are identical across backends (enforced by the
-    backend-conformance suite); each computed record notes its backend.
+    backend-conformance suite); each computed record notes its backend,
+    and the manifest's ``workers`` is the chosen backend's parallelism,
+    not the requested ``workers``.
 
     **Streaming rows:** ``stream_rows`` routes each job's rows through
     content-addressed chunked JSONL files (``chunk_rows`` rows per chunk,
@@ -459,26 +452,25 @@ def run_jobs(
     ``repro report``'s "Network telemetry" section.  A failing figure
     verdict snapshots the flight recorder automatically.
 
-    **Live telemetry:** ``status_path`` names a
-    :mod:`repro.obs.status` heartbeat file rewritten atomically on every
-    job start, retry, and completion (ok/failed/cached/retry counts,
-    in-flight cells, an ETA from completed-job durations), consumed by
-    ``repro obs tail --follow``.  The writer lives in the supervising
-    process only; job payloads, cache keys, and results are untouched.
-
-    **Sweep tracing:** ``sweeptrace`` names an append-only
-    ``sweep.events.jsonl`` (schema ``repro.obs/sweeptrace/v1``, see
-    :mod:`repro.obs.sweeptrace`) capturing the control plane's full
-    lifecycle — submission, queueing, every execution attempt with its
-    outcome, retries with their backoff delays, worker spawn/ready/death,
-    checkpoint writes, and cache hits — under a deterministic run-level
-    trace id with one span id per job.  Job payloads gain a trailing
-    span-context element (absent with tracing off, so results are
-    byte-identical either way), computed records gain
-    ``queue_s``/``compute_s``/``attempt_timings``/``span``, and ``repro
-    obs timeline`` turns the file into a per-worker Gantt view with a
-    critical-path phase breakdown.
+    **One lifecycle stream:** the engine reports every lifecycle fact —
+    submission, queueing, each execution attempt with its outcome,
+    retries with their backoff delays, worker spawn/ready/death,
+    dispatch, checkpoint writes, cache hits — once, to a
+    :class:`repro.obs.sweeptrace.SweepTraceRecorder` (schema
+    ``repro.obs/sweeptrace/v1``, one deterministic trace id per grid,
+    one span id per job).  Everything else is a fold over that stream:
+    computed records carry ``queue_s``/``compute_s``/``attempt_timings``
+    and every record its ``span``; ``progress(record, status)`` is called
+    once per completed job with the :mod:`repro.obs.status` snapshot
+    (counts, retries, running cells, ETA) that already counts it; and
+    :attr:`SweepResult.status` is the final snapshot.  ``sweeptrace``
+    names a ``sweep.events.jsonl`` file to append the stream to, read
+    by ``repro obs tail`` and ``repro obs timeline``; without it no file
+    is written.  Job payloads, cache keys and rows are the same either
+    way.
     """
+    from ..obs.sweeptrace import SweepTraceRecorder
+
     jobs = list(jobs)
     workers = workers if workers is not None else (os.cpu_count() or 1)
     start = time.perf_counter()
@@ -504,12 +496,9 @@ def run_jobs(
     if checkpoint is not None:
         checkpoint = Path(checkpoint)
         ensure_writable_dir(checkpoint.parent, "manifest checkpoint")
-    status: Any = None
-    if status_path is not None:
-        from ..obs.status import SweepStatus
-
-        ensure_writable_dir(Path(status_path).parent, "status heartbeat")
-        status = SweepStatus(status_path, total=len(jobs), workers=workers)
+    if sweeptrace is not None:
+        sweeptrace = Path(sweeptrace)
+        ensure_writable_dir(sweeptrace.parent, "sweep trace")
     if isinstance(backoff, RetryPolicy):
         policy = backoff
     else:
@@ -519,27 +508,17 @@ def run_jobs(
             **({"backoff_base_s": backoff} if backoff is not None else {}),
         )
     chosen = resolve_backend(backend, workers=workers)
-    #: Recorded on each computed JobRecord; stays None for cache hits.
-    backend_name: str | None = None
     resume_keys = _resumable_keys(resume_from)
     keys = [job.key() for job in jobs]
     outcomes: list[JobOutcome | None] = [None] * len(jobs)
-    recorder: Any = None
-    if sweeptrace is not None:
-        from ..obs.sweeptrace import SweepTraceRecorder
-
-        sweeptrace = Path(sweeptrace)
-        ensure_writable_dir(sweeptrace.parent, "sweep trace")
-        recorder = SweepTraceRecorder(
-            sweeptrace, keys, total=len(jobs), workers=workers
-        )
+    recorder = SweepTraceRecorder(keys, sweeptrace)
 
     def _flush_checkpoint() -> None:
         if checkpoint is None:
             return
         flush_start = time.perf_counter()
         manifest = RunManifest(
-            workers=workers,
+            workers=chosen.workers,
             cache_dir=str(cache.root) if cache is not None else None,
             wall_time_s=time.perf_counter() - start,
             records=[o.record for o in outcomes if o is not None],
@@ -547,27 +526,19 @@ def run_jobs(
         tmp = checkpoint.with_suffix(f".tmp.{os.getpid()}")
         tmp.write_text(manifest.to_json() + "\n")
         os.replace(tmp, checkpoint)
-        if recorder is not None:
-            recorder.checkpoint(
-                done=sum(1 for o in outcomes if o is not None),
-                dur_s=time.perf_counter() - flush_start,
-            )
+        recorder.checkpoint(
+            done=sum(1 for o in outcomes if o is not None),
+            dur_s=time.perf_counter() - flush_start,
+        )
 
-    def _report(index: int, record: JobRecord) -> None:
-        if status is not None:
-            status.job_finished(index, record)
+    def _report(record: JobRecord) -> None:
         if progress is not None:
-            progress(record)
-
-    def _complete(index: int, outcome: JobOutcome) -> None:
-        outcomes[index] = outcome
-        _flush_checkpoint()
-        _report(index, outcome.record)
+            progress(record, recorder.status.snapshot())
 
     pending: list[
         tuple[
-            int, str, int, tuple[tuple[str, Any], ...], str | None, bool,
-            str | None, int, str, str | None, int,
+            int, str, int, tuple[tuple[str, Any], ...], str | None,
+            str | None, int, str, str | None, int, dict[str, str],
         ]
     ] = []
     hits: list[int] = []
@@ -599,52 +570,66 @@ def run_jobs(
                 rows=len(rows),
                 verdict=verdict,
                 status=STATUS_CACHED,
-                span=recorder.span_for(index) if recorder is not None
-                else None,
+                span=recorder.span_for(index),
             )
-            if recorder is not None:
-                recorder.cache_hit(index, job.figure, job.seed, hit_wall)
+            recorder.cache_hit(index, job.figure, job.seed, hit_wall)
             outcomes[index] = JobOutcome(job=job, rows=rows, record=record)
             hits.append(index)
         else:
-            payload = (
+            recorder.job_submitted(
+                index, job.figure, job.seed, job_label(job),
+                position=len(pending),
+            )
+            pending.append((
                 index, job.figure, job.seed, job.params, trace_dir,
                 telemetry_dir, telemetry_interval,
-                key, stream_root, chunk_rows,
-            )
-            if recorder is not None:
-                recorder.job_submitted(
-                    index, job.figure, job.seed, position=len(pending)
-                )
-                payload = payload + (recorder.span_context(index),)
-            pending.append(payload)
+                key, stream_root, chunk_rows, recorder.span_context(index),
+            ))
+    if chosen is None:
+        # Auto: tiny sweeps run serially in-process (no pool overhead,
+        # trivially debuggable); timeouts force the pool — a hung job can
+        # only be killed from outside its process.
+        inline = min(workers, len(pending)) <= 1 and policy.timeout_s is None
+        chosen = (
+            SerialBackend() if inline
+            else LocalPoolBackend(workers=max(workers, 1))
+        )
     if hits:
         # One checkpoint covers every cache hit.  It is written before
-        # any hit is reported, so whatever progress/status announce is
+        # any hit is reported, so whatever progress announces is
         # already on disk.
         _flush_checkpoint()
         for index in hits:
-            _report(index, outcomes[index].record)
+            _report(outcomes[index].record)
 
     def _finish(index: int, result: dict[str, Any]) -> None:
         job = jobs[index]
         status = result.get("status", STATUS_OK)
-        timings: dict[str, Any] = {}
-        if recorder is not None:
-            if status in OK_STATUSES:
-                # Failed/timed-out attempts closed inside the backend
-                # (charge_failure); successes close here, where the
-                # engine first sees the result.
-                recorder.attempt_end(
-                    index,
-                    outcome="ok",
-                    wall_s=result.get("wall_time_s"),
-                    pid=result.get("worker_pid"),
-                )
-            timings = recorder.timings_for(index)
-            timings["span"] = recorder.span_for(index)
         if status in OK_STATUSES:
-            rows: Rows | LazyRows
+            # Failed/timed-out attempts closed inside the backend
+            # (charge_failure); successes close here, where the engine
+            # first sees the result.
+            recorder.attempt_end(
+                index,
+                outcome="ok",
+                wall_s=result.get("wall_time_s"),
+                pid=result.get("worker_pid"),
+                final=True,
+            )
+        record = JobRecord(
+            figure=job.figure,
+            seed=job.seed,
+            params=job.params_dict,
+            key=keys[index],
+            cached=False,
+            wall_time_s=result.get("wall_time_s", 0.0),
+            rows=0,
+            backend=chosen.name,
+            attempts=result.get("attempts", 1),
+            **recorder.timings_for(index),
+        )
+        rows: Rows | LazyRows
+        if status in OK_STATUSES:
             if "row_chunks" in result:
                 # The worker streamed the rows to disk; only paths and a
                 # count cross back into the supervising process.
@@ -664,71 +649,25 @@ def run_jobs(
                         figure=job.figure, seed=job.seed,
                         params=job.params_dict,
                     )
-            record = JobRecord(
-                figure=job.figure,
-                seed=job.seed,
-                params=job.params_dict,
-                key=keys[index],
-                cached=False,
-                wall_time_s=result["wall_time_s"],
-                rows=len(rows),
-                stats=result["stats"],
-                metrics=result.get("metrics"),
-                trace_path=result.get("trace_path"),
-                verdict=result.get("verdict"),
-                telemetry=result.get("telemetry"),
-                telemetry_path=result.get("telemetry_path"),
-                backend=backend_name,
-                row_chunks=result.get("row_chunks"),
-                attempts=result.get("attempts", 1),
-                queue_s=timings.get("queue_s"),
-                compute_s=timings.get("compute_s"),
-                attempt_timings=timings.get("attempt_timings"),
-                span=timings.get("span"),
-            )
+            record.rows = len(rows)
+            record.stats = result["stats"]
+            record.metrics = result.get("metrics")
+            record.trace_path = result.get("trace_path")
+            record.verdict = result.get("verdict")
+            record.telemetry = result.get("telemetry")
+            record.telemetry_path = result.get("telemetry_path")
+            record.row_chunks = result.get("row_chunks")
         else:
             # Failed or timed out after exhausting the retry budget: the
             # cell contributes an empty Rows and a diagnostic record, and
             # the sweep carries on.
-            record = JobRecord(
-                figure=job.figure,
-                seed=job.seed,
-                params=job.params_dict,
-                key=keys[index],
-                cached=False,
-                wall_time_s=result.get("wall_time_s", 0.0),
-                rows=0,
-                status=status,
-                error=result.get("error"),
-                traceback=result.get("traceback"),
-                backend=backend_name,
-                attempts=result.get("attempts", 1),
-                queue_s=timings.get("queue_s"),
-                compute_s=timings.get("compute_s"),
-                attempt_timings=timings.get("attempt_timings"),
-                span=timings.get("span"),
-            )
             rows = Rows()
-        _complete(index, JobOutcome(job=job, rows=rows, record=record))
-
-    def _on_event(kind: str, task: Task | None, info: Any = None) -> None:
-        # Fan the backend's lifecycle channel out to both consumers: the
-        # status heartbeat (start/retry only) and the sweep-trace
-        # recorder (everything).  ``task`` is None for worker-level
-        # events, which only the recorder cares about.
-        if recorder is not None:
-            recorder.handle(kind, task, info)
-        if status is None or task is None:
-            return
-        job = jobs[task.index]
-        label = " ".join(
-            [job.figure, f"seed={job.seed}"]
-            + [f"{k}={v}" for k, v in job.params]
-        )
-        if kind == "start":
-            status.job_started(task.index, label)
-        elif kind == "retry":
-            status.job_retried(task.index, label)
+            record.status = status
+            record.error = result.get("error")
+            record.traceback = result.get("traceback")
+        outcomes[index] = JobOutcome(job=job, rows=rows, record=record)
+        _flush_checkpoint()
+        _report(record)
 
     if pending:
         tasks = [
@@ -740,49 +679,20 @@ def run_jobs(
             )
             for payload in pending
         ]
-        on_event = (
-            _on_event
-            if status is not None or recorder is not None
-            else None
-        )
-        if chosen is None:
-            # Auto: tiny sweeps run serially in-process (no pool
-            # overhead, trivially debuggable); timeouts force the pool —
-            # a hung job can only be killed from outside its process.
-            inline = (
-                min(workers, len(pending)) <= 1 and policy.timeout_s is None
-            )
-            chosen = (
-                SerialBackend() if inline
-                else LocalPoolBackend(workers=max(workers, 1))
-            )
-        backend_name = chosen.name
-        if status is not None:
-            status.backend = backend_name
-        chosen.run(tasks, _compute, policy, _finish, on_event=on_event)
+        recorder.dispatch(chosen.name, chosen.workers)
+        chosen.run(tasks, _compute, policy, _finish, on_event=recorder.handle)
 
     done = [outcome for outcome in outcomes if outcome is not None]
     manifest = RunManifest(
-        workers=workers,
+        workers=chosen.workers,
         cache_dir=str(cache.root) if cache is not None else None,
         wall_time_s=time.perf_counter() - start,
         records=[outcome.record for outcome in done],
     )
-    result = SweepResult(outcomes=done, manifest=manifest)
     if pending or not hits:
         # An all-hit sweep's checkpoint is already final.
         _flush_checkpoint()
-    if status is not None:
-        status.finalize()
-    if recorder is not None:
-        records = manifest.records
-        recorder.finalize(
-            wall_s=manifest.wall_time_s,
-            ok=sum(
-                1 for r in records if r.status == STATUS_OK and not r.cached
-            ),
-            failed=manifest.failed,
-            cached=manifest.cache_hits,
-            backend=backend_name,
-        )
-    return result
+    recorder.finalize(wall_s=manifest.wall_time_s)
+    return SweepResult(
+        outcomes=done, manifest=manifest, status=recorder.status.snapshot()
+    )

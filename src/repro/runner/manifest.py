@@ -7,7 +7,7 @@ it cost.  The JSON schema (``repro.runner/manifest/v3``)::
     {
       "schema": "repro.runner/manifest/v3",
       "version": "1.4.0",            // repro package version
-      "workers": 4,                  // pool size used
+      "workers": 4,                  // parallelism of the backend chosen
       "cache_dir": ".repro-cache",   // null when caching was disabled
       "cache_hits": 3,
       "cache_misses": 5,
@@ -30,8 +30,8 @@ it cost.  The JSON schema (``repro.runner/manifest/v3``)::
           // -- PR-8 distributed/streaming fields (additive, optional) ------
           "backend": "local-pool",   // executor backend (null for cache hits)
           "row_chunks": null,        // chunked JSONL row files when streamed
-          // -- PR-10 sweep-trace timing fields (additive; null unless the
-          //    sweep ran with --sweeptrace; see repro.obs.sweeptrace) ------
+          // -- sweep-trace timing fields, folded from the sweep's lifecycle
+          //    events (see repro.obs.sweeptrace); null on cache hits ------
           "queue_s": 0.004,          // submission -> first attempt start
           "compute_s": 0.52,         // execution time across all attempts
           "attempt_timings": [       // one entry per execution attempt
@@ -128,15 +128,15 @@ class JobRecord:
     #: Number of executions, including retries (v3).
     attempts: int = 1
     #: Seconds between submission to the backend and the first execution
-    #: attempt (PR-10 sweep tracing; ``None`` when tracing was off).
+    #: attempt (``None`` for cache hits).
     queue_s: float | None = None
-    #: Seconds of actual execution across all attempts (PR-10).
+    #: Seconds of actual execution across all attempts.
     compute_s: float | None = None
     #: Per-attempt ``{"attempt", "outcome", "start_s", "wall_s"}`` log
-    #: from the sweep trace (PR-10; ``None`` when tracing was off).
+    #: from the sweep trace (``None`` for cache hits).
     attempt_timings: list[dict[str, Any]] | None = None
     #: Sweep-trace span id correlating this record with
-    #: ``sweep.events.jsonl`` and the job's Chrome trace (PR-10).
+    #: ``sweep.events.jsonl`` and the job's Chrome trace.
     span: str | None = None
 
     @property
@@ -203,10 +203,15 @@ class JobRecord:
         )
 
 
-def job_label(record: JobRecord) -> str:
-    """``figure seed=S k=v ...`` with parameters in sorted order."""
+def job_label(record: Any) -> str:
+    """``figure seed=S k=v ...`` with parameters in sorted order.
+
+    ``record`` is a :class:`JobRecord` or a :class:`~repro.runner.Job`:
+    anything with ``figure``, ``seed`` and ``params`` (a mapping or
+    ``(name, value)`` pairs).
+    """
     parts = [record.figure, f"seed={record.seed}"]
-    parts += [f"{k}={v}" for k, v in sorted(record.params.items())]
+    parts += [f"{k}={v}" for k, v in sorted(dict(record.params).items())]
     return " ".join(parts)
 
 

@@ -1,9 +1,9 @@
 """Child side of the subprocess backend's stdio job protocol.
 
-``repro worker`` turns a plain child process (today spawned locally by
-:class:`~repro.runner.backends.subprocess_worker.SubprocessWorkerBackend`,
-tomorrow over an SSH pipe on another host) into a job executor speaking a
-line-oriented JSON protocol on stdin/stdout:
+``repro worker`` turns a plain child process (spawned by
+:class:`~repro.runner.backends.subprocess_worker.SubprocessWorkerBackend`)
+into a job executor speaking a line-oriented JSON protocol on
+stdin/stdout:
 
 parent → child::
 
@@ -18,9 +18,8 @@ child → parent::
     {"type": "result", "index": N, "result": {...}}  # one per job
 
 The ``compute`` callable is resolved by qualified name so the protocol
-stays data-only (no pickles on the wire — a hard requirement for the SSH
-future, and what keeps the child inspectable with ``jq``).  When the
-sweep runs with ``--sweeptrace``, the payload's trailing element is the
+stays data-only (no pickles on the wire, which keeps the child
+inspectable with ``jq``).  The payload's trailing element is the
 ``{"trace": ..., "span": ...}`` span context minted by the engine
 (:mod:`repro.obs.sweeptrace`); ``_as_payload`` passes the dict through
 untouched and the engine-side ``_compute`` stamps it onto the child's

@@ -1,8 +1,8 @@
 """CLI surface of the cross-run observability layer.
 
 ``repro report``, ``repro obs tail``, and the v3-aware ``repro obs``
-manifest summary — plus the status.json heartbeat a real ``repro sweep``
-leaves behind.
+manifest summary — plus the lifecycle events a real ``repro sweep``
+leaves in its run directory.
 """
 
 import json
@@ -10,7 +10,10 @@ import shutil
 from pathlib import Path
 
 from repro.cli import main
-from repro.obs.status import STATUS_FILENAME, SweepStatus
+from repro.obs.status import fold_status
+from repro.obs.sweeptrace import EVENTS_FILENAME, load_events
+
+from .events import computed, ev, start, write_events
 
 DATA = Path(__file__).parent / "data"
 
@@ -52,28 +55,54 @@ class TestObsTail:
         assert "Traceback" not in err
 
     def test_tail_prints_one_status_line(self, tmp_path, capsys):
-        from repro.runner import JobRecord
-
-        status = SweepStatus(tmp_path / STATUS_FILENAME, total=2, workers=1)
-        status.job_finished(0, JobRecord(
-            figure="fig1", seed=0, params={}, key="k", cached=False,
-            wall_time_s=0.4, rows=13,
-        ))
-        status.finalize()
+        write_events(tmp_path / EVENTS_FILENAME, [
+            start(2), *computed(0, "fig1 seed=0", wall_s=0.4),
+            ev("sweep_end", 0.5, wall_s=0.5),
+        ])
         assert main(["obs", "tail", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "[1/2] ok=1 cached=0 failed=0" in out
 
     def test_tail_exit_degraded_on_failures(self, tmp_path, capsys):
-        from repro.runner import JobRecord
+        path = write_events(tmp_path / EVENTS_FILENAME, [
+            start(1),
+            *computed(0, "fig6 seed=0", outcome="failed", error="boom"),
+            ev("sweep_end", 0.5, wall_s=0.5),
+        ])
+        assert main(["obs", "tail", str(path)]) == 3
 
-        status = SweepStatus(tmp_path / STATUS_FILENAME, total=1)
-        status.job_finished(0, JobRecord(
-            figure="fig6", seed=0, params={}, key="k", cached=False,
-            wall_time_s=0.4, rows=0, status="failed", error="boom",
-        ))
-        status.finalize()
-        assert main(["obs", "tail", str(tmp_path / STATUS_FILENAME)]) == 3
+    def test_follow_polls_past_a_truncated_line_until_sweep_end(
+        self, tmp_path, capsys
+    ):
+        import threading
+
+        path = tmp_path / EVENTS_FILENAME
+        events = [start(1), *computed(0, "fig1 seed=0")]
+        end = json.dumps(ev("sweep_end", 1.0, wall_s=1.0))
+        # The writer is mid-line: half of sweep_end is on disk.
+        write_events(path, events, tail=end[:10])
+
+        def finish_line():
+            with open(path, "a") as handle:
+                handle.write(end[10:] + "\n")
+
+        timer = threading.Timer(0.3, finish_line)
+        timer.start()
+        try:
+            code = main([
+                "obs", "tail", str(tmp_path), "--follow",
+                "--interval", "0.05",
+            ])
+        finally:
+            timer.cancel()
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        # The running line, printed once however often it was polled,
+        # then the done line once sweep_end landed.
+        assert lines == [
+            "[1/1] ok=1 cached=0 failed=0",
+            "[1/1] ok=1 cached=0 failed=0 | done in 1.0s",
+        ]
 
 
 class TestObsSummaryV3:
@@ -105,28 +134,48 @@ class TestSweepHeartbeat:
             "sweep", "fig1", "--no-cache", "--jobs", "1",
             "--manifest", str(manifest),
         ]) == 0
-        status = json.loads((tmp_path / "run" / STATUS_FILENAME).read_text())
-        assert status["schema"] == "repro.obs/status/v1"
+        status = fold_status(
+            load_events(tmp_path / "run" / EVENTS_FILENAME)
+        )
         assert status["state"] == "done"
         assert status["total"] == 1
         assert status["done"] == 1 and status["ok"] == 1
 
-    def test_no_status_flag_suppresses_heartbeat(self, tmp_path):
-        manifest = tmp_path / "run" / "manifest.json"
-        assert main([
-            "sweep", "fig1", "--no-cache", "--jobs", "1",
-            "--manifest", str(manifest), "--no-status",
-        ]) == 0
-        assert not (tmp_path / "run" / STATUS_FILENAME).exists()
+    def test_sweep_without_run_dir_writes_no_events(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", "fig1", "--no-cache", "--jobs", "1"]) == 0
+        assert list(tmp_path.iterdir()) == []
 
-    def test_explicit_status_path_wins(self, tmp_path):
-        target = tmp_path / "elsewhere" / "live.json"
+    def test_explicit_sweeptrace_path_feeds_tail(self, tmp_path, capsys):
+        target = tmp_path / "elsewhere" / "live.jsonl"
         assert main([
             "sweep", "fig1", "--no-cache", "--jobs", "1",
             "--manifest", str(tmp_path / "run" / "manifest.json"),
-            "--status", str(target),
+            "--sweeptrace", str(target),
         ]) == 0
-        assert json.loads(target.read_text())["state"] == "done"
+        assert not (tmp_path / "run" / EVENTS_FILENAME).exists()
+        capsys.readouterr()
+        assert main(["obs", "tail", str(target)]) == 0
+        assert "| done in" in capsys.readouterr().out
+
+    def test_progress_lines_are_the_status_fold(self, tmp_path, capsys):
+        assert main([
+            "sweep", "fig1", "--seeds", "0,1", "--no-cache", "--jobs", "1",
+            "--manifest", str(tmp_path / "manifest.json"),
+        ]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("  fig1 seed=0: ")
+        assert "  [1/2] ok=1 cached=0 failed=0" in err[0]
+        assert err[1].startswith("  fig1 seed=1: ")
+        assert err[1].endswith("  [2/2] ok=2 cached=0 failed=0")
+        # The final line is the same fold 'repro obs tail' reads back.
+        assert main(["obs", "tail", str(tmp_path)]) == 0
+        tail = capsys.readouterr().out.strip()
+        assert err[-1] == f"  {tail}"
+        assert tail.startswith("[2/2] ok=2 cached=0 failed=0 | done in")
+
 
 class TestObsTailFollowReplace:
     def test_follow_survives_atomic_replacement_and_reloads(
@@ -135,21 +184,16 @@ class TestObsTailFollowReplace:
         import os
         import threading
 
-        from repro.runner import JobRecord
-
-        path = tmp_path / STATUS_FILENAME
-        running = SweepStatus(path, total=1, workers=1)
+        path = write_events(tmp_path / EVENTS_FILENAME, [start(1)])
 
         def replace_with_finished():
-            # Simulate a second writer atomically replacing the status
-            # file (new inode) while the follower is mid-poll.
-            done = SweepStatus(tmp_path / "next.json", total=1, workers=1)
-            done.job_finished(0, JobRecord(
-                figure="fig1", seed=0, params={}, key="k", cached=False,
-                wall_time_s=0.1, rows=3,
-            ))
-            done.finalize()
-            os.replace(tmp_path / "next.json", path)
+            # A second sweep reusing the run directory replaces the file
+            # while the follower is mid-poll.
+            write_events(tmp_path / "next.jsonl", [
+                start(1), *computed(0, "fig1 seed=0", wall_s=0.1),
+                ev("sweep_end", 0.2, wall_s=0.2),
+            ])
+            os.replace(tmp_path / "next.jsonl", path)
 
         timer = threading.Timer(0.25, replace_with_finished)
         timer.start()
@@ -166,24 +210,18 @@ class TestObsTailFollowReplace:
         assert "[0/1]" in out
         assert "[1/1] ok=1" in out
         assert "done" in out
-        assert running.state == "running"  # original writer untouched
 
     def test_follow_tolerates_briefly_missing_file(self, tmp_path, capsys):
         import threading
 
-        from repro.runner import JobRecord
-
-        path = tmp_path / STATUS_FILENAME
-        SweepStatus(path, total=1, workers=1)
+        path = write_events(tmp_path / EVENTS_FILENAME, [start(1)])
 
         def vanish_then_return():
             path.unlink()
-            status = SweepStatus(path, total=1, workers=1)
-            status.job_finished(0, JobRecord(
-                figure="fig1", seed=0, params={}, key="k", cached=False,
-                wall_time_s=0.1, rows=3,
-            ))
-            status.finalize()
+            write_events(path, [
+                start(1), *computed(0, "fig1 seed=0", wall_s=0.1),
+                ev("sweep_end", 0.2, wall_s=0.2),
+            ])
 
         timer = threading.Timer(0.25, vanish_then_return)
         timer.start()
@@ -204,7 +242,7 @@ class TestTelemetryCli:
         assert main([
             "sweep", "fig5", "--seeds", "0",
             "--param", "duration_ms=600",
-            "--jobs", "1", "--no-cache", "--no-status",
+            "--jobs", "1", "--no-cache",
             "--manifest", str(run_dir / "manifest.json"),
             "--telemetry", "--telemetry-interval", "8",
         ]) == 0
@@ -265,7 +303,7 @@ class TestSweepTimelineCli:
         run_dir = tmp_path / name
         assert main([
             "sweep", "fig1", "--seeds", "0,1",
-            "--jobs", "1", "--no-cache", "--no-status",
+            "--jobs", "1", "--no-cache",
             "--manifest", str(run_dir / "manifest.json"),
             "--sweeptrace", *extra,
         ]) == 0
@@ -342,18 +380,17 @@ class TestObsSlowestJobs:
 
 
 class TestSweepHeartbeatUnperturbed:
-    def test_results_unperturbed_by_heartbeat(self, tmp_path):
-        with_status = tmp_path / "a" / "manifest.json"
-        without = tmp_path / "b" / "manifest.json"
+    def test_results_unperturbed_by_heartbeat(self, tmp_path, capsys):
+        with_events = tmp_path / "a" / "manifest.json"
         assert main([
             "sweep", "fig1", "--no-cache", "--jobs", "1",
-            "--manifest", str(with_status),
+            "--manifest", str(with_events),
         ]) == 0
-        assert main([
-            "sweep", "fig1", "--no-cache", "--jobs", "1",
-            "--manifest", str(without), "--no-status",
-        ]) == 0
-        a = json.loads(with_status.read_text())["jobs"][0]
-        b = json.loads(without.read_text())["jobs"][0]
+        assert (tmp_path / "a" / EVENTS_FILENAME).exists()
+        capsys.readouterr()
+        assert main(["sweep", "fig1", "--no-cache", "--jobs", "1"]) == 0
+        a = json.loads(with_events.read_text())["jobs"][0]
+        b = json.loads(capsys.readouterr().out)["jobs"][0]
         assert a["key"] == b["key"]  # cache keys unchanged
         assert a["rows"] == b["rows"]
+        assert a["span"] == b["span"]

@@ -1,6 +1,4 @@
-"""Live sweep telemetry: the status.json writer and its readers."""
-
-import json
+"""Sweep status: the fold over a sweep's lifecycle events and its readers."""
 
 import pytest
 
@@ -8,123 +6,178 @@ from repro.obs.status import (
     STATE_DEGRADED,
     STATE_DONE,
     STATE_RUNNING,
-    STATUS_FILENAME,
-    STATUS_SCHEMA,
-    SweepStatus,
+    StatusFold,
+    fold_status,
     format_status,
-    load_status,
-    resolve_status_path,
 )
-from repro.runner import JobRecord
+from repro.obs.sweeptrace import (
+    EVENTS_FILENAME,
+    SweepTraceRecorder,
+    load_events,
+    resolve_events_path,
+)
+from repro.runner import SerialBackend, make_job, run_jobs
+from repro.runner.supervisor import Task
 
-
-def make_record(status="ok", wall=0.5, attempts=1, error=None, figure="fig1"):
-    return JobRecord(
-        figure=figure,
-        seed=0,
-        params={},
-        key="k" * 16,
-        cached=status == "cached",
-        wall_time_s=wall,
-        rows=3,
-        status=status,
-        attempts=attempts,
-        error=error,
-    )
+from ..runner.faulty import FLAKY, STEADY, registered
+from .events import computed, ev, start, write_events
 
 
 class TestSweepStatusWriter:
+    """The status a sweep's recorder folds from its own events, in
+    memory and from the events file alike."""
+
     def test_initial_heartbeat_written_on_construction(self, tmp_path):
-        path = tmp_path / "run" / STATUS_FILENAME
-        SweepStatus(path, total=4, workers=2)
-        payload = json.loads(path.read_text())
-        assert payload["schema"] == STATUS_SCHEMA
-        assert payload["state"] == STATE_RUNNING
-        assert payload["total"] == 4
-        assert payload["done"] == 0
-        assert payload["eta_s"] is None
+        path = tmp_path / EVENTS_FILENAME
+        recorder = SweepTraceRecorder(["a", "b", "c", "d"], path)
+        status = fold_status(load_events(path))
+        assert status == recorder.status.snapshot()
+        assert status["state"] == STATE_RUNNING
+        assert status["total"] == 4
+        assert status["done"] == 0
+        assert status["eta_s"] is None
 
-    def test_counts_ok_cached_failed_and_retries(self, tmp_path):
-        path = tmp_path / STATUS_FILENAME
-        status = SweepStatus(path, total=3)
-        status.job_started(0, "fig1 seed=0")
-        assert json.loads(path.read_text())["current"] == ["fig1 seed=0"]
-        status.job_finished(0, make_record("ok"))
-        status.job_finished(1, make_record("cached", wall=0.0))
-        status.job_retried(2, "fig5 seed=0")
-        status.job_finished(
-            2, make_record("failed", attempts=2, error="boom", figure="fig5")
-        )
-        payload = json.loads(path.read_text())
-        assert payload["done"] == 3
-        assert payload["ok"] == 1
-        assert payload["cached"] == 1
-        assert payload["failed"] == 1
-        assert payload["retries"] == 1
-        assert payload["current"] == []
-        assert payload["last_error"] == "fig5 seed=0: boom"
+    def test_counts_ok_cached_failed_and_retries(self):
+        events = [
+            start(3),
+            *computed(0, "fig1 seed=0"),
+            ev("cache_hit", job=1),
+            ev("submitted", job=2, label="fig5 seed=0 x=1"),
+            ev("attempt_start", job=2, attempt=1),
+        ]
+        assert fold_status(events)["current"] == ["fig5 seed=0 x=1"]
+        events += [
+            ev("attempt_end", job=2, attempt=1, outcome="failed",
+               error="boom"),
+            ev("retry_scheduled", job=2, attempt=1, delay_s=0.1),
+            ev("attempt_start", job=2, attempt=2),
+            ev("attempt_end", job=2, attempt=2, outcome="failed",
+               error="boom", final=True),
+        ]
+        status = fold_status(events)
+        assert status["done"] == 3
+        assert status["ok"] == 1
+        assert status["cached"] == 1
+        assert status["failed"] == 1
+        assert status["retries"] == 1
+        assert status["current"] == []
+        assert status["last_error"] == "fig5 seed=0 x=1: boom"
 
-    def test_finalize_states(self, tmp_path):
-        status = SweepStatus(tmp_path / "a.json", total=1)
-        status.job_finished(0, make_record("ok"))
-        status.finalize()
-        assert json.loads(status.path.read_text())["state"] == STATE_DONE
+    def test_finalize_states(self):
+        done = [start(1), *computed(0, "fig1 seed=0"), ev("sweep_end")]
+        assert fold_status(done)["state"] == STATE_DONE
+        degraded = [
+            start(1),
+            *computed(0, "fig1 seed=0", outcome="failed", error="x"),
+            ev("sweep_end"),
+        ]
+        assert fold_status(degraded)["state"] == STATE_DEGRADED
 
-        status = SweepStatus(tmp_path / "b.json", total=1)
-        status.job_finished(0, make_record("failed", error="x"))
-        status.finalize()
-        assert json.loads(status.path.read_text())["state"] == STATE_DEGRADED
-
-    def test_eta_from_computed_durations_only(self, tmp_path):
-        status = SweepStatus(tmp_path / "s.json", total=4, workers=2)
-        assert status.eta_s() is None
-        status.job_finished(0, make_record("cached", wall=0.0))
-        assert status.eta_s() is None  # cache hits carry no signal
-        status.job_finished(1, make_record("ok", wall=2.0))
+    def test_eta_from_computed_durations_only(self):
+        fold = StatusFold()
+        fold.apply(start(4))
+        fold.apply(ev("dispatch", backend="local-pool", workers=2))
+        assert fold.eta_s() is None
+        fold.apply(ev("cache_hit", job=0))
+        assert fold.eta_s() is None  # cache hits carry no signal
+        for event in computed(1, "fig1 seed=1", wall_s=2.0):
+            fold.apply(event)
         # 2 jobs remain, mean 2.0s, 2 workers -> ~2s
-        assert status.eta_s() == pytest.approx(2.0)
+        assert fold.eta_s() == pytest.approx(2.0)
 
     def test_heartbeat_failure_never_raises(self, tmp_path):
-        run_dir = tmp_path / "run"
-        status = SweepStatus(run_dir / STATUS_FILENAME, total=2)
-        status.path = run_dir / "vanished" / STATUS_FILENAME
-        status.job_finished(0, make_record("ok"))  # must not raise
-        status.job_finished(1, make_record("ok"))
-        status.finalize()
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("file, not directory")
+        recorder = SweepTraceRecorder(["a"], blocker / EVENTS_FILENAME)
+        recorder.cache_hit(0, "fig1", 0, wall_s=0.01)  # must not raise
+        recorder.finalize(wall_s=0.02)
+        # The file is lost; the in-memory fold is not.
+        assert recorder.status.snapshot()["state"] == STATE_DONE
+        assert recorder.status.snapshot()["cached"] == 1
 
     def test_no_stale_tmp_files_left_behind(self, tmp_path):
-        status = SweepStatus(tmp_path / STATUS_FILENAME, total=1)
-        status.job_finished(0, make_record("ok"))
-        status.finalize()
-        assert [p.name for p in tmp_path.iterdir()] == [STATUS_FILENAME]
+        with registered(STEADY):
+            run_jobs(
+                [make_job("test-steady", seed=s) for s in range(2)],
+                backend=SerialBackend(),
+                checkpoint=tmp_path / "manifest.json",
+                sweeptrace=tmp_path / EVENTS_FILENAME,
+            )
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "manifest.json", EVENTS_FILENAME,
+        ]
+
+
+class TestRetriedJob:
+    def test_retried_then_passing_job_never_counts_failed(self, tmp_path):
+        path = tmp_path / EVENTS_FILENAME
+        with registered(FLAKY):
+            result = run_jobs(
+                [make_job("test-flaky",
+                          params={"marker": str(tmp_path / "marker")})],
+                backend=SerialBackend(), retries=1, backoff=0.001,
+                sweeptrace=path,
+            )
+        events = load_events(path)
+        assert [e.get("outcome") for e in events
+                if e["ev"] == "attempt_end"] == ["failed", "ok"]
+        # Every prefix: what 'repro obs tail' would show mid-sweep.
+        for stop in range(1, len(events) + 1):
+            assert fold_status(events[:stop])["failed"] == 0, events[stop - 1]
+        assert result.status["ok"] == 1
+        assert result.status["retries"] == 1
+        assert result.status["state"] == STATE_DONE
+
+    def test_recorder_marks_only_the_last_charged_failure_final(self):
+        recorder = SweepTraceRecorder(["k"])
+        task = Task(index=0, payload=(), key="k", figure="fig1")
+        recorder.job_submitted(0, "fig1", 0, "fig1 seed=0", position=0)
+        task.attempts = 1
+        recorder.handle("start", task)
+        recorder.handle("attempt_end", task, {"outcome": "failed"})
+        recorder.handle("retry", task, {"delay_s": 0.0})
+        assert recorder.status.failed == 0
+        task.attempts = 2
+        recorder.handle("start", task)
+        recorder.handle(
+            "attempt_end", task, {"outcome": "timeout", "final": True}
+        )
+        assert (recorder.status.failed, recorder.status.done) == (1, 1)
+        assert recorder.status.last_error == "fig1 seed=0: timeout"
 
 
 class TestReaders:
     def test_resolve_accepts_file_or_run_dir(self, tmp_path):
-        SweepStatus(tmp_path / STATUS_FILENAME, total=1)
-        assert resolve_status_path(tmp_path) == tmp_path / STATUS_FILENAME
+        SweepTraceRecorder(["a"], tmp_path / EVENTS_FILENAME)
+        assert resolve_events_path(tmp_path) == tmp_path / EVENTS_FILENAME
         assert (
-            resolve_status_path(tmp_path / STATUS_FILENAME)
-            == tmp_path / STATUS_FILENAME
+            resolve_events_path(tmp_path / EVENTS_FILENAME)
+            == tmp_path / EVENTS_FILENAME
         )
 
     def test_missing_status_is_a_friendly_error(self, tmp_path):
         with pytest.raises(ValueError, match="repro obs tail"):
-            resolve_status_path(tmp_path)
+            resolve_events_path(tmp_path)
         with pytest.raises(ValueError, match="run directory"):
-            resolve_status_path(tmp_path / "nope.json")
+            resolve_events_path(tmp_path / "nope.jsonl")
 
     def test_load_validates_schema(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text('{"schema": "repro.runner/manifest/v3"}')
-        with pytest.raises(ValueError, match="not a sweep status file"):
-            load_status(path)
+        path = write_events(
+            tmp_path / "other.jsonl", [ev("submitted", job=0)]
+        )
+        with pytest.raises(ValueError, match="not a sweep trace"):
+            fold_status(load_events(path))
 
     def test_load_round_trip(self, tmp_path):
-        status = SweepStatus(tmp_path / STATUS_FILENAME, total=2)
-        status.job_finished(0, make_record("ok"))
-        payload = load_status(status.path)
-        assert payload["done"] == 1 and payload["total"] == 2
+        path = tmp_path / EVENTS_FILENAME
+        with registered(STEADY):
+            result = run_jobs(
+                [make_job("test-steady", seed=s) for s in range(2)],
+                backend=SerialBackend(), sweeptrace=path,
+            )
+        # The file re-folds to exactly the status the engine returned.
+        assert fold_status(load_events(path)) == result.status
+        assert result.status["done"] == result.status["total"] == 2
 
 
 class TestFormatStatus:

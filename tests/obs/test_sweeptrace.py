@@ -4,9 +4,9 @@ Three layers of coverage:
 
 - pure functions on synthetic event streams (deterministic ids, the
   critical-path tiling invariant, canonical byte-stability lines);
-- live serial sweeps through :func:`repro.runner.run_jobs` with
-  ``sweeptrace=`` (event sequence, manifest timing fields, replay
-  stability);
+- live serial sweeps through :func:`repro.runner.run_jobs`, with and
+  without a ``sweeptrace=`` file (event sequence, manifest timing
+  fields, replay stability);
 - a live ``subprocess:2`` sweep proving worker-lifecycle events land and
   the merged Chrome trace correlates engine and child spans by span id.
 """
@@ -19,9 +19,8 @@ from repro.obs.sweeptrace import (
     EVENTS_FILENAME,
     PHASES,
     SWEEPTRACE_SCHEMA,
-    SweepTraceWriter,
+    SweepTraceRecorder,
     build_timeline,
-    canonical_lines,
     critical_path,
     format_timeline,
     job_span_id,
@@ -41,6 +40,7 @@ from repro.runner import (
 )
 
 from ..runner.faulty import FLAKY, STEADY, registered
+from .events import canonical_lines
 
 
 class TestDeterministicIds:
@@ -64,21 +64,27 @@ class TestDeterministicIds:
 class TestWriterAndLoader:
     def test_emit_drops_none_fields_and_sorts_keys(self, tmp_path):
         path = tmp_path / "events.jsonl"
-        writer = SweepTraceWriter(path)
-        writer.emit("submitted", job=1, span="abc", error=None)
-        writer.close()
-        (line,) = path.read_text().splitlines()
-        event = json.loads(line)
-        assert "error" not in event
-        assert event["ev"] == "submitted"
-        assert list(event) == sorted(event)
+        recorder = SweepTraceRecorder(["k"], path)
+        recorder.job_submitted(0, "fig1", 0, "fig1 seed=0", position=0)
+        recorder.attempt_end(0, "ok", wall_s=0.1, pid=None, error=None)
+        recorder.finalize(wall_s=0.2)
+        lines = path.read_text().splitlines()
+        assert [json.loads(line)["ev"] for line in lines] == [
+            "sweep_start", "submitted", "queued", "attempt_end", "sweep_end",
+        ]
+        end = json.loads(lines[3])
+        assert "error" not in end and "pid" not in end
+        assert "final" not in end  # only the job-ending attempt says so
+        for line in lines:
+            event = json.loads(line)
+            assert list(event) == sorted(event)
 
     def test_unwritable_path_never_raises(self, tmp_path):
         blocker = tmp_path / "not-a-dir"
         blocker.write_text("file, not directory")
-        writer = SweepTraceWriter(blocker / "sub" / "events.jsonl")
-        writer.emit("submitted", job=0)  # silently dropped
-        writer.close()
+        recorder = SweepTraceRecorder(["k"], blocker / "sub" / "ev.jsonl")
+        recorder.job_submitted(0, "fig1", 0, "fig1 seed=0", position=0)
+        recorder.finalize(wall_s=0.0)  # the events are silently dropped
 
     def test_loader_skips_blank_and_truncated_lines(self, tmp_path):
         path = tmp_path / "events.jsonl"
@@ -140,6 +146,15 @@ class TestTimelineModel:
         assert [a.attempt for a in tl.attempts] == [1, 2]
         assert [a.outcome for a in tl.attempts] == ["failed", "ok"]
         assert tl.job_label(0) == "fig-x seed=3"
+
+    def test_labels_name_the_params_of_each_cell(self):
+        events = retry_scenario()
+        events[1] = dict(events[1], label="fig-x seed=3 cycles=60")
+        tl = build_timeline(events)
+        assert tl.job_label(0) == "fig-x seed=3 cycles=60"
+        assert critical_path(tl)[1].detail == (
+            "fig-x seed=3 cycles=60 attempt 1 (failed)"
+        )
 
     def test_interrupted_sweep_closes_open_attempts(self):
         events = retry_scenario()[:-2]  # no final attempt_end, no sweep_end
@@ -265,12 +280,24 @@ class TestSerialSweepTracing:
             )
         for left, right in zip(plain.outcomes, traced.outcomes):
             assert left.rows.to_csv() == right.rows.to_csv()
-        # Without ``sweeptrace=`` the engine builds no recorder: payloads
-        # stay 11 fields and records carry no trace fields.
-        for record in plain.manifest.records:
-            assert record.span is None
-            assert record.queue_s is None
-            assert record.attempt_timings is None
+            assert left.record.key == right.record.key
+            assert left.record.span == right.record.span
+        assert plain.status["ok"] == traced.status["ok"] == 3
+
+    def test_untraced_sweep_still_records_timings(self):
+        # The recorder is the engine's one lifecycle sink whether or not
+        # its events go to a file, so every computed record is timed.
+        with registered(STEADY):
+            result = run_jobs(
+                [make_job("test-steady", seed=s) for s in range(2)],
+                backend=SerialBackend(),
+            )
+        for record in result.manifest.records:
+            assert record.span is not None
+            assert record.queue_s is not None and record.queue_s >= 0
+            assert record.compute_s is not None and record.compute_s >= 0
+            (timing,) = record.attempt_timings
+            assert timing["outcome"] == "ok"
 
     def test_cache_hits_traced_with_real_service_time(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

@@ -3,7 +3,7 @@
 Each test runs the same sweep through :func:`repro.runner.run_jobs` on
 every backend (serial, local-pool, subprocess) and asserts identical
 *observable* behavior: statuses, retry accounting, checkpoint/resume
-semantics, and status-heartbeat events.  This is the suite that lets a
+semantics, and the status folded from the lifecycle events.  This is the suite that lets a
 future backend (SSH, work queue) prove itself by passing unchanged.
 
 The subprocess backend's children are fresh processes, so they re-register
@@ -157,27 +157,32 @@ class TestConformance:
         assert resumed.ok
 
     def test_status_heartbeats_fire(self, backend_name, tmp_path):
-        from repro.obs.status import load_status
+        from repro.obs.status import fold_status
+        from repro.obs.sweeptrace import load_events
 
-        status_path = tmp_path / "status.json"
+        events = tmp_path / "sweep.events.jsonl"
         marker = tmp_path / "attempted"
         with registered(FLAKY, STEADY):
-            run_jobs(
+            result = run_jobs(
                 [
                     make_job("test-flaky", params={"marker": str(marker)}),
                     make_job("test-steady"),
                 ],
                 workers=2, retries=1, backoff=0.001,
-                status_path=status_path,
+                sweeptrace=events,
                 backend=make_backend(backend_name),
             )
-        final = load_status(status_path)
+        final = result.status
         assert final["state"] == "done"
         assert final["total"] == 2
         assert final["done"] == 2
         assert final["retries"] == 1
+        assert final["failed"] == 0
         assert final["backend"] == backend_name
+        assert final["workers"] == result.manifest.workers
         assert final["current"] == []
+        # the events file folds to the same status as the in-memory fold
+        assert fold_status(load_events(events)) == final
 
     def test_streamed_rows_match_in_memory(self, backend_name, tmp_path):
         with registered(STEADY):

@@ -4,11 +4,14 @@ import json
 
 import pytest
 
+from repro.obs.sweeptrace import build_timeline, load_events
 from repro.runner import (
     MANIFEST_SCHEMA,
     JobGrid,
+    LocalPoolBackend,
     ResultCache,
     RunManifest,
+    SerialBackend,
     ensure_writable_dir,
     expand_grid,
     make_job,
@@ -182,7 +185,10 @@ class TestRunJobs:
     def test_progress_callback_sees_every_job(self):
         seen = []
         jobs = expand_grid(["fig1"], seeds=[0, 1])
-        run_jobs(jobs, workers=1, progress=seen.append)
+        run_jobs(
+            jobs, workers=1,
+            progress=lambda record, status: seen.append(record),
+        )
         assert {(r.figure, r.seed) for r in seen} == {("fig1", 0), ("fig1", 1)}
 
     def test_rows_for_lookup(self):
@@ -224,6 +230,33 @@ class TestManifest:
         assert record.figure == "fig1"
         assert record.metrics is not None
         assert manifest.to_json() == result.manifest.to_json()
+
+    @pytest.mark.parametrize(
+        "backend, pending, expected",
+        [
+            (SerialBackend(), 2, ("serial", 1)),
+            (LocalPoolBackend(workers=2), 2, ("local-pool", 2)),
+            (None, 1, ("serial", 1)),  # auto: one uncached job runs inline
+            (None, 2, ("local-pool", 4)),
+        ],
+        ids=["serial", "local-pool:2", "auto-one-job", "auto-pool"],
+    )
+    def test_workers_is_the_chosen_backends_parallelism(
+        self, tmp_path, backend, pending, expected
+    ):
+        events = tmp_path / "sweep.events.jsonl"
+        result = run_jobs(
+            expand_grid(["fig1"], seeds=range(pending)), workers=4,
+            backend=backend, sweeptrace=events,
+        )
+        name, workers = expected
+        assert result.manifest.workers == workers
+        assert {r.backend for r in result.manifest.records} == {name}
+        (dispatch,) = [
+            e for e in load_events(events) if e["ev"] == "dispatch"
+        ]
+        assert (dispatch["backend"], dispatch["workers"]) == expected
+        assert build_timeline(load_events(events)).workers == workers
 
     def test_unknown_schema_rejected(self):
         with pytest.raises(ValueError, match="schema"):
@@ -307,76 +340,69 @@ class TestObservability:
 
 
 class TestStatusHeartbeat:
-    """run_jobs(status_path=...) maintains the live status.json."""
+    """The status fold run_jobs keeps over its own lifecycle events."""
 
     def test_updates_at_least_once_per_completed_job(self, tmp_path):
-        status_path = tmp_path / "status.json"
         observed = []
 
-        def watch(record):
-            observed.append(json.loads(status_path.read_text())["done"])
+        def watch(record, status):
+            observed.append(status["done"])
 
         jobs = expand_grid(["fig1"], seeds=[0, 1])
-        run_jobs(jobs, workers=1, status_path=status_path, progress=watch)
-        # by the time each progress callback fires, the heartbeat already
+        result = run_jobs(jobs, workers=1, progress=watch)
+        # by the time each progress callback fires, the fold already
         # counts that job as done
         assert observed == [1, 2]
-        final = json.loads(status_path.read_text())
-        assert final["schema"] == "repro.obs/status/v1"
+        final = result.status
         assert final["state"] == "done"
         assert (final["done"], final["ok"], final["failed"]) == (2, 2, 0)
 
     def test_pool_path_counts_and_finalizes(self, tmp_path):
-        status_path = tmp_path / "status.json"
         jobs = expand_grid(CHEAP_FIGS, seeds=[0, 1], grid=CHEAP_GRID)
-        run_jobs(jobs, workers=2, status_path=status_path)
-        final = json.loads(status_path.read_text())
+        final = run_jobs(jobs, workers=2).status
         assert final["state"] == "done"
         assert final["done"] == final["total"] == len(jobs)
         assert final["current"] == []
+        assert (final["backend"], final["workers"]) == ("local-pool", 2)
 
     def test_failures_and_retries_reach_the_heartbeat(self, tmp_path):
         from .faulty import FLAKY, registered
 
-        status_path = tmp_path / "status.json"
         with registered(FLAKY):
             job = make_job(
                 "test-flaky", params={"marker": str(tmp_path / "marker")}
             )
-            run_jobs(
+            final = run_jobs(
                 [job], workers=1, retries=1, backoff=0.0,
-                status_path=status_path,
-            )
-        final = json.loads(status_path.read_text())
+            ).status
         assert final["state"] == "done"
         assert final["retries"] == 1
         assert final["ok"] == 1
+        assert final["failed"] == 0
 
     def test_degraded_state_and_last_error(self, tmp_path):
         from .faulty import BOOM, registered
 
-        status_path = tmp_path / "status.json"
         with registered(BOOM):
-            run_jobs(
-                [make_job("test-boom")], workers=1,
-                status_path=status_path,
-            )
-        final = json.loads(status_path.read_text())
+            final = run_jobs([make_job("test-boom")], workers=1).status
         assert final["state"] == "degraded"
         assert final["failed"] == 1
         assert "boom" in final["last_error"]
+        assert final["last_error"].startswith("test-boom seed=0")
 
-    def test_no_status_path_writes_nothing(self, tmp_path):
+    def test_no_status_path_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         run_jobs(expand_grid(["fig1"]), workers=1)
-        assert not (tmp_path / "status.json").exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_results_identical_with_and_without_heartbeat(self, tmp_path):
         jobs = expand_grid(["fig1"], seeds=[0])
         plain = run_jobs(jobs, workers=1)
-        beating = run_jobs(
-            jobs, workers=1, status_path=tmp_path / "status.json"
+        traced = run_jobs(
+            jobs, workers=1, sweeptrace=tmp_path / "sweep.events.jsonl"
         )
-        assert plain.rows_for("fig1") == beating.rows_for("fig1")
-        assert (
-            plain.manifest.records[0].key == beating.manifest.records[0].key
-        )
+        assert plain.rows_for("fig1") == traced.rows_for("fig1")
+        left, right = plain.manifest.records[0], traced.manifest.records[0]
+        assert left.key == right.key
+        assert left.span == right.span
+        assert plain.status["ok"] == traced.status["ok"] == 1

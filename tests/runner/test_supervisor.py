@@ -191,7 +191,7 @@ class TestCheckpointResume:
         reported: list[str] = []
         seen: list[int] = []
 
-        def watch(record):
+        def watch(record, status):
             # the checkpoint on disk covers every record reported so far
             reported.append(record.key)
             on_disk = {r.key for r in RunManifest.load(checkpoint).records}
@@ -226,7 +226,7 @@ class TestCheckpointResume:
         cache = ResultCache(tmp_path / "cache")
         checkpoint = tmp_path / "manifest.json"
 
-        def interrupt(record):
+        def interrupt(record, status):
             raise KeyboardInterrupt
 
         with registered(STEADY):
