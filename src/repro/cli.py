@@ -796,16 +796,11 @@ def _run_obs(args: argparse.Namespace) -> int:
             print(f"  trace: {record.trace_path}")
         metrics = record.metrics or {}
         counters = metrics.get("counters") or {}
-        gauges = metrics.get("gauges") or {}
         histograms = metrics.get("histograms") or {}
         if counters:
             print("  counters:")
             for key in sorted(counters):
                 print(f"    {key} = {counters[key]}")
-        if gauges:
-            print("  gauges:")
-            for key in sorted(gauges):
-                print(f"    {key} = {gauges[key]}")
         if histograms:
             print("  histograms:")
             for key, h in sorted_histogram_items(histograms):

@@ -141,6 +141,8 @@ class FaultInjector:
     each target's failure schedule independent of every other target.
     """
 
+    failures_injected = property(lambda self: self._m_injected.value)
+
     def __init__(
         self,
         sim: Simulator,
@@ -162,7 +164,6 @@ class FaultInjector:
         self.targets: list[FaultTarget] = []
         self.maintenance: list[MaintenanceWindow] = []
         self.logs = [CellDowntimeLog(cell=index) for index in range(cells)]
-        self.failures_injected = 0
         self._running = False
         registry = get_registry()
         self._m_injected = registry.counter("chaos.fault.injected")
@@ -236,7 +237,6 @@ class FaultInjector:
         return max(1, int(rng.exponential(scaled) * SEC))
 
     def _fail(self, target: FaultTarget) -> None:
-        self.failures_injected += 1
         self._m_injected.inc()
         get_tracer().instant(
             "chaos.fault",

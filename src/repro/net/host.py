@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..obs import get_registry, get_telemetry
+from ..obs import get_registry
 from ..simcore import Simulator
 from .device import Device
 from .link import Port
@@ -23,19 +23,18 @@ ReceiveHandler = Callable[[Packet], None]
 class Host(Device):
     """An end station with handler-based packet delivery."""
 
+    rx_count = property(lambda self: self._m_rx.value)
+    tx_count = property(lambda self: self._m_tx.value)
+
     def __init__(self, sim: Simulator, name: str) -> None:
         super().__init__(sim, name)
         self._handlers: list[ReceiveHandler] = []
         self._flow_handlers: dict[str, list[ReceiveHandler]] = {}
         self.received: list[Packet] = []
         self.record_received = False
-        self.rx_count = 0
-        self.tx_count = 0
         registry = get_registry()
         self._m_rx = registry.counter("net.host.frames", host=name, direction="rx")
         self._m_tx = registry.counter("net.host.frames", host=name, direction="tx")
-        # INT postcard begin/finish probe (None when telemetry is off).
-        self._tel = get_telemetry().host_probe(self)
 
     def on_receive(self, handler: ReceiveHandler) -> None:
         """Register a handler for every frame addressed to this host."""
@@ -50,10 +49,9 @@ class Host(Device):
             # Frame flooded to us but not ours: drop silently like a NIC
             # without promiscuous mode.
             return
-        self.rx_count += 1
         self._m_rx.inc()
-        if self._tel is not None:
-            self._tel.on_deliver(packet)
+        if self._hub is not None:
+            self._hub.finish_postcard(packet, self.name, self.sim.now)
         if self.record_received:
             self.received.append(packet)
         for handler in self._handlers:
@@ -84,9 +82,9 @@ class Host(Device):
             created_ns=self.sim.now,
             sequence=sequence,
         )
-        self.tx_count += 1
         self._m_tx.inc()
-        if self._tel is not None:
-            self._tel.on_send(packet)
+        hub = self._hub
+        if hub is not None and hub.sampled(packet):
+            hub.begin_postcard(packet, self.sim.now)
         self.ports[0 if port_index is None else port_index].send(packet)
         return packet

@@ -65,10 +65,6 @@ class Port:
         self._tx_cache_bw = 0.0
         #: Set by ``Link.__init__``; the port on the far end of our link.
         self._peer_port: Optional[Port] = None
-        self.tx_frames = 0
-        self.rx_frames = 0
-        self.tx_bytes = 0
-        self.rx_bytes = 0
         # One shared per-frame serialization-time histogram across all
         # ports (ns buckets); null and free when observability is off.
         self._m_tx_ns = get_registry().histogram("net.port.tx_ns")
@@ -151,8 +147,6 @@ class Port:
             tel.on_transmit(packet, tx_ns)
         end_ns = self.sim.now + tx_ns
         self.busy_until_ns = end_ns
-        self.tx_frames += 1
-        self.tx_bytes += wire
         link.propagate(packet, self, end_ns)
 
     def _arm_wake(self) -> None:
@@ -177,8 +171,6 @@ class Port:
             link._lost(packet)
         ):
             return
-        self.rx_frames += 1
-        self.rx_bytes += packet.wire_size_bytes
         self.device.receive(packet, self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -220,8 +212,9 @@ class Link:
         self._m_transitions = get_registry().counter(
             "net.link.state_changes", link=self.name
         )
-        # Flight-recorder probe for state transitions (None when off).
-        self._tel = get_telemetry().link_probe(self)
+        # State transitions go to the flight recorder (None when off).
+        hub = get_telemetry()
+        self._hub = hub if hub.enabled else None
 
     @property
     def name(self) -> str:
@@ -269,8 +262,8 @@ class Link:
         """Restore the link and restart any stalled transmissions."""
         if not self.up:
             self._m_transitions.inc()
-            if self._tel is not None:
-                self._tel.on_state(up=True)
+            if self._hub is not None:
+                self._hub.flight.note(self.name, self.sim.now, "link.up")
             self._transitions.append((self.sim.now, True))
         self.up = True
         self.port_a.try_transmit()
@@ -286,8 +279,8 @@ class Link:
         """
         if self.up:
             self._m_transitions.inc()
-            if self._tel is not None:
-                self._tel.on_state(up=False)
+            if self._hub is not None:
+                self._hub.flight.note(self.name, self.sim.now, "link.down")
             self._transitions.append((self.sim.now, False))
         self.up = False
 

@@ -42,18 +42,18 @@ class QueueDiscipline(Protocol):
 class FifoQueue:
     """Single FIFO with a finite capacity (drop-tail)."""
 
+    drops = property(lambda self: self._m_drops.value)
+
     def __init__(self, capacity: int = 1000) -> None:
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
         self._queue: deque[Packet] = deque()
-        self.drops = 0
         # Queues carry no identity, so drops aggregate per discipline kind.
         self._m_drops = get_registry().counter("net.queue.drops", kind="fifo")
 
     def enqueue(self, packet: Packet) -> bool:
         if len(self._queue) >= self.capacity:
-            self.drops += 1
             self._m_drops.inc()
             return False
         self._queue.append(packet)
@@ -80,6 +80,7 @@ class StrictPriorityQueue:
     """
 
     PCP_LEVELS = 8
+    drops = property(lambda self: self._m_drops.value)
 
     def __init__(self, capacity_per_class: int = 500) -> None:
         if capacity_per_class < 1:
@@ -92,7 +93,6 @@ class StrictPriorityQueue:
         #: occupied priority, making dequeue O(1) instead of an 8-way scan.
         self._occupied = 0
         self._size = 0
-        self.drops = 0
         self._m_drops = get_registry().counter(
             "net.queue.drops", kind="strict_priority"
         )
@@ -101,7 +101,6 @@ class StrictPriorityQueue:
         pcp = packet.pcp
         queue = self._queues[pcp]
         if len(queue) >= self.capacity_per_class:
-            self.drops += 1
             self._m_drops.inc()
             return False
         queue.append(packet)

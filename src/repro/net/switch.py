@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..obs import get_registry, get_telemetry
+from ..obs import get_registry
 from ..simcore import Simulator
 from .device import Device
 from .link import Port
@@ -30,6 +30,9 @@ class Switch(Device):
     """A learning switch with per-port strict-priority egress queues."""
 
     folds_processing = True
+    forwarded_frames = property(lambda self: self._m_forwarded.value)
+    flooded_frames = property(lambda self: self._m_flooded.value)
+    filtered_frames = property(lambda self: self._m_filtered.value)
 
     def __init__(
         self,
@@ -48,9 +51,6 @@ class Switch(Device):
         self.forwarding_table: dict[str, int] = {}
         self._learned: dict[str, int] = {}
         self.learning_enabled = True
-        self.forwarded_frames = 0
-        self.flooded_frames = 0
-        self.filtered_frames = 0
         registry = get_registry()
         self._m_forwarded = registry.counter(
             "net.switch.frames", switch=name, outcome="forwarded"
@@ -61,8 +61,6 @@ class Switch(Device):
         self._m_filtered = registry.counter(
             "net.switch.frames", switch=name, outcome="filtered"
         )
-        # INT ingress-stamp probe (None when the telemetry plane is off).
-        self._tel = get_telemetry().switch_probe(self)
 
     def add_port(self, queue: QueueDiscipline | None = None) -> Port:
         """Attach a port, defaulting to this switch's queue factory."""
@@ -85,8 +83,8 @@ class Switch(Device):
         The link calls this ``processing_delay_ns`` after the frame arrived
         at ``packet.arrival_ns``; ingress observers get that arrival time.
         """
-        if self._tel is not None:
-            self._tel.on_ingress(packet, packet.arrival_ns)
+        if self._hub is not None:
+            self._hub.stamp_ingress(packet, self.name, packet.arrival_ns)
         if self.learning_enabled and packet.src:
             self._learned[packet.src] = in_port.index
         out_index = self.forwarding_table.get(packet.dst)
@@ -98,15 +96,12 @@ class Switch(Device):
         if out_index == in_port.index:
             # Destination is back where the frame came from: filter it, as a
             # real bridge would.
-            self.filtered_frames += 1
             self._m_filtered.inc()
             return
-        self.forwarded_frames += 1
         self._m_forwarded.inc()
         self.ports[out_index].send(packet)
 
     def _flood(self, packet: Packet, in_port: Port) -> None:
-        self.flooded_frames += 1
         self._m_flooded.inc()
         for port in self.ports:
             if port.index != in_port.index and port.link is not None:

@@ -2,9 +2,9 @@
 
 Two facets, one activation model:
 
-- **Metrics** — labelled :class:`Counter` / :class:`Gauge` /
-  :class:`Histogram` instruments in a :class:`MetricsRegistry`
-  (:mod:`repro.obs.metrics`).
+- **Metrics** — labelled :class:`Counter` cells and :class:`Histogram`
+  instruments in a :class:`MetricsRegistry`, which sums the cells of a
+  key at snapshot (:mod:`repro.obs.metrics`).
 - **Tracing** — a :class:`Tracer` of spans and instants, exportable as
   Chrome trace-event JSON (Perfetto / ``chrome://tracing``) and JSONL
   (:mod:`repro.obs.tracing`).  Each simulator ``run`` records one
@@ -35,7 +35,6 @@ from .metrics import (
     DEFAULT_NS_EDGES,
     NULL_REGISTRY,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     NullRegistry,
@@ -76,7 +75,6 @@ __all__ = [
     "NULL_TRACER",
     "Counter",
     "FlightRecorder",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NullRegistry",

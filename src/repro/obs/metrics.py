@@ -1,4 +1,4 @@
-"""Labelled metrics: counters, gauges, fixed-bucket histograms, registry.
+"""Labelled metrics: counters, fixed-bucket histograms, registry.
 
 The instruments follow the Prometheus naming model — a metric is identified
 by a *name* plus a sorted set of ``label=value`` pairs — but are optimized
@@ -15,10 +15,17 @@ registry and hold the reference::
     ...
     self._m_forwarded.inc()
 
+A :class:`Counter` is one owner's cell: every ``counter()`` call returns a
+fresh cell, so a device whose public count is a property over its cell
+reads its own count even when another device shares its name.  The
+registry files each cell under its ``(name, labels)`` key and sums the
+cells of a key at :meth:`MetricsRegistry.snapshot`.  Histograms are shared
+get-or-create instruments, one per key.
+
 When observability is disabled (the default), :func:`repro.obs.get_registry`
-returns the :class:`NullRegistry`, whose counters and gauges are *real but
-unregistered* instruments (so components backed by them keep counting) and
-whose histograms are a shared no-op — the hot-path cost reduces to a single
+returns the :class:`NullRegistry`, whose counters are the same cells left
+unfiled (so devices count alike with or without a capture) and whose
+histograms are a shared no-op — the hot-path cost reduces to a single
 ``pass`` method call.
 
 Histogram bucket edges are nanosecond-valued and fixed at construction.
@@ -66,52 +73,19 @@ def _label_key(labels: dict[str, Any]) -> str:
 
 
 class Counter:
-    """A monotonically increasing labelled counter."""
+    """One owner's count; the registry sums the cells that share a key."""
 
-    __slots__ = ("name", "labels", "value")
-    kind = "counter"
+    __slots__ = ("value",)
 
-    def __init__(self, name: str, labels: dict[str, Any] | None = None) -> None:
-        self.name = name
-        self.labels = dict(labels or {})
+    def __init__(self) -> None:
         self.value = 0
 
     def inc(self, amount: int = 1) -> None:
         """Add ``amount`` (which must not be negative)."""
         self.value += amount
 
-    def snapshot(self) -> int:
-        return self.value
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Counter({self.name}{_label_key(self.labels)}={self.value})"
-
-
-class Gauge:
-    """A labelled value that can go up and down."""
-
-    __slots__ = ("name", "labels", "value")
-    kind = "gauge"
-
-    def __init__(self, name: str, labels: dict[str, Any] | None = None) -> None:
-        self.name = name
-        self.labels = dict(labels or {})
-        self.value = 0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def inc(self, amount: float = 1) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1) -> None:
-        self.value -= amount
-
-    def snapshot(self) -> float:
-        return self.value
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Gauge({self.name}{_label_key(self.labels)}={self.value})"
+        return f"Counter({self.value})"
 
 
 class Histogram:
@@ -123,7 +97,6 @@ class Histogram:
     """
 
     __slots__ = ("name", "labels", "edges", "counts", "count", "sum", "min", "max")
-    kind = "histogram"
 
     def __init__(
         self,
@@ -232,7 +205,6 @@ class _NullHistogram:
     """Shared do-nothing histogram handed out while observability is off."""
 
     __slots__ = ()
-    kind = "histogram"
 
     def observe(self, value: float) -> None:
         pass
@@ -241,101 +213,92 @@ class _NullHistogram:
 NULL_HISTOGRAM = _NullHistogram()
 
 
-class MetricsRegistry:
-    """Get-or-create store of labelled instruments.
+#: ``(name, sorted label items)``: the identity of one metric.
+_Key = tuple[str, tuple[tuple[str, Any], ...]]
 
-    Instruments are keyed by ``(name, sorted labels)``; asking twice with the
-    same identity returns the same object, so independent components
-    naturally share an aggregate (e.g. every FIFO queue increments the one
-    ``net.queue.drops{kind=fifo}`` counter).
+
+class MetricsRegistry:
+    """Store of labelled instruments, keyed by ``(name, sorted labels)``.
+
+    :meth:`counter` files a fresh cell under its key on every call, and
+    :meth:`snapshot` reports the sum of a key's cells — every FIFO queue
+    owns its own drop cell, and ``net.queue.drops{kind=fifo}`` is their
+    total.  :meth:`histogram` is get-or-create: asking twice with the same
+    identity returns the same object.  A key holds one kind only.
     """
 
     def __init__(self) -> None:
-        self._metrics: dict[tuple[str, tuple[tuple[str, Any], ...]], Any] = {}
-
-    def _get(self, factory, name: str, labels: dict[str, Any], **kwargs):
-        key = (name, tuple(sorted(labels.items())))
-        metric = self._metrics.get(key)
-        if metric is None:
-            metric = factory(name, labels, **kwargs)
-            self._metrics[key] = metric
-            return metric
-        if metric.kind != factory.kind:
-            raise ValueError(
-                f"metric {name!r}{_label_key(labels)} already registered "
-                f"as a {metric.kind}"
-            )
-        return metric
+        self._cells: dict[_Key, list[Counter]] = {}
+        self._histograms: dict[_Key, Histogram] = {}
 
     def counter(self, name: str, **labels: Any) -> Counter:
-        return self._get(Counter, name, labels)
-
-    def gauge(self, name: str, **labels: Any) -> Gauge:
-        return self._get(Gauge, name, labels)
+        key = (name, tuple(sorted(labels.items())))
+        if key in self._histograms:
+            raise ValueError(
+                f"metric {name!r}{_label_key(labels)} already registered "
+                f"as a histogram"
+            )
+        cell = Counter()
+        self._cells.setdefault(key, []).append(cell)
+        return cell
 
     def histogram(
         self, name: str, edges: Sequence[int] | None = None, **labels: Any
     ) -> Histogram:
-        return self._get(Histogram, name, labels, edges=edges)
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def __iter__(self):
-        return iter(self._metrics.values())
+        key = (name, tuple(sorted(labels.items())))
+        histogram = self._histograms.get(key)
+        if histogram is None:
+            if key in self._cells:
+                raise ValueError(
+                    f"metric {name!r}{_label_key(labels)} already registered "
+                    f"as a counter"
+                )
+            histogram = self._histograms[key] = Histogram(name, labels, edges)
+        return histogram
 
     def snapshot(self) -> dict[str, Any]:
-        """JSON-ready view: ``{"counters": {...}, "gauges": {}, "histograms": {}}``.
+        """JSON-ready view: ``{"counters": {...}, "histograms": {...}}``.
 
-        Keys are ``name{label=value,...}`` strings, values are the
-        instrument snapshots (plain ints for counters/gauges, a bucket dict
-        for histograms).  Every section is key-sorted — registration order
-        depends on component construction order, and a stable export is
-        what lets manifests, reports, and goldens diff cleanly.
+        Keys are ``name{label=value,...}`` strings; a counter's value is
+        the sum of its key's cells, a histogram's is its bucket dict.  Both
+        sections are key-sorted — registration order depends on component
+        construction order, and a stable export is what lets manifests,
+        reports, and goldens diff cleanly.
         """
-        out: dict[str, dict[str, Any]] = {
-            "counters": {},
-            "gauges": {},
-            "histograms": {},
+        counters = {
+            name + _label_key(dict(labels)): sum(cell.value for cell in cells)
+            for (name, labels), cells in self._cells.items()
         }
-        for metric in sorted(
-            self._metrics.values(),
-            key=lambda m: f"{m.name}{_label_key(m.labels)}",
-        ):
-            key = f"{metric.name}{_label_key(metric.labels)}"
-            out[metric.kind + "s"][key] = metric.snapshot()
-        return out
+        histograms = {
+            name + _label_key(dict(labels)): histogram.snapshot()
+            for (name, labels), histogram in self._histograms.items()
+        }
+        return {
+            "counters": dict(sorted(counters.items())),
+            "histograms": dict(sorted(histograms.items())),
+        }
 
 
 class NullRegistry:
     """Registry stand-in used while observability is disabled.
 
-    Counters and gauges are *real* but unregistered instances — components
-    that expose their counts through them keep working with or without an
-    active capture — while histograms collapse to the shared no-op, since
-    pure-telemetry observations would otherwise pay bucket search on every
-    packet.
+    Counters are the same cells a live registry hands out, left unfiled —
+    devices whose counts are properties over their cells count alike with
+    or without an active capture — while histograms collapse to the
+    shared no-op, since pure-telemetry observations would otherwise pay
+    bucket search on every packet.
     """
 
     def counter(self, name: str, **labels: Any) -> Counter:
-        return Counter(name, labels)
-
-    def gauge(self, name: str, **labels: Any) -> Gauge:
-        return Gauge(name, labels)
+        return Counter()
 
     def histogram(
         self, name: str, edges: Sequence[int] | None = None, **labels: Any
     ) -> _NullHistogram:
         return NULL_HISTOGRAM
 
-    def __len__(self) -> int:
-        return 0
-
-    def __iter__(self):
-        return iter(())
-
     def snapshot(self) -> dict[str, Any]:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
+        return {"counters": {}, "histograms": {}}
 
 
 NULL_REGISTRY = NullRegistry()

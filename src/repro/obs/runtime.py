@@ -5,15 +5,17 @@ asks this module for the *active* one::
 
     from repro.obs import get_registry, get_tracer
 
-    get_registry().counter("net.switch.frames", switch=name).inc()
+    self._m_crashes = get_registry().counter("plc.crashes", plc=name)
     with get_tracer().span("figure.compute", figure=name):
         ...
 
 By default nothing is active: :func:`get_registry` returns the
-:class:`~repro.obs.metrics.NullRegistry` and :func:`get_tracer` the
-:class:`~repro.obs.tracing.NullTracer`, so every call site degrades to a
-no-op.  :func:`capture` installs live instances for the duration of a
-``with`` block (the experiment runner wraps each job in one)::
+:class:`~repro.obs.metrics.NullRegistry`, whose counter cells still count
+but are filed nowhere and whose histograms do nothing, and
+:func:`get_tracer` the :class:`~repro.obs.tracing.NullTracer`, whose spans
+are no-ops.  :func:`capture` installs live instances for the duration of a
+``with`` block (the experiment runner wraps each job in one); its
+registry sums each key's cells at snapshot::
 
     with capture() as obs:
         rows = spec.run(seed=0)
@@ -58,9 +60,10 @@ def get_tracer():
 def get_telemetry():
     """The active :class:`TelemetryHub`, or the shared null hub.
 
-    Network components call this *once, at construction*: the real hub
-    hands out probe objects, the null hub hands out ``None``, and hot
-    paths guard with a single ``is not None`` test.
+    Network components call this *once, at construction*: devices and
+    links keep the hub (or ``None`` when it is not ``enabled``), ports
+    and shapers its probe objects (the null hub hands out ``None``), and
+    hot paths guard with a single ``is not None`` test.
     """
     return _telemetry_stack[-1] if _telemetry_stack else NULL_TELEMETRY
 

@@ -43,10 +43,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..net.host import Host
-    from ..net.link import Link, Port
+    from ..net.link import Port
     from ..net.packet import Packet
-    from ..net.switch import Switch
     from ..tsn.shaper import TimeAwareShaper
 
 TELEMETRY_SCHEMA = "repro.obs/telemetry/v1"
@@ -243,53 +241,6 @@ class PortProbe:
         self._busy_ring.record(self.port.sim.now, self.busy_ns)
 
 
-class SwitchProbe:
-    """INT ingress stamping for one switch."""
-
-    __slots__ = ("hub", "switch")
-
-    def __init__(self, hub: "TelemetryHub", switch: "Switch") -> None:
-        self.hub = hub
-        self.switch = switch
-
-    def on_ingress(self, packet: "Packet", arrival_ns: int) -> None:
-        self.hub.stamp_ingress(packet, self.switch.name, arrival_ns)
-
-
-class HostProbe:
-    """Postcard begin/finish hooks for one host."""
-
-    __slots__ = ("hub", "host")
-
-    def __init__(self, hub: "TelemetryHub", host: "Host") -> None:
-        self.hub = hub
-        self.host = host
-
-    def on_send(self, packet: "Packet") -> None:
-        hub = self.hub
-        if hub.sampled(packet):
-            hub.begin_postcard(packet, self.host.sim.now)
-
-    def on_deliver(self, packet: "Packet") -> None:
-        self.hub.finish_postcard(packet, self.host.name, self.host.sim.now)
-
-
-class LinkProbe:
-    """Flight-recorder events for link state transitions."""
-
-    __slots__ = ("hub", "link")
-
-    def __init__(self, hub: "TelemetryHub", link: "Link") -> None:
-        self.hub = hub
-        self.link = link
-
-    def on_state(self, up: bool) -> None:
-        link = self.link
-        self.hub.flight.note(
-            link.name, link.sim.now, "link.up" if up else "link.down"
-        )
-
-
 class ShaperProbe:
     """Cumulative TSN shaper block counts as time series."""
 
@@ -318,7 +269,7 @@ class TelemetryHub:
 
     Install one with ``obs.capture(telemetry=TelemetryHub(...))`` (or
     ``telemetry=True`` for defaults) *before* building the network —
-    components resolve their probes at construction time.
+    components resolve the hub, or their probes, at construction time.
     """
 
     enabled = True
@@ -365,15 +316,6 @@ class TelemetryHub:
 
     def port_probe(self, port: "Port") -> PortProbe:
         return PortProbe(self, port)
-
-    def switch_probe(self, switch: "Switch") -> SwitchProbe:
-        return SwitchProbe(self, switch)
-
-    def host_probe(self, host: "Host") -> HostProbe:
-        return HostProbe(self, host)
-
-    def link_probe(self, link: "Link") -> LinkProbe:
-        return LinkProbe(self, link)
 
     def shaper_probe(self, shaper: "TimeAwareShaper") -> ShaperProbe:
         # Shapers carry no identity; assign them construction-order names.
@@ -611,22 +553,15 @@ class TelemetryHub:
 class NullTelemetry:
     """The inactive telemetry plane: every probe factory returns ``None``.
 
-    Components cache the ``None`` and guard their hook calls with a
-    single ``is not None`` test, which is the whole off-path cost.
+    Ports and shapers cache that ``None``; devices and links keep
+    ``None`` instead of the hub when ``enabled`` is false.  Each guards
+    its hook calls with a single ``is not None`` test, which is the whole
+    off-path cost.
     """
 
     enabled = False
 
     def port_probe(self, port: "Port") -> None:
-        return None
-
-    def switch_probe(self, switch: "Switch") -> None:
-        return None
-
-    def host_probe(self, host: "Host") -> None:
-        return None
-
-    def link_probe(self, link: "Link") -> None:
         return None
 
     def shaper_probe(self, shaper: "TimeAwareShaper") -> None:

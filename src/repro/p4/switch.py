@@ -16,7 +16,7 @@ from typing import Any, Callable
 from ..net.device import Device
 from ..net.link import Port
 from ..net.packet import Packet
-from ..obs import get_registry, get_telemetry
+from ..obs import get_registry
 from ..simcore import Simulator
 from .pipeline import P4Pipeline, PacketContext, Register, Table
 
@@ -42,6 +42,9 @@ def default_parser(packet: Packet, ingress_port: int) -> dict[str, Any]:
 class P4Switch(Device):
     """A software switch executing one P4 pipeline."""
 
+    processed_frames = property(lambda self: self._m_processed.value)
+    dropped_frames = property(lambda self: self._m_dropped.value)
+
     def __init__(
         self,
         sim: Simulator,
@@ -55,8 +58,6 @@ class P4Switch(Device):
         )
         self.processing_delay_ns = processing_delay_ns
         self._digest_listeners: list[DigestListener] = []
-        self.processed_frames = 0
-        self.dropped_frames = 0
         registry = get_registry()
         self._m_processed = registry.counter(
             "p4.switch.frames", switch=name, outcome="processed"
@@ -68,8 +69,6 @@ class P4Switch(Device):
         self.ingress_taps: list[Callable[[Packet, int], None]] = []
         #: observers called on (packet, egress_port_index)
         self.egress_taps: list[Callable[[Packet, int], None]] = []
-        # INT ingress stamping (None when telemetry is off).
-        self._tel = get_telemetry().switch_probe(self)
 
     # -- control-plane API ---------------------------------------------------
 
@@ -96,8 +95,8 @@ class P4Switch(Device):
     # -- data plane ----------------------------------------------------------
 
     def receive(self, packet: Packet, in_port: Port) -> None:
-        if self._tel is not None:
-            self._tel.on_ingress(packet, self.sim.now)
+        if self._hub is not None:
+            self._hub.stamp_ingress(packet, self.name, self.sim.now)
         for tap in self.ingress_taps:
             tap(packet, in_port.index)
         self.sim.schedule(
@@ -106,7 +105,6 @@ class P4Switch(Device):
         )
 
     def _process(self, packet: Packet, ingress_index: int) -> None:
-        self.processed_frames += 1
         self._m_processed.inc()
         ctx = self.pipeline.process(packet, ingress_index)
         for digest_data in ctx.digests:
@@ -116,9 +114,9 @@ class P4Switch(Device):
             if not 0 <= egress_index < len(self.ports):
                 continue
             clone = ctx.packet.copy_for_replication()
-            if self._tel is not None:
+            if self._hub is not None:
                 # A sampled ingress frame's postcard follows the copy.
-                self._tel.hub.transfer(ctx.packet, clone)
+                self._hub.transfer(ctx.packet, clone)
             for field_name, value in overrides.items():
                 if field_name not in REWRITABLE_FIELDS:
                     raise ValueError(f"cannot rewrite field {field_name!r}")
@@ -128,15 +126,14 @@ class P4Switch(Device):
             self.ports[egress_index].send(clone)
         if ctx.dropped or not ctx.egress_ports:
             if not ctx.clones:
-                self.dropped_frames += 1
                 self._m_dropped.inc()
             return
         for egress_index in ctx.egress_ports:
             if not 0 <= egress_index < len(self.ports):
                 continue
             out = self._deparse(ctx)
-            if self._tel is not None:
-                self._tel.hub.transfer(ctx.packet, out)
+            if self._hub is not None:
+                self._hub.transfer(ctx.packet, out)
             for tap in self.egress_taps:
                 tap(out, egress_index)
             self.ports[egress_index].send(out)

@@ -524,7 +524,7 @@ def run_jobs(
             records=[o.record for o in outcomes if o is not None],
         )
         tmp = checkpoint.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(manifest.to_json() + "\n")
+        tmp.write_text(manifest.to_json(indent=None) + "\n")
         os.replace(tmp, checkpoint)
         recorder.checkpoint(
             done=sum(1 for o in outcomes if o is not None),

@@ -50,7 +50,6 @@ it cost.  The JSON schema (``repro.runner/manifest/v3``)::
           //    tracing enabled; see repro.obs) ----------------------------
           "metrics": {               // repro.obs MetricsRegistry.snapshot()
             "counters": {"net.host.frames{direction=rx,host=io}": 401, ...},
-            "gauges": {},
             "histograms": {"net.port.tx_ns": {"edges": [...], "counts": [...],
                            "count": 1692, "sum": ..., "min": ..., "max": ...}}
           },

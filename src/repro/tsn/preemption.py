@@ -126,8 +126,6 @@ class _PreemptingPort:
         self._fragment_sent()
         self._current = None
         self._finish_event = None
-        port.tx_frames += 1
-        port.tx_bytes += packet.wire_size_bytes
         if port.link is not None:
             port.link.propagate(packet, port, port.sim.now)
         self._try_transmit()

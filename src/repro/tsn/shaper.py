@@ -18,11 +18,12 @@ from .gcl import GateControlList
 class TimeAwareShaper:
     """Gate-driven transmission selection for one egress port."""
 
+    guard_band_blocks = property(lambda self: self._m_guard_band.value)
+    gate_closed_blocks = property(lambda self: self._m_gate_closed.value)
+
     def __init__(self, gcl: GateControlList) -> None:
         gcl.validate()
         self.gcl = gcl
-        self.guard_band_blocks = 0
-        self.gate_closed_blocks = 0
         registry = get_registry()
         self._m_guard_band = registry.counter(
             "tsn.shaper.blocks", reason="guard_band"
@@ -63,7 +64,6 @@ class TimeAwareShaper:
             if tx_ns > window:
                 # Guard band: this frame cannot finish before its gate
                 # closes; hold it and consider lower-priority queues.
-                self.guard_band_blocks += 1
                 self._m_guard_band.inc()
                 if self._tel is not None:
                     self._tel.on_guard_band(now_ns)
@@ -71,7 +71,6 @@ class TimeAwareShaper:
                 continue
             return queue.dequeue_from([pcp]), None
         if not any_blocked:
-            self.gate_closed_blocks += 1
             self._m_gate_closed.inc()
             if self._tel is not None:
                 self._tel.on_gate_closed(now_ns)

@@ -21,6 +21,7 @@ import pytest
 
 from repro.chaos import get_chaos_spec
 from repro.figures import get_spec
+from repro.runner import Job, run_jobs
 
 GOLDEN_DIR = Path(__file__).parent
 
@@ -36,6 +37,8 @@ CASES = {
     "chaos-link-flaps": {"horizon_s": 600.0},
 }
 SEED = 0
+#: The metrics snapshot of one traced fig5 job at its default parameters.
+METRICS_GOLDEN = GOLDEN_DIR / "fig5_metrics.golden.json"
 
 
 def summarize(rows):
@@ -110,10 +113,30 @@ def test_figure_matches_golden_snapshot(figure, update_golden):
     )
 
 
+def test_traced_fig5_metrics_match_golden(tmp_path, update_golden):
+    # Every counter and histogram of a traced job, as the manifest embeds
+    # them: device counts, their per-key sums and the tx-time buckets.
+    result = run_jobs([Job("fig5", SEED)], workers=1, trace_dir=tmp_path)
+    (record,) = result.manifest.records
+    if update_golden:
+        METRICS_GOLDEN.write_text(
+            json.dumps(record.metrics, indent=2, sort_keys=True) + "\n"
+        )
+        pytest.skip(f"rewrote {METRICS_GOLDEN.name}")
+    golden = json.loads(METRICS_GOLDEN.read_text())
+    differences = diff_summaries(golden, record.metrics)
+    assert not differences, (
+        f"fig5 metrics diverged from {METRICS_GOLDEN.name} "
+        f"(if intentional, rerun with --update-golden):\n"
+        + "\n".join(differences)
+    )
+
+
 def test_no_orphaned_snapshots():
     # Every stored snapshot must correspond to a live case, so stale
     # files cannot silently rot in the directory.
     expected = {golden_path(figure).name for figure in CASES}
+    expected.add(METRICS_GOLDEN.name)
     present = {path.name for path in GOLDEN_DIR.glob("*.golden.json")}
     assert present <= expected, f"orphaned: {sorted(present - expected)}"
 

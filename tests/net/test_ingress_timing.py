@@ -75,13 +75,6 @@ class TestIngressOracle:
             ("h0", 0, SW_ARRIVAL_NS, SW_ARRIVAL_NS + PROCESSING_NS)
         ]
 
-    def test_port_rx_counters_count_the_frame(self):
-        sim = Simulator()
-        _, h0, sw, _ = h0_sw_h1(sim)
-        h0.send("h1", payload_bytes=20)
-        sim.run()
-        assert (sw.ports[0].rx_frames, sw.ports[0].rx_bytes) == (1, 84)
-
 
 def wire_bytes(payload_bytes):
     """Ethernet accounting: 22 B header/tag/FCS, 64 B minimum, 20 B gap."""

@@ -80,12 +80,15 @@ class TestLinkTiming:
         assert [p.sequence for p in received] == [1, 3, 5]
 
     def test_port_counters(self):
-        sim, a, b, _ = two_hosts()
-        a.send("b", payload_bytes=20)
-        sim.run()
-        assert a.ports[0].tx_frames == 1
-        assert b.ports[0].rx_frames == 1
-        assert a.ports[0].tx_bytes == 84
+        with obs.capture(
+            metrics=False, tracing=False, telemetry=TelemetryHub(interval=1)
+        ):
+            sim, a, b, _ = two_hosts()
+            a.send("b", payload_bytes=20)
+            sim.run()
+        assert a.ports[0]._tel.tx_bytes == 84
+        assert b.ports[0]._tel.tx_bytes == 0
+        assert (a.tx_count, b.rx_count) == (1, 1)
 
 
 class TestHost:

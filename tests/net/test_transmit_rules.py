@@ -40,7 +40,7 @@ class TestLinkStateAtSerializationEnd:
         sim.run()
         assert received == []
         assert link.lost_frames == 1
-        assert a.ports[0].tx_frames == 1
+        assert a.ports[0].busy_until_ns == BIG_TX_NS
 
     def test_down_and_restored_within_serialization_keeps_the_frame(self):
         sim, a, link, received = two_hosts()
@@ -194,8 +194,8 @@ class TestTelemetryPerPort:
         for port, offset in ((h0.ports[0], 0), (sw.ports[1], 2_172)):
             probe = port._tel
             assert probe.busy_ns == self.FRAMES * 672
-            assert probe.tx_bytes == port.tx_bytes == self.FRAMES * 84
-            assert port.tx_frames == self.FRAMES
+            assert probe.tx_bytes == self.FRAMES * 84
+            assert probe._bytes_ring.observed == self.FRAMES
             assert probe._busy_ring.last == (
                 last_start + offset, self.FRAMES * 672
             )

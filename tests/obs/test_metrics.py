@@ -6,7 +6,6 @@ from repro.obs import (
     DEFAULT_NS_EDGES,
     NULL_REGISTRY,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     fixed_width_edges,
@@ -14,20 +13,12 @@ from repro.obs import (
 from repro.obs.metrics import NULL_HISTOGRAM
 
 
-class TestCounterGauge:
+class TestCounter:
     def test_counter_increments(self):
-        counter = Counter("c")
+        counter = Counter()
         counter.inc()
         counter.inc(4)
         assert counter.value == 5
-        assert counter.snapshot() == 5
-
-    def test_gauge_moves_both_ways(self):
-        gauge = Gauge("g")
-        gauge.set(10)
-        gauge.inc(2)
-        gauge.dec(5)
-        assert gauge.value == 7
 
 
 class TestHistogram:
@@ -91,36 +82,50 @@ class TestHistogram:
 class TestRegistry:
     def test_same_identity_shares_instrument(self):
         registry = MetricsRegistry()
+        a = registry.histogram("lat_ns", switch="sw0", outcome="fwd")
+        b = registry.histogram("lat_ns", outcome="fwd", switch="sw0")
+        assert a is b  # label order does not matter
+        assert registry.histogram("lat_ns", switch="sw1", outcome="fwd") is not a
+
+    def test_counters_are_per_owner_cells_summed_at_snapshot(self):
+        registry = MetricsRegistry()
         a = registry.counter("frames", switch="sw0", outcome="fwd")
         b = registry.counter("frames", outcome="fwd", switch="sw0")
-        assert a is b  # label order does not matter
-        assert registry.counter("frames", switch="sw1", outcome="fwd") is not a
+        assert a is not b
+        a.inc(2)
+        b.inc(3)
+        registry.counter("frames", switch="sw1", outcome="fwd")
+        assert (a.value, b.value) == (2, 3)
+        assert registry.snapshot()["counters"] == {
+            "frames{outcome=fwd,switch=sw0}": 5,
+            "frames{outcome=fwd,switch=sw1}": 0,
+        }
 
     def test_kind_conflict_rejected(self):
         registry = MetricsRegistry()
         registry.counter("x")
         with pytest.raises(ValueError, match="counter"):
-            registry.gauge("x")
+            registry.histogram("x")
+        registry.histogram("y")
+        with pytest.raises(ValueError, match="histogram"):
+            registry.counter("y")
 
     def test_snapshot_keys_and_groups(self):
         registry = MetricsRegistry()
         registry.counter("frames", switch="sw0").inc(3)
-        registry.gauge("depth").set(2)
         registry.histogram("lat_ns").observe(150)
         snap = registry.snapshot()
+        assert set(snap) == {"counters", "histograms"}
         assert snap["counters"] == {"frames{switch=sw0}": 3}
-        assert snap["gauges"] == {"depth": 2}
         assert snap["histograms"]["lat_ns"]["count"] == 1
 
     def test_null_registry_hands_out_working_counters(self):
         counter = NULL_REGISTRY.counter("c", k="v")
         counter.inc()
+        assert type(counter) is Counter
         assert counter.value == 1
         # but nothing is retained:
-        assert len(NULL_REGISTRY) == 0
-        assert NULL_REGISTRY.snapshot() == {
-            "counters": {}, "gauges": {}, "histograms": {},
-        }
+        assert NULL_REGISTRY.snapshot() == {"counters": {}, "histograms": {}}
 
     def test_null_registry_histogram_is_shared_noop(self):
         hist = NULL_REGISTRY.histogram("h")

@@ -57,7 +57,7 @@ class TestCapture:
             get_registry().counter("c").inc()
         with capture(registry=registry, tracer=tracer):
             get_registry().counter("c").inc()
-        assert registry.counter("c").value == 2
+        assert registry.snapshot()["counters"] == {"c": 2}
 
 
 class TestSimulatorIntegration:
@@ -108,3 +108,29 @@ class TestSimulatorIntegration:
         )
         assert forwarded == 1
         assert snap["histograms"]["net.port.tx_ns"]["count"] > 0
+
+    def test_same_named_switches_count_apart_and_sum_in_snapshot(self):
+        # One capture can build several deployments that reuse device
+        # names: each switch reads its own count, the snapshot their sum.
+        from repro.net import Topology
+        from repro.simcore import MS
+
+        switches = []
+        with capture() as cap:
+            for frames in (2, 3):
+                sim = Simulator(seed=0)
+                topo = Topology(sim)
+                h0, h1 = topo.add_host("h0"), topo.add_host("h1")
+                sw = topo.add_switch("agg")
+                topo.connect(h0, sw)
+                topo.connect(sw, h1)
+                sw.install_route("h1", 1)
+                for sequence in range(frames):
+                    h0.send("h1", payload_bytes=50, sequence=sequence)
+                sim.run(until=1 * MS)
+                switches.append(sw)
+        assert [sw.forwarded_frames for sw in switches] == [2, 3]
+        counters = cap.registry.snapshot()["counters"]
+        assert counters["net.switch.frames{outcome=forwarded,switch=agg}"] == 5
+        assert counters["net.host.frames{direction=rx,host=h1}"] == 5
+

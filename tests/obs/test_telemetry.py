@@ -258,15 +258,14 @@ class TestWiring:
         host = topo.add_host("h")
         sw = topo.add_switch("s")
         link = topo.connect(host, sw)
-        assert host._tel is None
-        assert sw._tel is None
-        assert link._tel is None
+        assert host._hub is None
+        assert sw._hub is None
+        assert link._hub is None
         assert all(p._tel is None for p in host.ports + sw.ports)
 
     def test_null_hub_is_disabled_and_probe_free(self):
         assert NULL_TELEMETRY.enabled is False
         assert NULL_TELEMETRY.port_probe(None) is None
-        assert NULL_TELEMETRY.host_probe(None) is None
         assert NULL_TELEMETRY.shaper_probe(None) is None
 
     def test_shaper_series_record_the_shapers_own_counts(self):

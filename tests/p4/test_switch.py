@@ -94,11 +94,13 @@ class TestForwarding:
         )
         table = switch.pipeline.add_table(Table("t", key_fields=["dst"]))
         table.insert(["h1"], "flood")
+        egress = []
+        switch.egress_taps.append(lambda packet, index: egress.append(index))
         # dst stays h1, so only h1 accepts; h2 gets the frame but drops it.
         hosts[0].send("h1", payload_bytes=50)
         sim.run(until=1 * MS)
         assert len(hosts[1].received) == 1
-        assert switch.ports[2].tx_frames == 1
+        assert egress == [1, 2]
 
 
 class TestControlPlaneApi:

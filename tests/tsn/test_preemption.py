@@ -163,7 +163,7 @@ class TestTelemetry:
         fragments = [2_000, 704, (1_192 + 12) * 8]
         probe = port._tel
         assert probe.busy_ns == sum(fragments)
-        assert probe.tx_bytes == port.tx_bytes == 1_442 + 88
+        assert probe.tx_bytes == 1_442 + 88
         histogram = handle.registry.histogram("net.port.tx_ns")
         assert (histogram.count, histogram.sum) == (3, sum(fragments))
 
