@@ -15,18 +15,13 @@ from .platform import (
     VPLC_STOCK_KERNEL,
 )
 from .program import (
-    And,
     Block,
     Ctu,
     FunctionBlockProgram,
     Lambda,
     Limit,
-    Not,
-    Or,
     Pid,
-    Scale,
     Ton,
-    Wire,
     passthrough_program,
 )
 from .redundancy import (
@@ -41,7 +36,6 @@ from .redundancy import (
 from .runtime import PlcRuntime, ScanStats
 
 __all__ = [
-    "And",
     "Block",
     "Ctu",
     "FailoverRecord",
@@ -54,18 +48,14 @@ __all__ = [
     "KubernetesFailoverModel",
     "Lambda",
     "Limit",
-    "Not",
-    "Or",
     "PLATFORMS",
     "Pid",
     "PlatformModel",
     "PlcRuntime",
     "RedundantPlcPair",
-    "Scale",
     "ScanStats",
     "Ton",
     "VPLC_PREEMPT_RT",
     "VPLC_STOCK_KERNEL",
-    "Wire",
     "passthrough_program",
 ]

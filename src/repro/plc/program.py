@@ -2,8 +2,9 @@
 
 A PLC's application logic is expressed as a network of function blocks
 wired output-to-input, executed once per scan cycle in topological order.
-The block library covers what the examples need — boolean logic, timers,
-counters, PID, scaling — without pretending to be a full 61131 runtime.
+The block library covers what the examples need — timers, counters, PID,
+clamping, and :class:`Lambda` for anything else — without pretending to be
+a full 61131 runtime.
 """
 
 from __future__ import annotations
@@ -22,9 +23,6 @@ class Block:
         """Produce outputs from inputs; ``dt_s`` is the scan period."""
         raise NotImplementedError
 
-    def reset(self) -> None:
-        """Clear internal state (default: stateless)."""
-
 
 class Lambda(Block):
     """Wrap a plain function ``f(inputs) -> outputs`` as a block."""
@@ -35,39 +33,6 @@ class Lambda(Block):
 
     def evaluate(self, inputs: dict[str, Any], dt_s: float) -> dict[str, Any]:
         return self._fn(inputs)
-
-
-class And(Block):
-    """Boolean AND over every input value."""
-
-    def evaluate(self, inputs: dict[str, Any], dt_s: float) -> dict[str, Any]:
-        return {"out": all(bool(v) for v in inputs.values())}
-
-
-class Or(Block):
-    """Boolean OR over every input value."""
-
-    def evaluate(self, inputs: dict[str, Any], dt_s: float) -> dict[str, Any]:
-        return {"out": any(bool(v) for v in inputs.values())}
-
-
-class Not(Block):
-    """Boolean negation of input ``in``."""
-
-    def evaluate(self, inputs: dict[str, Any], dt_s: float) -> dict[str, Any]:
-        return {"out": not bool(inputs.get("in"))}
-
-
-class Scale(Block):
-    """Linear scaling: ``out = in * gain + offset``."""
-
-    def __init__(self, name: str, gain: float = 1.0, offset: float = 0.0) -> None:
-        super().__init__(name)
-        self.gain = gain
-        self.offset = offset
-
-    def evaluate(self, inputs: dict[str, Any], dt_s: float) -> dict[str, Any]:
-        return {"out": float(inputs.get("in", 0.0)) * self.gain + self.offset}
 
 
 class Limit(Block):
@@ -102,9 +67,6 @@ class Ton(Block):
             self._elapsed_s = 0.0
         return {"q": self._elapsed_s >= self.pt_s, "et": self._elapsed_s}
 
-    def reset(self) -> None:
-        self._elapsed_s = 0.0
-
 
 class Ctu(Block):
     """Count-up counter (CTU) with rising-edge detection and preset ``pv``."""
@@ -123,10 +85,6 @@ class Ctu(Block):
             self._count += 1
         self._last_cu = cu
         return {"q": self._count >= self.pv, "cv": self._count}
-
-    def reset(self) -> None:
-        self._count = 0
-        self._last_cu = False
 
 
 class Pid(Block):
@@ -166,10 +124,6 @@ class Pid(Block):
         self._last_error = error
         return {"out": clamped, "error": error}
 
-    def reset(self) -> None:
-        self._integral = 0.0
-        self._last_error = None
-
 
 @dataclass(frozen=True)
 class Wire:
@@ -194,6 +148,10 @@ class FunctionBlockProgram:
     wires: list[Wire] = field(default_factory=list)
     input_map: dict[str, tuple[str, str]] = field(default_factory=dict)
     output_map: dict[str, tuple[str, str]] = field(default_factory=dict)
+    # Each block's outputs from the previous scan, read by cyclic wires.
+    _last_outputs: dict[str, dict[str, Any]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def add_block(self, block: Block) -> Block:
         """Register a block (names must be unique)."""
@@ -241,9 +199,7 @@ class FunctionBlockProgram:
         for image_key, (block, key) in self.input_map.items():
             if image_key in image_inputs:
                 block_inputs[block][key] = image_inputs[image_key]
-        block_outputs: dict[str, dict[str, Any]] = getattr(
-            self, "_last_outputs", {name: {} for name in self.blocks}
-        )
+        block_outputs = self._last_outputs
         new_outputs: dict[str, dict[str, Any]] = {}
         for name in self._execution_order():
             for wire in self.wires:
@@ -263,13 +219,6 @@ class FunctionBlockProgram:
             if key in outputs:
                 result[image_key] = outputs[key]
         return result
-
-    def reset(self) -> None:
-        """Reset every block and forget last-scan outputs."""
-        for block in self.blocks.values():
-            block.reset()
-        if hasattr(self, "_last_outputs"):
-            del self._last_outputs
 
 
 def passthrough_program(mapping: dict[str, str]) -> FunctionBlockProgram:
