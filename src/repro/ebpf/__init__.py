@@ -3,8 +3,8 @@
 - :mod:`repro.ebpf.isa` — cost-annotated operation kinds;
 - :mod:`repro.ebpf.program` — programs, verifier checks, static cost
   bounds, and the six Figure 4 variants;
-- :mod:`repro.ebpf.executor` — per-packet execution-time sampling under
-  flow contention.
+- :mod:`repro.ebpf.executor` — the execution context: per-op cost
+  distributions under flow contention.
 """
 
 from .executor import ExecutionEnvironment

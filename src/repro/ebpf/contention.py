@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class CacheContentionModel:
@@ -31,11 +29,3 @@ class CacheContentionModel:
         """Added per-packet standard deviation at a given flow count."""
         effective = min(max(0, active_flows - 1), self.saturation_flows)
         return effective * self.per_flow_std_ns
-
-    def sample_ns(self, active_flows: int, rng: np.random.Generator) -> float:
-        """Draw the contention penalty for one packet (>= 0)."""
-        mean = self.extra_mean_ns(active_flows)
-        std = self.extra_std_ns(active_flows)
-        if mean == 0.0 and std == 0.0:
-            return 0.0
-        return max(0.0, rng.normal(mean, std))

@@ -1,18 +1,17 @@
-"""Sampling execution environment for XDP programs.
+"""The execution context of an XDP hook.
 
 The same program costs different amounts on different packets: cache state,
 concurrent flows, and ring-buffer contention all move the number.  An
-:class:`ExecutionEnvironment` captures that context and draws per-packet
-execution times — the stochastic core behind the Figure 4 reproduction.
+:class:`ExecutionEnvironment` captures that context and turns a program's
+cost table into the per-op distributions it runs with.  The per-packet
+draws are made by :meth:`repro.hoststack.XdpHostModel.residence_ns`, which
+samples the whole host path of a reflected frame at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..obs import get_registry
 from .contention import CacheContentionModel
 from .program import XdpProgram
 
@@ -21,74 +20,33 @@ from .program import XdpProgram
 class ExecutionEnvironment:
     """Execution context for one XDP hook (one NIC queue, one core)."""
 
-    rng: np.random.Generator
     active_flows: int = 1
     cache_model: CacheContentionModel = CacheContentionModel()
     #: extra multiplicative widening of *contended* op variance per flow
     contention_slope: float = 0.05
-
-    def __post_init__(self) -> None:
-        self._m_exec_ns = get_registry().histogram(
-            "ebpf.exec_ns", flows=self.active_flows
-        )
-        # program -> (scale, [(mean, std, spike_p, lo, hi), ...]).  The
-        # effective per-op distributions depend only on the program and the
-        # contention scale, so they are computed once instead of per packet.
-        # Keyed by id() with the program kept as a strong reference so the
-        # id cannot be recycled while the entry lives.
-        self._cost_cache: dict[
-            int, tuple[XdpProgram, float, list[tuple[float, float, float, float, float]]]
-        ] = {}
 
     def contention_scale(self) -> float:
         """Variance multiplier applied to memory-touching operations."""
         extra = max(0, self.active_flows - 1)
         return 1.0 + self.contention_slope * min(extra, 64)
 
-    def _cost_sequence(
-        self, program: XdpProgram, scale: float
+    def op_costs(
+        self, program: XdpProgram
     ) -> list[tuple[float, float, float, float, float]]:
-        cached = self._cost_cache.get(id(program))
-        if cached is not None and cached[0] is program and cached[1] == scale:
-            return cached[2]
-        sequence: list[tuple[float, float, float, float, float]] = []
+        """``(mean, std, spike_p, spike_lo, spike_hi)`` per instruction.
+
+        A contended op's standard deviation is multiplied by
+        :meth:`contention_scale` and its mean by ``1 + (scale - 1) / 4``.
+        """
+        scale = self.contention_scale()
+        costs = []
         for instruction in program.instructions:
             cost = instruction.cost(program.cost_table)
-            # Same arithmetic as OpCost.sample_ns so samples stay
-            # bit-identical to the uncached path.
             std = cost.std_ns * (scale if cost.contended else 1.0)
             mean = cost.mean_ns * (
                 1.0 + (scale - 1.0) * 0.25 if cost.contended else 1.0
             )
-            sequence.append(
+            costs.append(
                 (mean, std, cost.spike_probability, cost.spike_min_ns, cost.spike_max_ns)
             )
-        self._cost_cache[id(program)] = (program, scale, sequence)
-        return sequence
-
-    def execute_ns(self, program: XdpProgram) -> float:
-        """Sample the execution latency of one program invocation."""
-        scale = self.contention_scale()
-        rng = self.rng
-        normal = rng.normal
-        random = rng.random
-        uniform = rng.uniform
-        total = 0.0
-        for mean, std, spike_p, spike_lo, spike_hi in self._cost_sequence(
-            program, scale
-        ):
-            value = normal(mean, std)
-            if value < 0.0:
-                value = 0.0
-            if spike_p > 0 and random() < spike_p:
-                value += uniform(spike_lo, spike_hi)
-            total += value
-        total += self.cache_model.sample_ns(self.active_flows, rng)
-        self._m_exec_ns.observe(total)
-        return total
-
-    def execute_many_ns(self, program: XdpProgram, count: int) -> np.ndarray:
-        """Sample ``count`` invocations (vector convenience for benches)."""
-        if count < 1:
-            raise ValueError("count must be positive")
-        return np.array([self.execute_ns(program) for _ in range(count)])
+        return costs

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum, auto
 
-import numpy as np
-
 
 class OpKind(Enum):
     """Operation kinds an XDP program is composed of."""
@@ -43,17 +41,6 @@ class OpCost:
     #: Whether this op touches memory shared across flows (subject to cache
     #: contention scaling).
     contended: bool = False
-
-    def sample_ns(self, rng: np.random.Generator, contention_scale: float = 1.0) -> float:
-        """Draw one execution-latency sample for this operation."""
-        std = self.std_ns * (contention_scale if self.contended else 1.0)
-        mean = self.mean_ns * (
-            1.0 + (contention_scale - 1.0) * 0.25 if self.contended else 1.0
-        )
-        value = max(0.0, rng.normal(mean, std))
-        if self.spike_probability > 0 and rng.random() < self.spike_probability:
-            value += rng.uniform(self.spike_min_ns, self.spike_max_ns)
-        return value
 
 
 #: Default cost table.  Calibrated for the Figure 4 reproduction:

@@ -6,15 +6,14 @@ IPIs, cache pollution from other cores.  PREEMPT_RT shortens but does not
 eliminate these windows ("cannot be considered hard real-time", Section
 2.1); a stock kernel adds much longer, rarer stalls.
 
-:class:`KernelNoiseModel` samples a per-packet additive latency from a
-mixture: a small always-present Gaussian plus rare preemption windows.
+:class:`KernelNoiseModel` parameterizes a per-packet additive latency, a
+mixture of a small always-present Gaussian and rare preemption windows;
+:meth:`repro.hoststack.XdpHostModel.residence_ns` draws it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..simcore.units import US
 
@@ -28,13 +27,6 @@ class KernelNoiseModel:
     preemption_probability: float
     preemption_min_ns: float
     preemption_max_ns: float
-
-    def sample_ns(self, rng: np.random.Generator) -> float:
-        """Draw one per-packet noise value (>= 0)."""
-        value = abs(rng.normal(0.0, self.base_std_ns))
-        if self.preemption_probability > 0 and rng.random() < self.preemption_probability:
-            value += rng.uniform(self.preemption_min_ns, self.preemption_max_ns)
-        return value
 
 
 #: PREEMPT_RT host dedicated to packet processing (isolated core, no RT

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class PcieModel:
@@ -39,23 +37,6 @@ class PcieModel:
         if size_bytes < 0:
             raise ValueError("size cannot be negative")
         return size_bytes * 8 / self.dma_bandwidth_gbps
-
-    def rx_latency_ns(self, size_bytes: int, rng: np.random.Generator) -> float:
-        """Sample wire-to-memory latency for one received frame."""
-        return self._sample(self.rx_fixed_ns, size_bytes, rng)
-
-    def tx_latency_ns(self, size_bytes: int, rng: np.random.Generator) -> float:
-        """Sample memory-to-wire latency for one transmitted frame."""
-        return self._sample(self.tx_fixed_ns, size_bytes, rng)
-
-    def _sample(
-        self, fixed_ns: float, size_bytes: int, rng: np.random.Generator
-    ) -> float:
-        value = fixed_ns + self.dma_ns(size_bytes)
-        value += abs(rng.normal(0.0, self.noise_std_ns))
-        if rng.random() < self.iotlb_miss_probability:
-            value += self.iotlb_miss_penalty_ns
-        return value
 
     def fixed_fraction(self, size_bytes: int) -> float:
         """Share of total latency that is size-independent (the 90% claim)."""

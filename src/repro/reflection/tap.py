@@ -9,7 +9,7 @@ re-serializing it (a passive tap repeats the wire, it does not queue).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..net.device import Device
 from ..net.link import Port
@@ -18,8 +18,7 @@ from ..simcore import Simulator
 from ..simcore.clock import Clock, tap_clock
 
 
-@dataclass(frozen=True)
-class TapRecord:
+class TapRecord(NamedTuple):
     """One captured frame."""
 
     flow_id: str
@@ -50,11 +49,11 @@ class Tap(Device):
     def receive(self, packet: Packet, in_port: Port) -> None:
         self.records.append(
             TapRecord(
-                flow_id=packet.flow_id,
-                sequence=packet.sequence,
-                direction=in_port.index,
-                timestamp_ns=self.clock.read(self.sim.now),
-                frame_bytes=packet.frame_bytes,
+                packet.flow_id,
+                packet.sequence,
+                in_port.index,
+                self.clock.read(self.sim.now),
+                packet.frame_bytes,
             )
         )
         out_port = self.ports[1 - in_port.index]
@@ -64,11 +63,3 @@ class Tap(Device):
         # Passive pass-through: the frame is already on the wire; repeat it
         # to the far side without serializing again.
         link.propagate(packet, out_port, self.sim.now + self.passthrough_ns)
-
-    def records_by_direction(self, direction: int) -> list[TapRecord]:
-        """All records captured on one ingress side."""
-        return [r for r in self.records if r.direction == direction]
-
-    def clear(self) -> None:
-        """Drop all captured records."""
-        self.records.clear()

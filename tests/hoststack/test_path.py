@@ -5,7 +5,9 @@ import numpy as np
 from repro.ebpf import build_base, build_ts_rb
 from repro.hoststack import DriverModel, XdpHostModel, XdpReflectorHost
 from repro.net import Host, Link
+from repro.obs import capture
 from repro.simcore import Simulator, MS
+from tests.hoststack.reference_sampler import driver_ns
 
 
 def make_model(program=None, flows=1, seed=0):
@@ -42,11 +44,21 @@ class TestXdpHostModel:
         model.set_active_flows(25)
         assert model.environment.active_flows == 25
 
+    def test_exec_histogram_follows_flow_count(self):
+        with capture() as cap:
+            model = make_model()
+            model.residence_ns(64)
+            model.set_active_flows(25)
+            model.residence_ns(64)
+        histograms = cap.registry.snapshot()["histograms"]
+        assert histograms["ebpf.exec_ns{flows=1}"]["count"] == 1
+        assert histograms["ebpf.exec_ns{flows=25}"]["count"] == 1
+
     def test_driver_floor_respected(self):
         driver = DriverModel(rx_fixed_ns=1_000, tx_fixed_ns=2_000, noise_std_ns=0)
         rng = np.random.default_rng(0)
-        assert driver.rx_ns(rng) == 1_000
-        assert driver.tx_ns(rng) == 2_000
+        assert driver_ns(driver, driver.rx_fixed_ns, rng) == 1_000
+        assert driver_ns(driver, driver.tx_fixed_ns, rng) == 2_000
 
 
 class TestXdpReflectorHost:

@@ -1,4 +1,9 @@
-"""PCIe and kernel-noise models."""
+"""PCIe, kernel-noise and cache-contention models.
+
+The distribution checks draw through the scalar component samplers of
+:mod:`tests.hoststack.reference_sampler`, which
+``test_residence_oracle.py`` pins bit for bit to ``XdpHostModel``.
+"""
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ from repro.hoststack import (
     PcieModel,
     STOCK_KERNEL,
 )
+from tests.hoststack.reference_sampler import cache_ns, kernel_ns, pcie_ns
 
 
 class TestPcie:
@@ -30,8 +36,8 @@ class TestPcie:
     def test_latency_includes_fixed_floor(self):
         model = PcieModel(noise_std_ns=0.0, iotlb_miss_probability=0.0)
         rng = np.random.default_rng(0)
-        assert model.rx_latency_ns(64, rng) >= model.rx_fixed_ns
-        assert model.tx_latency_ns(64, rng) >= model.tx_fixed_ns
+        assert pcie_ns(model, model.rx_fixed_ns, 64, rng) >= model.rx_fixed_ns
+        assert pcie_ns(model, model.tx_fixed_ns, 64, rng) >= model.tx_fixed_ns
 
     def test_iotlb_misses_add_rare_penalty(self):
         model = PcieModel(
@@ -39,7 +45,7 @@ class TestPcie:
             iotlb_miss_penalty_ns=10_000.0,
         )
         rng = np.random.default_rng(1)
-        samples = [model.rx_latency_ns(64, rng) for _ in range(400)]
+        samples = [pcie_ns(model, model.rx_fixed_ns, 64, rng) for _ in range(400)]
         fast = min(samples)
         assert max(samples) >= fast + 10_000
         penalized = sum(1 for s in samples if s > fast + 5_000)
@@ -54,13 +60,13 @@ class TestKernelNoise:
     def test_noise_is_nonnegative(self):
         rng = np.random.default_rng(0)
         for model in (PREEMPT_RT_ISOLATED, PREEMPT_RT_SHARED, STOCK_KERNEL):
-            assert all(model.sample_ns(rng) >= 0 for _ in range(500))
+            assert all(kernel_ns(model, rng) >= 0 for _ in range(500))
 
     def test_kernel_ordering_rt_isolated_quietest(self):
         def p999(model, seed):
             rng = np.random.default_rng(seed)
             return np.percentile(
-                [model.sample_ns(rng) for _ in range(20000)], 99.9
+                [kernel_ns(model, rng) for _ in range(20000)], 99.9
             )
 
         isolated = p999(PREEMPT_RT_ISOLATED, 1)
@@ -71,7 +77,7 @@ class TestKernelNoise:
     def test_stock_kernel_not_hard_realtime(self):
         # Section 2.1: stock kernels show long unpredictable stalls.
         rng = np.random.default_rng(2)
-        worst = max(STOCK_KERNEL.sample_ns(rng) for _ in range(50000))
+        worst = max(kernel_ns(STOCK_KERNEL, rng) for _ in range(50000))
         assert worst > 20_000  # tens of microseconds
 
 
@@ -80,7 +86,7 @@ class TestCacheContention:
         model = CacheContentionModel()
         rng = np.random.default_rng(0)
         assert model.extra_mean_ns(1) == 0.0
-        assert model.sample_ns(1, rng) == 0.0
+        assert cache_ns(model, 1, rng) == 0.0
 
     def test_penalty_grows_with_flows(self):
         model = CacheContentionModel()
@@ -93,6 +99,6 @@ class TestCacheContention:
     def test_variance_grows_with_flows(self):
         model = CacheContentionModel()
         rng = np.random.default_rng(3)
-        few = np.std([model.sample_ns(2, rng) for _ in range(3000)])
-        many = np.std([model.sample_ns(25, rng) for _ in range(3000)])
+        few = np.std([cache_ns(model, 2, rng) for _ in range(3000)])
+        many = np.std([cache_ns(model, 25, rng) for _ in range(3000)])
         assert many > few

@@ -47,13 +47,6 @@ class TestTap:
         sim.run(until=1 * MS)
         assert all(r.timestamp_ns % 8 == 0 for r in tap.records)
 
-    def test_clear_drops_records(self):
-        sim, a, b, tap = self.build()
-        a.send("b", payload_bytes=50)
-        sim.run(until=1 * MS)
-        tap.clear()
-        assert tap.records == []
-
     def test_passthrough_adds_only_configured_latency(self):
         sim, a, b, tap = self.build()
         arrivals = []
