@@ -167,12 +167,14 @@ class XdpReflectorHost(Device):
         self.model = model
         self._core_free_at = 0
         self.reflected = 0
-        self.queueing_delays_ns: list[int] = []
+        #: Frames that arrived while the core was still busy.
+        self.queued_frames = 0
 
     def receive(self, packet: Packet, in_port: Port) -> None:
         now = self.sim.now
         start = max(now, self._core_free_at)
-        self.queueing_delays_ns.append(start - now)
+        if start > now:
+            self.queued_frames += 1
         residence = round(self.model.residence_ns(packet.frame_bytes))
         self._core_free_at = start + residence
         done_in = self._core_free_at - now

@@ -16,8 +16,16 @@ experiment runner activates a capture per job when asked
 (``repro sweep --trace-out DIR``) and embeds the snapshots in the
 run manifest; ``repro obs manifest.json`` renders them back.
 
-Two cross-run companions build on the per-run layer (imported lazily —
-``repro.obs.<name>`` — so the in-run hot path pays nothing for them):
+The rest is imported lazily, on first ``repro.obs.<name>`` access or
+an explicit import, so a process that never uses it pays nothing for it:
+
+- :mod:`repro.obs.telemetry` — the in-band telemetry plane of the
+  simulated network (:class:`~repro.obs.telemetry.TelemetryHub`, its
+  samplers, postcards and flight recorder).  ``capture(telemetry=True)``
+  imports it; outside a capture with a hub, :func:`get_telemetry`
+  returns the null hub from :mod:`repro.obs.runtime`.
+
+The cross-run companions build on the per-run layer:
 
 - :mod:`repro.obs.report` — aggregate one finished run's manifest, rows,
   metrics, and verdicts into self-contained HTML + markdown reports.
@@ -48,18 +56,10 @@ from .runtime import (
     get_telemetry,
     get_tracer,
 )
-from .telemetry import (
-    NULL_TELEMETRY,
-    FlightRecorder,
-    NullTelemetry,
-    RingSampler,
-    TELEMETRY_SCHEMA,
-    TelemetryHub,
-)
 from .tracing import NULL_TRACER, NullTracer, SIM_TRACK, Span, Tracer
 
-#: Cross-run submodules resolved on first attribute access.
-_LAZY_SUBMODULES = ("report", "status", "sweeptrace")
+#: Submodules resolved on first attribute access.
+_LAZY_SUBMODULES = ("report", "status", "sweeptrace", "telemetry")
 
 
 def __getattr__(name: str):
@@ -71,21 +71,15 @@ def __getattr__(name: str):
 __all__ = [
     "DEFAULT_NS_EDGES",
     "NULL_REGISTRY",
-    "NULL_TELEMETRY",
     "NULL_TRACER",
     "Counter",
-    "FlightRecorder",
     "Histogram",
     "MetricsRegistry",
     "NullRegistry",
-    "NullTelemetry",
     "NullTracer",
     "ObsCapture",
-    "RingSampler",
     "SIM_TRACK",
     "Span",
-    "TELEMETRY_SCHEMA",
-    "TelemetryHub",
     "Tracer",
     "capture",
     "enabled",

@@ -11,11 +11,13 @@ asks this module for the *active* one::
 
 By default nothing is active: :func:`get_registry` returns the
 :class:`~repro.obs.metrics.NullRegistry`, whose counter cells still count
-but are filed nowhere and whose histograms do nothing, and
+but are filed nowhere and whose histograms do nothing,
 :func:`get_tracer` the :class:`~repro.obs.tracing.NullTracer`, whose spans
-are no-ops.  :func:`capture` installs live instances for the duration of a
-``with`` block (the experiment runner wraps each job in one); its
-registry sums each key's cells at snapshot::
+are no-ops, and :func:`get_telemetry` this module's
+:class:`NullTelemetry`, whose probe factories return ``None``.
+:func:`capture` installs live instances for the duration of a ``with``
+block (the experiment runner wraps each job in one); its registry sums
+each key's cells at snapshot::
 
     with capture() as obs:
         rows = spec.run(seed=0)
@@ -24,18 +26,46 @@ registry sums each key's cells at snapshot::
 
 Captures nest: the innermost block wins, and the previous state is restored
 on exit.  Each :meth:`~repro.simcore.simulator.Simulator.run` inside a
-block with tracing on records one ``sim.run`` span.
+block with tracing on records one ``sim.run`` span.  The in-band
+telemetry plane (:mod:`repro.obs.telemetry`) is imported only when a
+capture is asked for a hub.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .metrics import NULL_REGISTRY, MetricsRegistry
 from .tracing import NULL_TRACER, Tracer
-from .telemetry import NULL_TELEMETRY, TelemetryHub
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..net.link import Port
+    from ..tsn.shaper import TimeAwareShaper
+    from .telemetry import TelemetryHub
+
+
+class NullTelemetry:
+    """The inactive telemetry plane: every probe factory returns ``None``.
+
+    Ports and shapers cache that ``None``; devices and links keep
+    ``None`` instead of the hub when ``enabled`` is false.  Each guards
+    its hook calls with a single ``is not None`` test, which is the whole
+    off-path cost.
+    """
+
+    enabled = False
+
+    def port_probe(self, port: "Port") -> None:
+        return None
+
+    def shaper_probe(self, shaper: "TimeAwareShaper") -> None:
+        return None
+
+
+#: Shared inactive hub returned by ``get_telemetry()`` outside captures.
+NULL_TELEMETRY = NullTelemetry()
 
 _registry_stack: list[MetricsRegistry] = []
 _tracer_stack: list[Tracer] = []
@@ -97,6 +127,8 @@ def capture(
     live_registry = registry if registry is not None else MetricsRegistry()
     live_tracer = tracer if tracer is not None else Tracer()
     if telemetry is True:
+        from .telemetry import TelemetryHub
+
         hub: TelemetryHub | None = TelemetryHub()
     elif telemetry:
         hub = telemetry

@@ -25,7 +25,10 @@ Activation follows the ``obs.capture()`` null-object pattern: components
 ask :func:`repro.obs.get_telemetry` for the active
 :class:`TelemetryHub` *at construction time* and keep ``None`` when
 telemetry is off, so the hot path pays one attribute load and an
-``is not None`` test — ``Simulator._run_fast`` is untouched.
+``is not None`` test — ``Simulator._run_fast`` is untouched.  The null
+hub lives in :mod:`repro.obs.runtime`; this module loads only when a
+capture installs a live hub (``capture(telemetry=...)``) or an artifact
+is read back.
 
 Determinism contract: the hub never draws from simulation RNG streams
 and never schedules events.  The sampling decision is a pure
@@ -548,28 +551,6 @@ class TelemetryHub:
             + "\n"
         )
         return payload
-
-
-class NullTelemetry:
-    """The inactive telemetry plane: every probe factory returns ``None``.
-
-    Ports and shapers cache that ``None``; devices and links keep
-    ``None`` instead of the hub when ``enabled`` is false.  Each guards
-    its hook calls with a single ``is not None`` test, which is the whole
-    off-path cost.
-    """
-
-    enabled = False
-
-    def port_probe(self, port: "Port") -> None:
-        return None
-
-    def shaper_probe(self, shaper: "TimeAwareShaper") -> None:
-        return None
-
-
-#: Shared inactive hub returned by ``get_telemetry()`` outside captures.
-NULL_TELEMETRY = NullTelemetry()
 
 
 # -- reading artifacts back ---------------------------------------------------

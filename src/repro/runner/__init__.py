@@ -16,9 +16,12 @@ Public API:
 - :class:`RunManifest` / :class:`JobRecord` — the JSON run manifest
   (schema :data:`MANIFEST_SCHEMA`, with per-job ``status``).
 - :class:`ExecutorBackend` + :func:`resolve_backend` — pluggable
-  executors (:class:`SerialBackend`, :class:`LocalPoolBackend`,
-  :class:`SubprocessWorkerBackend`); specs like ``"subprocess:2"`` come
-  from ``--backend`` / the ``REPRO_BACKEND`` env var.
+  executors; specs like ``"subprocess:2"`` come from ``--backend`` / the
+  ``REPRO_BACKEND`` env var.  :class:`SerialBackend` loads with this
+  package; ``LocalPoolBackend`` and ``SubprocessWorkerBackend`` live in
+  :mod:`repro.runner.backends.local_pool` and
+  :mod:`repro.runner.backends.subprocess_worker`, which
+  :func:`resolve_backend` imports when a sweep selects them.
 - :class:`LazyRows` / :func:`write_row_chunks` — disk-backed streaming
   rows (see :mod:`repro.runner.rowstream`), used when ``run_jobs`` runs
   with ``stream_rows=``.
@@ -44,9 +47,7 @@ from .backends import (
     BACKEND_AUTO,
     BACKEND_ENV,
     ExecutorBackend,
-    LocalPoolBackend,
     SerialBackend,
-    SubprocessWorkerBackend,
     parse_backend_spec,
     resolve_backend,
 )
@@ -93,7 +94,6 @@ __all__ = [
     "JobOutcome",
     "JobRecord",
     "LazyRows",
-    "LocalPoolBackend",
     "MANIFEST_SCHEMA",
     "OK_STATUSES",
     "RETRIES_COUNTER",
@@ -105,7 +105,6 @@ __all__ = [
     "STATUS_OK",
     "STATUS_TIMEOUT",
     "SerialBackend",
-    "SubprocessWorkerBackend",
     "SweepResult",
     "cache_key",
     "ensure_writable_dir",

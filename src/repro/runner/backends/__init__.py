@@ -6,13 +6,19 @@ lifecycle events — and hands the pending tasks to an :class:`ExecutorBackend` 
 run.  Three backends ship today:
 
 - :class:`SerialBackend` — in-process, deterministic, pool-free;
-- :class:`LocalPoolBackend` — the supervised ``ProcessPoolExecutor``
-  with quarantine-based guilt attribution;
-- :class:`SubprocessWorkerBackend` — ``repro worker`` children over a
-  stdio JSON protocol.
+- :class:`~repro.runner.backends.local_pool.LocalPoolBackend` — the
+  supervised ``ProcessPoolExecutor`` with quarantine-based guilt
+  attribution;
+- :class:`~repro.runner.backends.subprocess_worker.SubprocessWorkerBackend`
+  — ``repro worker`` children over a stdio JSON protocol.
 
 Unless a backend is named, the engine picks one: serial for one worker
 or one uncached job without a timeout, the local pool otherwise.
+
+Only the serial backend is imported with this package.
+:func:`resolve_backend` imports the other two when a sweep selects them
+(by spec, or through the engine's pick), so a process that never runs
+a pool loads neither ``multiprocessing`` nor ``concurrent.futures``.
 
 All three honor one contract (retries, timeouts, lifecycle events,
 uncharged bystanders), enforced by
@@ -27,17 +33,13 @@ from .base import (
     parse_backend_spec,
     resolve_backend,
 )
-from .local_pool import LocalPoolBackend
 from .serial import SerialBackend
-from .subprocess_worker import SubprocessWorkerBackend
 
 __all__ = [
     "BACKEND_AUTO",
     "BACKEND_ENV",
     "ExecutorBackend",
-    "LocalPoolBackend",
     "SerialBackend",
-    "SubprocessWorkerBackend",
     "charge_failure",
     "parse_backend_spec",
     "resolve_backend",

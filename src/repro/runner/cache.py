@@ -99,7 +99,9 @@ class ResultCache:
             payload = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError):
             return None
-        if payload.get("key") != key:
+        if not isinstance(payload, dict) or payload.get("key") != key:
+            # Valid JSON that is not an entry object (``[]``, ``null``)
+            # is a miss like any other undecodable entry.
             return None
         chunks = payload.get("row_chunks")
         if chunks is not None:

@@ -1,9 +1,10 @@
 """The parallel experiment engine.
 
 Expands a (figure × seed × param-grid) request into :class:`Job` cells,
-fans the uncached cells out over a supervised
-:class:`~concurrent.futures.ProcessPoolExecutor`, and returns a
-:class:`SweepResult` pairing each job's :class:`~repro.figures.Rows` with a
+hands the uncached cells to an executor backend
+(:mod:`repro.runner.backends`, imported when a sweep selects it), and
+returns a :class:`SweepResult` pairing each job's
+:class:`~repro.figures.Rows` with a
 :class:`~repro.runner.manifest.RunManifest` of cache and timing counters.
 
 Results are deterministic and independent of the worker count: every job
@@ -33,12 +34,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 from ..figures import Rows, get_spec
 from ..simcore.stats import collect as collect_stats
 from .. import obs
-from .backends import (
-    ExecutorBackend,
-    LocalPoolBackend,
-    SerialBackend,
-    resolve_backend,
-)
+from .backends import ExecutorBackend, resolve_backend
 from .cache import ResultCache, cache_key
 from .manifest import JobRecord, RunManifest, job_label
 from .rowstream import DEFAULT_CHUNK_ROWS, LazyRows, write_row_chunks
@@ -306,7 +302,9 @@ def _compute(
     if telemetry_dir is not None:
         # Seed the postcard sampler from the job seed: a fixed (job, seed)
         # cell samples the same packets on every run.
-        hub = obs.TelemetryHub(interval=telemetry_interval, seed=seed)
+        hub = obs.telemetry.TelemetryHub(
+            interval=telemetry_interval, seed=seed
+        )
     start = time.perf_counter()
     with collect_stats() as stats:
         if observe or hub is not None:
@@ -444,12 +442,13 @@ def run_jobs(
     to obtain observability data.
 
     **In-band network telemetry:** ``telemetry_dir`` activates a
-    :class:`repro.obs.TelemetryHub` per computed job (postcard sampling
-    1-in-``telemetry_interval``, seeded by the job seed) and writes one
-    ``<stem>.postcards.jsonl`` INT sink plus one ``<stem>.telemetry.json``
-    snapshot (samplers + flight recorder) into it; a digest lands on each
-    job record (``telemetry``/``telemetry_path``) and surfaces in
-    ``repro report``'s "Network telemetry" section.  A failing figure
+    :class:`repro.obs.telemetry.TelemetryHub` per computed job (postcard
+    sampling 1-in-``telemetry_interval``, seeded by the job seed) and
+    writes one ``<stem>.postcards.jsonl`` INT sink plus one
+    ``<stem>.telemetry.json`` snapshot (samplers + flight recorder) into
+    it; a digest lands on each job record (``telemetry``/
+    ``telemetry_path``) and surfaces in ``repro report``'s "Network
+    telemetry" section.  A failing figure
     verdict snapshots the flight recorder automatically.
 
     **One lifecycle stream:** the engine reports every lifecycle fact —
@@ -590,9 +589,8 @@ def run_jobs(
         # trivially debuggable); timeouts force the pool — a hung job can
         # only be killed from outside its process.
         inline = min(workers, len(pending)) <= 1 and policy.timeout_s is None
-        chosen = (
-            SerialBackend() if inline
-            else LocalPoolBackend(workers=max(workers, 1))
+        chosen = resolve_backend(
+            "serial" if inline else "local-pool", workers=max(workers, 1)
         )
     if hits:
         # One checkpoint covers every cache hit.  It is written before

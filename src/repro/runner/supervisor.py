@@ -27,10 +27,10 @@ Retries rerun the identical payload — same figure, same seed, same
 params — so backoff can never perturb simulation results; only wall
 time and the ``attempts`` field change.
 
-As of PR-8 the execution loops live behind the
+The execution loops live behind the
 :class:`~repro.runner.backends.ExecutorBackend` interface
 (:mod:`repro.runner.backends`): the supervised pool loop moved verbatim
-to :class:`~repro.runner.backends.LocalPoolBackend`, sequential
+to :class:`~repro.runner.backends.local_pool.LocalPoolBackend`, sequential
 execution to :class:`~repro.runner.backends.SerialBackend`.  This module
 keeps the vocabulary every backend shares — statuses,
 :class:`RetryPolicy`, :class:`Task`, :func:`guard`.

@@ -187,7 +187,8 @@ class TestFlightRecorderIntegration:
         from repro import obs
 
         with obs.capture(
-            metrics=False, tracing=False, telemetry=obs.TelemetryHub()
+            metrics=False, tracing=False,
+            telemetry=obs.telemetry.TelemetryHub(),
         ) as handle:
             result = run_campaign(get_scenario("link-flaps"), seed=0)
         hub = handle.telemetry

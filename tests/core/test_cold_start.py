@@ -1,5 +1,6 @@
 """Start-up contract: importing the registry, the runner or the CLI parser
-loads no figure model, chaos engine or numpy.
+loads no figure model, chaos engine or numpy, and no sweep backend or
+telemetry plane until a sweep or a capture asks for one.
 
 Each check runs in a fresh interpreter, so the exact module set, not
 wall time, is the regression signal.  A figure imports its model when it
@@ -28,18 +29,62 @@ MODEL_PACKAGES = (
 )
 
 
-def loaded_after(code: str) -> list[str]:
-    """Module names a fresh interpreter holds after running ``code``."""
+def child_env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [SRC, env.get("PYTHONPATH")])
     )
+    return env
+
+
+def loaded_after(code: str) -> list[str]:
+    """Module names a fresh interpreter holds after running ``code``."""
     probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True,
+        [sys.executable, "-c", probe], env=child_env(), capture_output=True,
         text=True, check=True,
     ).stdout
     return json.loads(out.splitlines()[-1])
+
+
+#: Modules only a pool backend or a telemetry capture needs.
+LAZY_MODULES = (
+    "multiprocessing",
+    "concurrent.futures",
+    "repro.runner.backends.local_pool",
+    "repro.runner.backends.subprocess_worker",
+    "repro.obs.telemetry",
+)
+
+#: Every ``repro`` module ``import repro.figures, repro.runner`` loads.
+PROBE_MODULES = [
+    "repro",
+    "repro.figures",
+    "repro.obs",
+    "repro.obs.metrics",
+    "repro.obs.runtime",
+    "repro.obs.tracing",
+    "repro.runner",
+    "repro.runner.backends",
+    "repro.runner.backends.base",
+    "repro.runner.backends.serial",
+    "repro.runner.cache",
+    "repro.runner.engine",
+    "repro.runner.manifest",
+    "repro.runner.rowstream",
+    "repro.runner.supervisor",
+    "repro.simcore",
+    "repro.simcore.clock",
+    "repro.simcore.events",
+    "repro.simcore.rng",
+    "repro.simcore.simulator",
+    "repro.simcore.stats",
+    "repro.simcore.units",
+]
+
+
+def lazy(modules: list[str]) -> list[str]:
+    return [name for name in modules if name in LAZY_MODULES]
 
 
 def heavy(modules: list[str]) -> list[str]:
@@ -55,13 +100,57 @@ class TestColdStart:
     def test_registry_and_runner_import_no_model(self):
         modules = loaded_after("import repro.figures, repro.runner")
         assert heavy(modules) == []
-        assert "repro.runner.engine" in modules
+        assert lazy(modules) == []
+        assert [m for m in modules if m.split(".")[0] == "repro"] == (
+            PROBE_MODULES
+        )
 
     def test_cli_parser_imports_no_model(self):
         modules = loaded_after(
             "import repro.cli\nrepro.cli.build_parser()"
         )
         assert heavy(modules) == []
+        assert lazy(modules) == []
+
+    def test_worker_imports_no_backend_or_telemetry(self):
+        # ``-X importtime`` lists every module the real ``python -m repro
+        # worker`` imports, one per stderr line, ending in its name.
+        init = {
+            "type": "init", "sys_path": [], "preload": [],
+            "compute": "repro.runner.engine:_compute",
+        }
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "repro", "worker"],
+            input=json.dumps(init) + '\n{"type": "shutdown"}\n',
+            env=child_env(), capture_output=True, text=True, check=True,
+        )
+        assert json.loads(proc.stdout) == {"type": "ready"}
+        modules = [
+            line.rsplit("|", 1)[-1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        ]
+        assert "repro.runner.worker" in modules
+        assert heavy(modules) == []
+        assert lazy(modules) == []
+
+    def test_selecting_the_pool_imports_it(self):
+        modules = loaded_after(
+            "from repro.runner import resolve_backend\n"
+            "assert resolve_backend('local-pool:2').name == 'local-pool'"
+        )
+        assert "repro.runner.backends.local_pool" in modules
+        assert "concurrent.futures" in modules
+        assert "repro.runner.backends.subprocess_worker" not in modules
+
+    def test_telemetry_capture_imports_the_plane(self):
+        modules = loaded_after(
+            "from repro import obs\n"
+            "with obs.capture(telemetry=True) as cap:\n"
+            "    assert isinstance(cap.telemetry, obs.telemetry.TelemetryHub)\n"
+            "assert obs.get_telemetry() is obs.runtime.NULL_TELEMETRY"
+        )
+        assert "repro.obs.telemetry" in modules
 
     def test_streams_still_yield_numpy_generators(self):
         import numpy as np

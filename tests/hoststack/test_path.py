@@ -89,11 +89,11 @@ class TestXdpReflectorHost:
         sim.run(until=5 * MS)
         assert reflector.reflected == 5
         # Back-to-back arrivals queue behind the busy core.
-        assert max(reflector.queueing_delays_ns) > 0
+        assert reflector.queued_frames > 0
 
     def test_spaced_arrivals_do_not_queue(self):
         sim, sender, reflector = self.build()
         for k in range(3):
             sim.schedule(lambda: sender.send("reflector", payload_bytes=50), after=k * MS)
         sim.run(until=10 * MS)
-        assert all(q == 0 for q in reflector.queueing_delays_ns)
+        assert reflector.queued_frames == 0

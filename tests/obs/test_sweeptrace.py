@@ -34,10 +34,10 @@ from repro.obs.sweeptrace import (
 from repro.runner import (
     ResultCache,
     SerialBackend,
-    SubprocessWorkerBackend,
     make_job,
     run_jobs,
 )
+from repro.runner.backends.subprocess_worker import SubprocessWorkerBackend
 
 from ..runner.faulty import FLAKY, STEADY, registered
 from .events import canonical_lines

@@ -25,8 +25,8 @@ from repro.net import (
     Topology,
     TrafficClass,
 )
+from repro.obs.runtime import NULL_TELEMETRY
 from repro.obs.telemetry import (
-    NULL_TELEMETRY,
     TELEMETRY_SCHEMA,
     FlightRecorder,
     RingSampler,

@@ -22,13 +22,13 @@ from repro.runner import (
     STATUS_FAILED,
     STATUS_OK,
     STATUS_TIMEOUT,
-    LocalPoolBackend,
     ResultCache,
     SerialBackend,
-    SubprocessWorkerBackend,
     make_job,
     run_jobs,
 )
+from repro.runner.backends.local_pool import LocalPoolBackend
+from repro.runner.backends.subprocess_worker import SubprocessWorkerBackend
 
 from .faulty import BOOM, DIE, FLAKY, SLEEPY, STEADY, registered
 

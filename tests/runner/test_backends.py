@@ -15,14 +15,16 @@ import pytest
 
 from repro.runner import (
     BACKEND_ENV,
-    LocalPoolBackend,
     SerialBackend,
-    SubprocessWorkerBackend,
     parse_backend_spec,
     resolve_backend,
 )
 from repro.runner.backends import subprocess_worker
-from repro.runner.backends.subprocess_worker import compute_spec
+from repro.runner.backends.local_pool import LocalPoolBackend
+from repro.runner.backends.subprocess_worker import (
+    SubprocessWorkerBackend,
+    compute_spec,
+)
 from repro.runner.supervisor import RetryPolicy, Task
 from repro.runner.worker import _as_payload, resolve_callable, worker_main
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.figures import Rows
 from repro.runner import ResultCache, cache_key
 
@@ -58,6 +60,18 @@ class TestResultCache:
         path.write_text(json.dumps(payload))
         assert cache.get(key) is None
 
+    @pytest.mark.parametrize(
+        "payload", [[], "x", 1, None], ids=["list", "str", "int", "null"]
+    )
+    def test_non_object_entry_is_a_miss(self, tmp_path, payload):
+        # Valid JSON that is not an object must not reach ``payload.get``.
+        cache = ResultCache(tmp_path / "cache")
+        key = cache_key("fig1", 0, {})
+        path = cache.put(key, Rows([{"a": 1}]), figure="fig1", seed=0,
+                         params={})
+        path.write_text(json.dumps(payload))
+        assert cache.get(key) is None
+
     def test_truncated_entry_is_a_miss(self, tmp_path):
         # A writer killed mid-write (or a full disk) must cost one
         # recomputation, never a crash.
@@ -106,6 +120,22 @@ class TestResultCache:
         # The recomputation healed the entry; the next sweep hits again.
         third = run_jobs(jobs, workers=1, cache=cache)
         assert third.manifest.records[0].cached
+
+    def test_run_jobs_recomputes_over_a_non_object_entry(self, tmp_path):
+        # A ``[]`` entry used to abort the sweep at cache lookup, before
+        # any cell ran; it is a miss, and the recomputation heals it.
+        from repro.runner import expand_grid, run_jobs
+
+        cache = ResultCache(tmp_path / "cache")
+        jobs = expand_grid(["fig1"], seeds=[0])
+        first = run_jobs(jobs, workers=1, cache=cache)
+        (entry,) = list((tmp_path / "cache").glob("??/*.json"))
+        entry.write_text("[]")
+        second = run_jobs(jobs, workers=1, cache=cache)
+        (record,) = second.manifest.records
+        assert not record.cached
+        assert second.rows_for("fig1") == first.rows_for("fig1")
+        assert run_jobs(jobs, workers=1, cache=cache).manifest.records[0].cached
 
     def test_entry_records_provenance(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

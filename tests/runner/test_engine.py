@@ -8,7 +8,6 @@ from repro.obs.sweeptrace import build_timeline, load_events
 from repro.runner import (
     MANIFEST_SCHEMA,
     JobGrid,
-    LocalPoolBackend,
     ResultCache,
     RunManifest,
     SerialBackend,
@@ -17,6 +16,7 @@ from repro.runner import (
     make_job,
     run_jobs,
 )
+from repro.runner.backends.local_pool import LocalPoolBackend
 
 #: A cheap two-figure workload used throughout (sub-second per job).
 CHEAP_FIGS = ["fig1", "fig4-delay"]
