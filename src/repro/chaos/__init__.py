@@ -10,23 +10,22 @@ first-class subsystem:
   scheduled maintenance windows) with analytic availability predictions;
 - :mod:`repro.chaos.engine` — the campaign engine:
   :func:`~repro.chaos.engine.run_campaign` executes a scenario with
-  per-component random streams, measures per-cell availability, judges it
-  against the §2 availability classes, and replays bit-identically from
-  ``(seed, scenario)``;
+  per-component random streams, measures per-cell availability, and
+  judges it against the §2 availability classes; a campaign is a pure
+  function of ``(scenario, seed)``;
 - :mod:`repro.chaos.spec` — :class:`~repro.chaos.spec.ChaosSpec` projects
   campaigns into the figure registry (``chaos-*``) so the parallel runner
   sweeps them and records verdicts in the run manifest.
 
-CLI: ``repro chaos run|replay|report|list`` (see :mod:`repro.chaos.cli`).
+CLI: ``repro sweep chaos-*`` runs and judges campaigns, ``repro report``
+renders their verdicts, and ``repro chaos list|replay RUN`` lists them
+and re-checks a sweep's stored rows (see :mod:`repro.chaos.cli`).
 """
 
 from .engine import (
-    CAMPAIGN_SCHEMA,
     CampaignResult,
     CellReport,
-    ReplayReport,
     intervals_fingerprint,
-    replay_campaign,
     run_campaign,
 )
 from .scenario import (
@@ -48,7 +47,6 @@ from .spec import (
 )
 
 __all__ = [
-    "CAMPAIGN_SCHEMA",
     "CHAOS_PARAMS",
     "CHAOS_PREFIX",
     "CampaignResult",
@@ -58,7 +56,6 @@ __all__ = [
     "FaultScenario",
     "KINDS",
     "MaintenanceSpec",
-    "ReplayReport",
     "SCENARIOS",
     "campaign_verdict",
     "chaos_registry",
@@ -66,6 +63,5 @@ __all__ = [
     "get_chaos_spec",
     "get_scenario",
     "intervals_fingerprint",
-    "replay_campaign",
     "run_campaign",
 ]

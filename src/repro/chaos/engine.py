@@ -19,8 +19,9 @@ Determinism contract: a campaign is a pure function of
 ``(scenario, seed)``.  Per-component streams mean the failure schedule of
 one component never depends on any other, so two runs produce
 byte-identical per-cell outage intervals — :meth:`CampaignResult.fingerprint`
-is the replay identity, and :func:`replay_campaign` re-executes and
-compares interval-by-interval.
+is the replay identity.  Each verdict row carries its cell's interval
+fingerprint, so ``repro chaos replay`` re-checks a sweep's stored rows
+against a fresh run.
 """
 
 from __future__ import annotations
@@ -28,18 +29,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable
 
-from .. import __version__
 from ..core.faults import FaultInjector, FaultTarget, MaintenanceWindow
 from ..figures import Rows
 from ..obs import get_telemetry, get_tracer
 from ..simcore import Simulator
 from ..simcore.units import SEC
 from .scenario import ComponentSpec, FaultScenario, MaintenanceSpec
-
-CAMPAIGN_SCHEMA = "repro.chaos/campaign/v1"
 
 
 def _noop() -> None:
@@ -59,19 +56,6 @@ class CellReport:
     ok: bool
     within_tolerance: bool
     fingerprint: str
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "cell": self.cell,
-            "outages": self.outages,
-            "downtime_ns": self.downtime_ns,
-            "availability": self.availability,
-            "predicted": self.predicted,
-            "required": self.required,
-            "ok": self.ok,
-            "within_tolerance": self.within_tolerance,
-            "fingerprint": self.fingerprint,
-        }
 
 
 @dataclass
@@ -100,13 +84,6 @@ class CampaignResult:
     def mean_availability(self) -> float:
         return sum(r.availability for r in self.reports) / len(self.reports)
 
-    @property
-    def max_abs_error(self) -> float:
-        """Largest measured-vs-analytic disagreement across cells."""
-        return max(
-            abs(r.availability - r.predicted) for r in self.reports
-        )
-
     def fingerprint(self) -> str:
         """SHA-256 over the canonical JSON of all outage intervals."""
         return intervals_fingerprint(self.intervals)
@@ -128,72 +105,6 @@ class CampaignResult:
             }
             for report in self.reports
         )
-
-    # -- serialization -------------------------------------------------------
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "schema": CAMPAIGN_SCHEMA,
-            "version": __version__,
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "cells": self.cells,
-            "horizon_ns": self.horizon_ns,
-            "requirement": self.requirement,
-            "required": self.required,
-            "tolerance": self.tolerance,
-            "faults_injected": self.faults_injected,
-            "params": self.params,
-            "verdict": self.verdict,
-            "fingerprint": self.fingerprint(),
-            "cells_report": [report.as_dict() for report in self.reports],
-            "intervals": {
-                str(cell) : [list(pair) for pair in pairs]
-                for cell, pairs in self.intervals.items()
-            },
-        }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent)
-
-    def save(self, path: Path | str) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_json() + "\n")
-        return path
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "CampaignResult":
-        schema = payload.get("schema")
-        if schema != CAMPAIGN_SCHEMA:
-            raise ValueError(
-                f"unsupported campaign schema {schema!r}; "
-                f"expected {CAMPAIGN_SCHEMA}"
-            )
-        result = cls(
-            scenario=payload["scenario"],
-            seed=payload["seed"],
-            cells=payload["cells"],
-            horizon_ns=payload["horizon_ns"],
-            requirement=payload["requirement"],
-            required=payload["required"],
-            tolerance=payload["tolerance"],
-            faults_injected=payload["faults_injected"],
-            params=dict(payload.get("params") or {}),
-            reports=[
-                CellReport(**report)
-                for report in payload.get("cells_report", [])
-            ],
-            intervals={
-                int(cell): [tuple(pair) for pair in pairs]
-                for cell, pairs in payload.get("intervals", {}).items()
-            },
-        )
-        return result
-
-    @classmethod
-    def load(cls, path: Path | str) -> "CampaignResult":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 def intervals_fingerprint(
@@ -344,52 +255,3 @@ def _window_class(window: MaintenanceSpec):
         mtbf_s=window.period_s - window.duration_s,
         mttr_s=window.duration_s,
     )
-
-
-@dataclass
-class ReplayReport:
-    """Outcome of replaying a campaign against a reference result."""
-
-    scenario: str
-    seed: int
-    identical: bool
-    fingerprint: str
-    reference_fingerprint: str
-    mismatched_cells: list[int] = field(default_factory=list)
-
-    def describe(self) -> str:
-        if self.identical:
-            return (
-                f"replay OK: {self.scenario} seed={self.seed} "
-                f"fingerprint={self.fingerprint[:12]}"
-            )
-        cells = ", ".join(str(cell) for cell in self.mismatched_cells)
-        return (
-            f"replay MISMATCH: {self.scenario} seed={self.seed} "
-            f"cells [{cells}] diverged "
-            f"({self.fingerprint[:12]} != {self.reference_fingerprint[:12]})"
-        )
-
-
-def replay_campaign(
-    scenario: FaultScenario,
-    reference: CampaignResult,
-) -> tuple[CampaignResult, ReplayReport]:
-    """Re-run ``(scenario, reference.seed)`` and compare intervals exactly."""
-    result = run_campaign(scenario, seed=reference.seed,
-                          params=reference.params)
-    mismatched = [
-        cell
-        for cell in sorted(reference.intervals)
-        if result.intervals.get(cell) != reference.intervals[cell]
-    ]
-    report = ReplayReport(
-        scenario=scenario.name,
-        seed=reference.seed,
-        identical=not mismatched
-        and result.fingerprint() == reference.fingerprint(),
-        fingerprint=result.fingerprint(),
-        reference_fingerprint=reference.fingerprint(),
-        mismatched_cells=mismatched,
-    )
-    return result, report

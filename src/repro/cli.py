@@ -12,8 +12,11 @@ Usage::
 ``all`` and ``sweep`` fan jobs out over a ``multiprocessing`` pool
 (``--jobs``, default: CPU count) and reuse a content-addressed on-disk
 result cache (``--cache-dir``, default ``.repro-cache``; disable with
-``--no-cache``).  ``sweep`` prints a JSON run manifest (see
-:mod:`repro.runner.manifest`) to stdout, with per-job progress on stderr.
+``--no-cache``).  Each writes a JSON run manifest (see
+:mod:`repro.runner.manifest`) into its run directory: ``all``'s and
+``sweep``'s ``--out-dir`` hold one CSV per job plus ``manifest.json``.
+``sweep --manifest FILE`` puts the manifest elsewhere; a sweep with
+neither flag prints it to stdout.  Per-job progress goes to stderr.
 
 Observability (see :mod:`repro.obs`)::
 
@@ -37,11 +40,12 @@ a fault flight recorder inside every computed job; each job writes
 ``*.postcards.jsonl`` + ``*.telemetry.json`` and embeds a digest in the
 manifest, which ``repro report`` renders as a "Network telemetry" section.
 
-Chaos campaigns (see :mod:`repro.chaos`)::
+Chaos campaigns (see :mod:`repro.chaos`) are ``chaos-*`` figures::
 
     python -m repro chaos list
-    python -m repro chaos run link-flaps --seeds 0..2 --param mttr_scale=1,2
-    python -m repro chaos replay --scenario link-flaps --seed 7
+    python -m repro sweep chaos-link-flaps chaos-maintenance --seeds 0..2 \\
+        --param mttr_scale=1,2 --out-dir chaos/
+    python -m repro chaos replay chaos/   # re-run each job, diff its rows
 
 Resilient sweeps (see :mod:`repro.runner.supervisor`)::
 
@@ -72,9 +76,10 @@ timeline`` are all folds over those events.
 ``report`` aggregates a run directory's manifest, row CSVs, metrics, and
 verdicts into a self-contained HTML + markdown report.
 
-Exit codes: 0 success, 1 failed strict chaos verdicts, 2 usage/argument
-errors, 3 sweep completed *degraded* (some jobs failed or timed out;
-resume with ``--resume``).
+Exit codes: 0 success, 1 = a job's verdict is ``fail`` (a chaos
+campaign missed its availability class; ``chaos replay``: rows differ),
+2 usage/argument errors, 3 sweep completed *degraded* (some jobs failed
+or timed out; resume with ``--resume``).
 """
 
 from __future__ import annotations
@@ -174,20 +179,13 @@ def _add_cache_args(sub: argparse.ArgumentParser) -> None:
         "--no-cache", action="store_true",
         help="recompute everything; do not read or write the cache",
     )
-    _add_backend_args(sub)
-
-
-def _add_backend_args(sub: argparse.ArgumentParser) -> None:
-    """``--backend``/``--stream-rows``/``--chunk-rows`` — shared with the
-    chaos CLI, which has its own cache/jobs flags."""
     sub.add_argument(
         "--backend", default=None, metavar="SPEC",
         help=(
             "executor backend NAME[:WORKERS]: serial, local-pool[:N], or "
-            "subprocess:N ('repro worker' children over stdio); default: "
-            "env REPRO_BACKEND, else auto: serial when --jobs or the "
-            "number of uncached jobs is 1 and there is no --timeout, "
-            "local-pool otherwise"
+            "subprocess:N ('repro worker' children over stdio); default "
+            "auto: serial when --jobs or the number of uncached jobs is 1 "
+            "and there is no --timeout, local-pool otherwise"
         ),
     )
     sub.add_argument(
@@ -207,75 +205,29 @@ def _add_backend_args(sub: argparse.ArgumentParser) -> None:
 def _add_chaos_parser(subparsers: argparse._SubParsersAction) -> None:
     """Attach the ``chaos`` subcommand tree to the main parser."""
     chaos = subparsers.add_parser(
-        "chaos", help="run / replay / report deterministic fault campaigns"
+        "chaos",
+        help=(
+            "list the chaos campaigns ('repro sweep chaos-*' runs them) or "
+            "replay a sweep's campaigns"
+        ),
     )
     actions = chaos.add_subparsers(dest="chaos_command", required=True)
-
-    actions.add_parser("list", help="list shipped chaos scenarios")
-
-    sub = actions.add_parser(
-        "run", help="run campaigns over a (scenario x seed x param) grid"
+    actions.add_parser(
+        "list", help="list the campaigns with predicted availability"
     )
-    sub.add_argument(
-        "scenarios", nargs="*", default=[], metavar="SCENARIO",
-        help="scenarios to run (default: all shipped scenarios)",
-    )
-    sub.add_argument(
-        "--seeds", default="0", metavar="LIST",
-        help="seeds: comma list '0,1,2' or inclusive range '0..4'",
-    )
-    sub.add_argument(
-        "--param", action="append", default=None, metavar="NAME=V1,V2",
-        help="grid values for cells/mtbf_scale/mttr_scale/horizon_s",
-    )
-    sub.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes (default: CPU count)",
-    )
-    sub.add_argument(
-        "--cache-dir", type=Path, default=None, metavar="DIR",
-        help="reuse the runner result cache in DIR (default: no cache)",
-    )
-    sub.add_argument(
-        "--manifest", type=Path, default=None,
-        help="write the JSON run manifest (with verdicts) here",
-    )
-    sub.add_argument(
-        "--campaign-dir", type=Path, default=None, metavar="DIR",
-        help="write one full replayable campaign JSON per job into DIR",
-    )
-    sub.add_argument(
-        "--strict", action="store_true",
-        help="exit non-zero when any campaign verdict is 'fail'",
-    )
-    _add_backend_args(sub)
-    _add_resilience_args(sub)
-    _add_sweeptrace_arg(sub)
-
     sub = actions.add_parser(
         "replay",
-        help="re-run a campaign from (seed, scenario) and verify intervals",
+        help=(
+            "re-run every chaos job of a finished sweep and compare its "
+            "rows with the stored ones"
+        ),
     )
     sub.add_argument(
-        "--scenario", default=None, metavar="NAME",
-        help="scenario to replay (required unless --campaign is given)",
-    )
-    sub.add_argument("--seed", type=int, default=0, help="campaign seed")
-    sub.add_argument(
-        "--param", action="append", default=None, metavar="NAME=V",
-        help="scenario parameter override (single values, repeatable)",
-    )
-    sub.add_argument(
-        "--campaign", type=Path, default=None, metavar="FILE",
-        help="saved campaign JSON to verify against (overrides the flags)",
-    )
-
-    sub = actions.add_parser(
-        "report", help="summarize a run manifest or campaign JSON"
-    )
-    sub.add_argument(
-        "path", type=Path, metavar="FILE",
-        help="manifest JSON from 'chaos run --manifest' or a campaign JSON",
+        "run", type=Path, metavar="RUN",
+        help=(
+            "run directory (holding manifest.json) from 'repro sweep "
+            "--out-dir', or a manifest file"
+        ),
     )
 
 
@@ -353,11 +305,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument(
         "--out-dir", type=Path, default=None,
-        help="also write one CSV per job into this directory",
+        help=(
+            "run directory: one CSV per job plus manifest.json (unless "
+            "--manifest names another file)"
+        ),
     )
     sub.add_argument(
         "--manifest", type=Path, default=None,
-        help="write the JSON run manifest here instead of stdout",
+        help=(
+            "write the JSON run manifest here (default: manifest.json in "
+            "--out-dir, else stdout)"
+        ),
     )
     sub.add_argument(
         "--trace-out", type=Path, default=None, metavar="DIR",
@@ -488,6 +446,8 @@ def _print_progress(record: JobRecord, status: dict[str, Any]) -> None:
     else:
         state = "cached" if record.cached else f"{record.wall_time_s:.2f}s"
         state += f" ({record.rows} rows)"
+        if record.verdict is not None:
+            state += f" {record.verdict}"
         if record.attempts > 1:
             state += f" [{record.attempts} attempts]"
     print(
@@ -554,21 +514,31 @@ def _backend_kwargs(args: argparse.Namespace) -> dict[str, Any]:
     return kwargs
 
 
-def _report_done(result, resume_hint: str) -> bool:
-    """Print the sweep's final status line; ``False`` (after a resume
-    hint) when it ended degraded."""
+def _exit_code(result, resume_hint: str) -> int:
+    """Print the sweep's final status line and pick the exit code: 3
+    (after a resume hint) when the sweep ended degraded, else 1 when a
+    completed job's verdict is ``fail``, else 0."""
     from .obs.status import format_status
 
     print(f"  {format_status(result.status)}", file=sys.stderr)
-    if result.ok:
-        return True
-    failures = result.failures
-    print(
-        f"repro: {len(failures)} of {len(result.outcomes)} job(s) "
-        f"failed; completed cells are kept ({resume_hint})",
-        file=sys.stderr,
+    if not result.ok:
+        print(
+            f"repro: {len(result.failures)} of {len(result.outcomes)} "
+            f"job(s) failed; completed cells are kept ({resume_hint})",
+            file=sys.stderr,
+        )
+        return EXIT_DEGRADED
+    failing = sum(
+        outcome.record.verdict == "fail" for outcome in result.outcomes
     )
-    return False
+    if failing:
+        print(
+            f"repro: {failing} of {len(result.outcomes)} job(s) have "
+            f"verdict 'fail'",
+            file=sys.stderr,
+        )
+        return 1
+    return 0
 
 
 def _csv_name(record: JobRecord, multi: bool) -> str:
@@ -640,11 +610,9 @@ def _run_all(args: argparse.Namespace) -> int:
         f"{result.manifest.failed} failed, "
         f"{result.manifest.wall_time_s:.2f}s)"
     )
-    if not _report_done(
+    return _exit_code(
         result, f"resume with: repro all --resume {manifest_path}"
-    ):
-        return EXIT_DEGRADED
-    return 0
+    )
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
@@ -661,10 +629,12 @@ def _run_sweep(args: argparse.Namespace) -> int:
         seeds=parse_seeds(getattr(args, "seeds", "0")),
         grid=parse_param_grid(getattr(args, "param", None)),
     )
+    out_dir: Path | None = getattr(args, "out_dir", None)
     manifest_path: Path | None = getattr(args, "manifest", None)
+    if manifest_path is None and out_dir is not None:
+        manifest_path = out_dir / "manifest.json"
     if manifest_path is not None:
         manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    out_dir: Path | None = getattr(args, "out_dir", None)
     run_dir = manifest_path.parent if manifest_path is not None else None
     result = run_jobs(
         jobs,
@@ -699,11 +669,9 @@ def _run_sweep(args: argparse.Namespace) -> int:
     hint = (
         f"resume with: repro sweep ... --resume {manifest_path}"
         if manifest_path is not None
-        else "rerun with --manifest to enable --resume"
+        else "rerun with --out-dir or --manifest to enable --resume"
     )
-    if not _report_done(result, hint):
-        return EXIT_DEGRADED
-    return 0
+    return _exit_code(result, hint)
 
 
 def _run_obs_timeline(args: argparse.Namespace) -> int:

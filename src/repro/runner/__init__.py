@@ -16,8 +16,8 @@ Public API:
 - :class:`RunManifest` / :class:`JobRecord` — the JSON run manifest
   (schema :data:`MANIFEST_SCHEMA`, with per-job ``status``).
 - :class:`ExecutorBackend` + :func:`resolve_backend` — pluggable
-  executors; specs like ``"subprocess:2"`` come from ``--backend`` / the
-  ``REPRO_BACKEND`` env var.  :class:`SerialBackend` loads with this
+  executors; specs like ``"subprocess:2"`` come from ``--backend``.
+  :class:`SerialBackend` loads with this
   package; ``LocalPoolBackend`` and ``SubprocessWorkerBackend`` live in
   :mod:`repro.runner.backends.local_pool` and
   :mod:`repro.runner.backends.subprocess_worker`, which
@@ -45,7 +45,6 @@ Example::
 
 from .backends import (
     BACKEND_AUTO,
-    BACKEND_ENV,
     ExecutorBackend,
     SerialBackend,
     parse_backend_spec,
@@ -85,7 +84,6 @@ from .supervisor import (
 
 __all__ = [
     "BACKEND_AUTO",
-    "BACKEND_ENV",
     "DEFAULT_CACHE_DIR",
     "DEFAULT_CHUNK_ROWS",
     "ExecutorBackend",

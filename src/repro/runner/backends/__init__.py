@@ -27,7 +27,6 @@ uncharged bystanders), enforced by
 
 from .base import (
     BACKEND_AUTO,
-    BACKEND_ENV,
     ExecutorBackend,
     charge_failure,
     parse_backend_spec,
@@ -37,7 +36,6 @@ from .serial import SerialBackend
 
 __all__ = [
     "BACKEND_AUTO",
-    "BACKEND_ENV",
     "ExecutorBackend",
     "SerialBackend",
     "charge_failure",

@@ -24,8 +24,7 @@ The contract every backend must honor — enforced by
 - innocent bystanders of a sibling's crash or timeout are rerun without
   being charged an attempt.
 
-Backend specs (CLI ``--backend`` / env ``REPRO_BACKEND``) are
-``name[:workers]``::
+Backend specs (CLI ``--backend``) are ``name[:workers]``::
 
     serial            # in-process, deterministic, no pool
     local-pool        # supervised ProcessPoolExecutor
@@ -39,7 +38,6 @@ otherwise.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
 from ... import obs
@@ -48,9 +46,6 @@ from ..supervisor import (
     RetryPolicy,
     Task,
 )
-
-#: Environment variable supplying the default backend spec.
-BACKEND_ENV = "REPRO_BACKEND"
 
 #: Spec name resolved by the engine's legacy heuristic (inline for tiny
 #: sweeps without timeouts, the local pool otherwise).
@@ -174,22 +169,19 @@ def resolve_backend(
     spec: "str | ExecutorBackend | None",
     *,
     workers: int | None = None,
-    env: "os._Environ[str] | dict[str, str] | None" = None,
 ) -> "ExecutorBackend | None":
-    """Turn a ``--backend`` spec (or :data:`BACKEND_ENV`) into a backend.
+    """Turn a ``--backend`` spec into a backend.
 
     ``spec`` may already be an :class:`ExecutorBackend` instance (passed
-    through unchanged), a spec string, or ``None`` — in which case the
-    environment is consulted and, failing that, ``None`` is returned so
-    the engine applies its legacy auto heuristic.  ``workers`` is the
-    engine's ``--jobs`` value; an explicit ``:N`` in the spec wins.
+    through unchanged), a spec string, or ``None``/``"auto"`` — in which
+    case ``None`` is returned so the engine applies its auto heuristic.
+    ``workers`` is the engine's ``--jobs`` value; an explicit ``:N`` in
+    the spec wins.
     """
-    if spec is not None and not isinstance(spec, str):
-        return spec
     if spec is None:
-        spec = (env if env is not None else os.environ).get(BACKEND_ENV)
-        if not spec:
-            return None
+        return None
+    if not isinstance(spec, str):
+        return spec
     name, spec_workers = parse_backend_spec(spec)
     count = spec_workers or workers
     if name == BACKEND_AUTO:

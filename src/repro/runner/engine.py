@@ -397,8 +397,7 @@ def run_jobs(
     **Executor backends:** ``backend`` selects how pending cells execute
     — a spec string (``"serial"``, ``"local-pool[:N]"``,
     ``"subprocess:N"``), an :class:`ExecutorBackend` instance, or
-    ``None``/"auto", which consults the ``REPRO_BACKEND`` environment
-    variable and otherwise picks for itself: ``workers`` <= 1 (or a
+    ``None``/"auto", which picks for itself: ``workers`` <= 1 (or a
     single pending job) runs serially in-process, which keeps single-job
     invocations free of pool overhead and easy to debug; anything bigger
     uses the supervised local pool.  Setting ``timeout_s`` forces the

@@ -1,16 +1,20 @@
-"""The ``repro chaos`` CLI: list, run, replay, report."""
+"""Chaos campaigns on the CLI: ``repro sweep chaos-*`` runs and judges
+them, ``repro report`` renders their verdicts, and ``repro chaos
+list|replay`` lists them and re-checks a sweep's stored rows."""
 
-import json
+import csv
+import io
 
-import pytest
-
-from repro.chaos import CampaignResult, get_scenario, run_campaign
 from repro.cli import main
 from repro.runner import RunManifest
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def sweep(*argv):
+    return run_cli("sweep", *argv, "--jobs", "1", "--no-cache")
 
 
 class TestList:
@@ -21,111 +25,118 @@ class TestList:
             "link-flaps", "plc-crashes", "virt-incident",
             "correlated", "maintenance",
         ):
-            assert name in out
+            assert f"chaos-{name} " in out
         assert "predicted mean availability" in out
 
 
 class TestRun:
-    def test_writes_manifest_and_campaign_files(self, tmp_path, capsys):
-        manifest_path = tmp_path / "manifest.json"
-        campaign_dir = tmp_path / "campaigns"
-        code = run_cli(
-            "chaos", "run", "maintenance",
-            "--seeds", "0,1",
-            "--param", "horizon_s=1200",
-            "--jobs", "1",
-            "--manifest", str(manifest_path),
-            "--campaign-dir", str(campaign_dir),
+    def test_out_dir_is_a_run_directory(self, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        code = sweep(
+            "chaos-maintenance", "--seeds", "0,1",
+            "--param", "horizon_s=1200", "--out-dir", str(out_dir),
         )
         assert code == 0
-        manifest = RunManifest.load(manifest_path)
+        captured = capsys.readouterr()
+        assert captured.out == ""  # the manifest went into the run dir
+        assert captured.err.count("(4 rows) pass") == 2
+        manifest = RunManifest.load(out_dir / "manifest.json")
         assert len(manifest.records) == 2
         assert all(r.verdict == "pass" for r in manifest.records)
-        campaign_files = sorted(campaign_dir.glob("*.json"))
-        assert len(campaign_files) == 2
-        loaded = CampaignResult.load(campaign_files[0])
-        assert loaded.scenario == "maintenance"
-        out = capsys.readouterr().out
-        assert "2 pass, 0 fail" in out
+        assert len(list(out_dir.glob("chaos_maintenance*.csv"))) == 2
+        assert run_cli("report", str(out_dir)) == 0
+        assert "## Chaos campaign verdicts" in (
+            out_dir / "report.md"
+        ).read_text()
+        assert run_cli("chaos", "replay", str(out_dir)) == 0
+        assert capsys.readouterr().out.count("replay OK") == 2
 
-    def test_strict_fails_on_failing_campaigns(self, tmp_path):
-        code = run_cli(
-            "chaos", "run", "virt-incident",
-            "--param", "horizon_s=600", "--jobs", "1", "--strict",
-        )
-        assert code == 1
+    def test_failing_verdict_exits_1(self, capsys):
+        assert sweep("chaos-virt-incident", "--param", "horizon_s=600") == 1
+        assert "verdict 'fail'" in capsys.readouterr().err
 
-    def test_without_strict_failures_are_results(self, capsys):
-        code = run_cli(
-            "chaos", "run", "virt-incident",
-            "--param", "horizon_s=600", "--jobs", "1",
-        )
-        assert code == 0
-        assert "0 pass, 1 fail" in capsys.readouterr().out
+    def test_passing_verdicts_exit_0(self):
+        assert sweep("chaos-maintenance") == 0
 
     def test_unknown_scenario_is_a_friendly_error(self, capsys):
-        assert run_cli("chaos", "run", "meteor") == 2
-        assert "unknown chaos scenario" in capsys.readouterr().err
+        assert sweep("chaos-meteor") == 2
+        err = capsys.readouterr().err
+        assert "unknown figure 'chaos-meteor'" in err
+        assert "chaos-link-flaps" in err
 
 
 class TestReplay:
-    def test_replay_from_flags_is_self_consistent(self, capsys):
-        code = run_cli(
-            "chaos", "replay", "--scenario", "link-flaps", "--seed", "7",
-            "--param", "horizon_s=600",
+    def test_replay_of_a_fresh_sweep_is_ok(self, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        sweep(
+            "chaos-link-flaps", "chaos-plc-crashes", "--seeds", "7",
+            "--param", "horizon_s=600", "--out-dir", str(out_dir),
         )
-        assert code == 0
-        assert "replay OK" in capsys.readouterr().out
-
-    def test_replay_from_campaign_file(self, tmp_path, capsys):
-        scenario = get_scenario("plc-crashes", horizon_s=600.0)
-        reference = run_campaign(
-            scenario, seed=3, params={"horizon_s": 600.0}
-        )
-        path = reference.save(tmp_path / "reference.json")
-        assert run_cli("chaos", "replay", "--campaign", str(path)) == 0
-        assert "replay OK" in capsys.readouterr().out
+        capsys.readouterr()
+        assert run_cli("chaos", "replay", str(out_dir / "manifest.json")) == 0
+        out = capsys.readouterr().out
+        assert "replay OK: chaos-link-flaps seed=7 cells=4" in out
+        assert "replay OK: chaos-plc-crashes seed=7" in out
 
     def test_replay_flags_divergence(self, tmp_path, capsys):
-        scenario = get_scenario("plc-crashes", horizon_s=600.0)
-        reference = run_campaign(
-            scenario, seed=3, params={"horizon_s": 600.0}
+        out_dir = tmp_path / "run"
+        sweep(
+            "chaos-plc-crashes", "--seeds", "3",
+            "--param", "horizon_s=600", "--out-dir", str(out_dir),
         )
-        payload = reference.as_dict()
-        payload["intervals"]["1"][0][1] += 1  # tamper with one outage
-        path = tmp_path / "tampered.json"
-        path.write_text(json.dumps(payload))
-        assert run_cli("chaos", "replay", "--campaign", str(path)) == 1
-        assert "replay MISMATCH" in capsys.readouterr().out
+        (path,) = out_dir.glob("*.csv")
+        rows = list(csv.DictReader(io.StringIO(path.read_text())))
+        rows[1]["downtime_ns"] = str(int(rows[1]["downtime_ns"]) + 1)
+        buffer = io.StringIO()
+        writer = csv.DictWriter(buffer, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+        path.write_text(buffer.getvalue())
+        capsys.readouterr()
+        assert run_cli("chaos", "replay", str(out_dir)) == 1
+        out = capsys.readouterr().out
+        assert "replay MISMATCH: chaos-plc-crashes seed=3" in out
+        assert "row 1 downtime_ns: stored" in out
+        assert out.count("row ") == 1  # only the tampered cell
 
-    def test_replay_without_scenario_or_campaign_errors(self, capsys):
-        assert run_cli("chaos", "replay") == 2
-        assert "needs --scenario" in capsys.readouterr().err
+    def test_replay_reads_streamed_row_chunks(self, tmp_path, capsys):
+        manifest = tmp_path / "run" / "manifest.json"
+        sweep(
+            "chaos-correlated", "--param", "horizon_s=600",
+            "--stream-rows", str(tmp_path / "rows"),
+            "--manifest", str(manifest),
+        )
+        assert all(r.row_chunks for r in RunManifest.load(manifest).records)
+        capsys.readouterr()
+        assert run_cli("chaos", "replay", str(manifest)) == 0
+        assert "replay OK: chaos-correlated seed=0" in capsys.readouterr().out
+
+    def test_replay_without_chaos_rows_errors(self, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        sweep("fig1", "--out-dir", str(out_dir))
+        capsys.readouterr()
+        assert run_cli("chaos", "replay", str(out_dir)) == 2
+        err = capsys.readouterr().err
+        assert "no chaos rows" in err and "--out-dir" in err
 
 
 class TestReport:
     def test_reports_a_manifest(self, tmp_path, capsys):
-        manifest_path = tmp_path / "manifest.json"
-        run_cli(
-            "chaos", "run", "maintenance", "virt-incident",
-            "--param", "horizon_s=600", "--jobs", "1",
-            "--manifest", str(manifest_path),
+        manifest_path = tmp_path / "run" / "manifest.json"
+        code = sweep(
+            "chaos-maintenance", "chaos-virt-incident",
+            "--param", "horizon_s=600", "--manifest", str(manifest_path),
         )
+        assert code == 1
         capsys.readouterr()
-        assert run_cli("chaos", "report", str(manifest_path)) == 0
-        out = capsys.readouterr().out
-        assert "2 with verdicts" in out
-        assert "1 pass, 1 fail" in out
-
-    def test_reports_a_campaign_file(self, tmp_path, capsys):
-        result = run_campaign(get_scenario("maintenance", horizon_s=1200.0))
-        path = result.save(tmp_path / "campaign.json")
-        assert run_cli("chaos", "report", str(path)) == 0
-        out = capsys.readouterr().out
-        assert "verdict=PASS" in out
-        assert "cell 0" in out
-        assert result.fingerprint() in out
+        assert run_cli("report", str(manifest_path)) == 0
+        report = (manifest_path.parent / "report.md").read_text()
+        section = report.split("## Chaos campaign verdicts", 1)[1]
+        params = "cells=4 horizon_s=600.0 mtbf_scale=1.0 mttr_scale=1.0"
+        assert f"| chaos-maintenance | 0 | {params} | pass |" in section
+        assert f"| chaos-virt-incident | 0 | {params} | fail |" in section
 
     def test_missing_file_is_a_friendly_error(self, tmp_path, capsys):
-        assert run_cli("chaos", "report", str(tmp_path / "nope.json")) == 2
-        assert "cannot read" in capsys.readouterr().err
+        for command in (["report"], ["chaos", "replay"]):
+            assert run_cli(*command, str(tmp_path / "nope.json")) == 2
+            assert "no manifest at" in capsys.readouterr().err

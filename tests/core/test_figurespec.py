@@ -130,12 +130,13 @@ class TestCliRedesign:
             "--cache-dir", str(tmp_path / "cache"),
             "--out-dir", str(tmp_path / "rows"),
         ]
+        manifest = tmp_path / "rows" / "manifest.json"
         assert main(argv) == 0
-        cold = json.loads(capsys.readouterr().out)
+        cold = json.loads(manifest.read_text())
         assert cold["cache_misses"] == 2 and cold["cache_hits"] == 0
 
         assert main(argv) == 0
-        warm = json.loads(capsys.readouterr().out)
+        warm = json.loads(manifest.read_text())
         assert warm["cache_hits"] == 2 and warm["cache_misses"] == 0
         assert all(job["cached"] for job in warm["jobs"])
         assert len(list((tmp_path / "rows").glob("*.csv"))) == 2

@@ -216,6 +216,6 @@ class TestCampaignBitIdentity:
         )
         first = run_campaign(scenario, seed=case["seed"])
         second = run_campaign(scenario, seed=case["seed"])
-        assert first.as_dict() == second.as_dict(), (
+        assert first == second, (
             f"trial seed {seed}, case {case}"
         )

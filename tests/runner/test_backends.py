@@ -14,7 +14,6 @@ from pathlib import Path
 import pytest
 
 from repro.runner import (
-    BACKEND_ENV,
     SerialBackend,
     parse_backend_spec,
     resolve_backend,
@@ -59,20 +58,11 @@ class TestResolveBackend:
         backend = SerialBackend()
         assert resolve_backend(backend) is backend
 
-    def test_none_without_env_means_auto(self):
-        assert resolve_backend(None, env={}) is None
+    def test_none_means_auto(self):
+        assert resolve_backend(None) is None
 
     def test_auto_spec_means_auto(self):
-        assert resolve_backend("auto", env={}) is None
-
-    def test_env_supplies_default(self):
-        backend = resolve_backend(None, env={BACKEND_ENV: "subprocess:3"})
-        assert isinstance(backend, SubprocessWorkerBackend)
-        assert backend.workers == 3
-
-    def test_explicit_spec_beats_env(self):
-        backend = resolve_backend("serial", env={BACKEND_ENV: "subprocess"})
-        assert isinstance(backend, SerialBackend)
+        assert resolve_backend("auto") is None
 
     def test_spec_workers_beat_jobs_workers(self):
         backend = resolve_backend("local-pool:5", workers=2)
@@ -84,20 +74,20 @@ class TestResolveBackend:
         assert backend.workers == 3
 
     def test_subprocess_defaults_to_two_workers(self):
-        backend = resolve_backend("subprocess", env={})
+        backend = resolve_backend("subprocess")
         assert isinstance(backend, SubprocessWorkerBackend)
         assert backend.workers == 2
 
     def test_unknown_backend_lists_options(self):
         with pytest.raises(ValueError, match="serial, local-pool"):
-            resolve_backend("quantum", env={})
+            resolve_backend("quantum")
 
     @pytest.mark.parametrize(
         "alias", ["pool", "local_pool", "worker", "subprocess-worker"]
     )
     def test_retired_aliases_name_the_canonical_specs(self, alias):
         with pytest.raises(ValueError) as excinfo:
-            resolve_backend(alias, env={})
+            resolve_backend(alias)
         message = str(excinfo.value)
         assert f"unknown backend {alias!r}" in message
         for spec in ("serial", "local-pool", "subprocess", "auto"):
