@@ -1,8 +1,8 @@
 """E-offpath — what each opt-in observability plane costs when it is on.
 
 Three planes observe a run and are off by default: **capture** (metrics +
-tracing, ``obs.capture()``), **telemetry** (INT-style postcards and
-rings) and **sweeptrace** (the sweep lifecycle events written to a
+tracing, ``obs.capture()``), **telemetry** (ring samplers and the
+flight recorder) and **sweeptrace** (the sweep lifecycle events written to a
 file).  Off, capture and telemetry are structurally null: no capture
 scope means null registries and tracers, and components cache a
 ``None`` telemetry probe.  The engine always folds its lifecycle events
@@ -104,7 +104,10 @@ def _capture() -> int:
 def _telemetry() -> tuple:
     with obs.capture(metrics=False, tracing=False, telemetry=True) as cap:
         point = _fig6()
-    assert cap.telemetry.packets_sampled > 0
+    assert any(
+        ring.name == "net.queue.depth" and ring.samples
+        for ring in cap.telemetry.samplers.values()
+    )
     return point
 
 

@@ -43,7 +43,6 @@ from .spec import (
     campaign_verdict,
     chaos_registry,
     figure_specs,
-    get_chaos_spec,
 )
 
 __all__ = [
@@ -60,7 +59,6 @@ __all__ = [
     "campaign_verdict",
     "chaos_registry",
     "figure_specs",
-    "get_chaos_spec",
     "get_scenario",
     "intervals_fingerprint",
     "run_campaign",

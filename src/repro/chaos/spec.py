@@ -143,19 +143,6 @@ def chaos_registry() -> dict[str, ChaosSpec]:
     return dict(_CHAOS_SPECS)
 
 
-def get_chaos_spec(name: str) -> ChaosSpec:
-    """Resolve a scenario name (with or without the ``chaos-`` prefix)."""
-    if name.startswith(CHAOS_PREFIX):
-        name = name[len(CHAOS_PREFIX):]
-    try:
-        return _CHAOS_SPECS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown chaos scenario {name!r}; "
-            f"available: {', '.join(_CHAOS_SPECS)}"
-        ) from None
-
-
 def figure_specs() -> dict[str, FigureSpec]:
     """Campaigns projected as figure specs (``chaos-*`` names)."""
     return dict(_FIGURE_SPECS)

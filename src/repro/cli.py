@@ -20,25 +20,22 @@ neither flag prints it to stdout.  Per-job progress goes to stderr.
 
 Observability (see :mod:`repro.obs`)::
 
-    python -m repro sweep --trace-out traces/ fig5 --manifest manifest.json
-    python -m repro obs manifest.json
+    python -m repro sweep fig5 --out-dir run/ --trace --telemetry
+    python -m repro obs run/                  # metrics per job
+    python -m repro obs telemetry run/telemetry/   # ring samplers
+    python -m repro obs flight run/telemetry/      # flight-recorder dumps
 
-``--trace-out DIR`` writes one Chrome trace-event JSON per computed job
-(load in Perfetto or ``chrome://tracing``), where each simulator run is
-one ``sim.run`` span with its event count.  It also embeds metrics
-snapshots in the manifest, which ``repro obs`` renders as a summary.
-
-In-band network telemetry (see :mod:`repro.obs.telemetry`)::
-
-    python -m repro sweep fig6 --telemetry --manifest runs/manifest.json
-    python -m repro obs telemetry runs/telemetry/   # samplers + postcards
-    python -m repro obs flight runs/telemetry/      # flight-recorder dumps
-
-``--telemetry [DIR]`` turns on INT-style postcards (1-in-N packet
-sampling), bounded time-series rings (queue depth, link utilization), and
-a fault flight recorder inside every computed job; each job writes
-``*.postcards.jsonl`` + ``*.telemetry.json`` and embeds a digest in the
-manifest, which ``repro report`` renders as a "Network telemetry" section.
+Both flags write into the run directory and need one.  ``--trace``
+writes one Chrome trace-event JSON per computed job to
+``trace/<stem>.trace.json`` (load in Perfetto or ``chrome://tracing``),
+where each simulator run is one ``sim.run`` span with its event count,
+and embeds metrics snapshots in the manifest, which ``repro obs``
+renders as a summary.  ``--telemetry`` turns on bounded time-series
+rings (queue depth, link busy time and bytes) and a fault flight
+recorder inside every computed job; each job writes
+``telemetry/<stem>.telemetry.json`` and embeds a digest in the
+manifest, which ``repro report`` renders as a "Network telemetry"
+section.  The manifest names both files relative to the run directory.
 
 Chaos campaigns (see :mod:`repro.chaos`) are ``chaos-*`` figures::
 
@@ -136,32 +133,13 @@ def _add_resilience_args(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_telemetry_args(sub: argparse.ArgumentParser) -> None:
+def _add_telemetry_arg(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
-        "--telemetry", nargs="?", const="auto", default=None, metavar="DIR",
+        "--telemetry", action="store_true",
         help=(
-            "enable the in-band network telemetry plane (INT postcards, "
-            "ring samplers, flight recorder) and write one "
-            "*.postcards.jsonl + *.telemetry.json per computed job into "
-            "DIR (default: 'telemetry' inside the run directory)"
-        ),
-    )
-    sub.add_argument(
-        "--telemetry-interval", type=int, default=64, metavar="N",
-        help="sample 1-in-N packets for INT postcards (default: 64)",
-    )
-
-
-def _add_sweeptrace_arg(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--sweeptrace", nargs="?", const="auto", default=None,
-        metavar="FILE",
-        help=(
-            "write the sweep's lifecycle events to FILE instead of "
-            "sweep.events.jsonl in the run directory (--out-dir, or next "
-            "to --manifest); with no FILE and no run directory, to "
-            "./sweep.events.jsonl; read by 'repro obs tail' and "
-            "'repro obs timeline'"
+            "enable the in-band network telemetry plane (ring samplers, "
+            "flight recorder) and write one telemetry/<stem>.telemetry.json "
+            "per computed job into the run directory"
         ),
     )
 
@@ -278,8 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_cache_args(sub)
     _add_resilience_args(sub)
-    _add_sweeptrace_arg(sub)
-    _add_telemetry_args(sub)
+    _add_telemetry_arg(sub)
 
     sub = subparsers.add_parser(
         "sweep", help="run a (figure x seed x param) grid in parallel"
@@ -318,16 +295,16 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub.add_argument(
-        "--trace-out", type=Path, default=None, metavar="DIR",
+        "--trace", action="store_true",
         help=(
-            "enable span tracing and write one Chrome trace-event JSON "
-            "(plus JSONL) per computed job into DIR"
+            "enable span tracing and metrics, and write one Chrome "
+            "trace-event JSON per computed job to trace/<stem>.trace.json "
+            "in the run directory"
         ),
     )
     _add_cache_args(sub)
     _add_resilience_args(sub)
-    _add_sweeptrace_arg(sub)
-    _add_telemetry_args(sub)
+    _add_telemetry_arg(sub)
 
     subparsers.add_parser(
         "worker",
@@ -374,13 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--interval", type=float, default=0.5, metavar="SEC",
         help="with 'tail --follow': polling interval (default: 0.5)",
-    )
-    sub.add_argument(
-        "--chrome", type=Path, default=None, metavar="OUT",
-        help=(
-            "with 'timeline': also merge the engine events and per-job "
-            "Chrome traces into one cross-process trace file at OUT"
-        ),
     )
 
     sub = subparsers.add_parser(
@@ -456,40 +426,31 @@ def _print_progress(record: JobRecord, status: dict[str, Any]) -> None:
     )
 
 
-def _telemetry_kwargs(
-    args: argparse.Namespace, *bases: Path | None
+def _run_dir_kwargs(
+    args: argparse.Namespace, run_dir: Path | None
 ) -> dict[str, Any]:
-    """Resolve ``--telemetry [DIR]`` against the run directory."""
-    choice = getattr(args, "telemetry", None)
-    if choice is None:
+    """The run directory's fixed sub-paths: ``sweep.events.jsonl`` always,
+    ``trace/`` with ``--trace`` and ``telemetry/`` with ``--telemetry``.
+    Without a run directory no file is written, and asking for one is a
+    usage error."""
+    trace = getattr(args, "trace", False)
+    telemetry = getattr(args, "telemetry", False)
+    if run_dir is None:
+        if trace or telemetry:
+            flag = "--trace" if trace else "--telemetry"
+            raise ValueError(
+                f"{flag} writes into the run directory; give --out-dir "
+                f"or --manifest"
+            )
         return {}
-    if choice != "auto":
-        telemetry_dir = Path(choice)
-    else:
-        base = next((Path(b) for b in bases if b is not None), Path("."))
-        telemetry_dir = base / "telemetry"
-    return {
-        "telemetry_dir": telemetry_dir,
-        "telemetry_interval": getattr(args, "telemetry_interval", 64),
-    }
-
-
-def _sweeptrace_kwargs(
-    args: argparse.Namespace, *bases: Path | None
-) -> dict[str, Any]:
-    """Where the sweep's events go: ``--sweeptrace FILE``, else the run
-    directory, else (bare ``--sweeptrace``) the current directory."""
-    choice = getattr(args, "sweeptrace", None)
-    if choice is not None and choice != "auto":
-        return {"sweeptrace": Path(choice)}
     from .obs.sweeptrace import EVENTS_FILENAME
 
-    base = next((Path(b) for b in bases if b is not None), None)
-    if base is None:
-        if choice is None:
-            return {}
-        base = Path(".")
-    return {"sweeptrace": base / EVENTS_FILENAME}
+    kwargs: dict[str, Any] = {"sweeptrace": run_dir / EVENTS_FILENAME}
+    if trace:
+        kwargs["trace_dir"] = run_dir / "trace"
+    if telemetry:
+        kwargs["telemetry_dir"] = run_dir / "telemetry"
+    return kwargs
 
 
 def _resilience_kwargs(args: argparse.Namespace) -> dict[str, Any]:
@@ -583,8 +544,7 @@ def _run_all(args: argparse.Namespace) -> int:
         progress=_print_progress,
         checkpoint=manifest_path,
         **_backend_kwargs(args),
-        **_telemetry_kwargs(args, out_dir),
-        **_sweeptrace_kwargs(args, out_dir),
+        **_run_dir_kwargs(args, out_dir),
         **_resilience_kwargs(args),
     )
     for outcome in result.outcomes:
@@ -601,7 +561,7 @@ def _run_all(args: argparse.Namespace) -> int:
                 ).to_csv()
             )
             print(f"wrote {target} ((failed) marker row)")
-        outcome.record.rows_path = str(target)
+        outcome.record.rows_path = target.name
     manifest_path.write_text(result.manifest.to_json() + "\n")
     print(
         f"wrote {manifest_path} "
@@ -633,19 +593,19 @@ def _run_sweep(args: argparse.Namespace) -> int:
     manifest_path: Path | None = getattr(args, "manifest", None)
     if manifest_path is None and out_dir is not None:
         manifest_path = out_dir / "manifest.json"
+    run_dir = out_dir
     if manifest_path is not None:
         manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    run_dir = manifest_path.parent if manifest_path is not None else None
+        run_dir = run_dir or manifest_path.parent
+    run_dir_kwargs = _run_dir_kwargs(args, run_dir)
     result = run_jobs(
         jobs,
         workers=getattr(args, "jobs", None),
         cache=_cache_from(args),
         progress=_print_progress,
-        trace_dir=getattr(args, "trace_out", None),
         checkpoint=manifest_path,
         **_backend_kwargs(args),
-        **_telemetry_kwargs(args, out_dir, run_dir),
-        **_sweeptrace_kwargs(args, out_dir, run_dir),
+        **run_dir_kwargs,
         **_resilience_kwargs(args),
     )
     if out_dir is not None:
@@ -660,7 +620,9 @@ def _run_sweep(args: argparse.Namespace) -> int:
                 )
             )
             target.write_text(rows.to_csv())
-            outcome.record.rows_path = str(target)
+            outcome.record.rows_path = os.path.relpath(
+                target, manifest_path.parent
+            )
     if manifest_path is not None:
         manifest_path.write_text(result.manifest.to_json() + "\n")
         print(f"wrote {manifest_path}", file=sys.stderr)
@@ -675,18 +637,13 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
 
 def _run_obs_timeline(args: argparse.Namespace) -> int:
-    """``repro obs timeline RUN_DIR [--chrome OUT]``."""
+    """``repro obs timeline RUN_DIR``."""
     from .obs import sweeptrace as st
 
     target = getattr(args, "tail_path", None) or Path(".")
     events_path = st.resolve_events_path(target)
     timeline = st.build_timeline(st.load_events(events_path))
-    segments = st.critical_path(timeline)
-    print(st.format_timeline(timeline, segments))
-    chrome = getattr(args, "chrome", None)
-    if chrome is not None:
-        count = st.write_merged_chrome(events_path, chrome)
-        print(f"\nwrote {chrome} ({count} trace events)")
+    print(st.format_timeline(timeline, st.critical_path(timeline)))
     return 0
 
 
@@ -752,7 +709,7 @@ def _run_obs(args: argparse.Namespace) -> int:
     if not observed:
         print(
             "  (no metrics in this manifest; rerun the sweep with "
-            "--trace-out)"
+            "--trace)"
         )
         return 0
     for record in observed:
@@ -761,7 +718,7 @@ def _run_obs(args: argparse.Namespace) -> int:
             timing += f", {record.attempts} attempts"
         print(f"\n{job_label(record)}  [{timing}]")
         if record.trace_path:
-            print(f"  trace: {record.trace_path}")
+            print(f"  trace: {path.parent / record.trace_path}")
         metrics = record.metrics or {}
         counters = metrics.get("counters") or {}
         histograms = metrics.get("histograms") or {}

@@ -79,12 +79,14 @@ def run_deployment(
         # Ignore warmup frames: count completions after the warmup horizon.
         keep = max(0, int(round((warmup_ns / duration_ns) * stamps.size)))
         latencies.append(stamps[keep:])
-    merged = np.concatenate([s for s in latencies if s.size]) / 1e6
-    if merged.size == 0:
+    measured = [s for s in latencies if s.size]
+    if not measured:
         raise RuntimeError(
-            f"no frames completed on {deployment.name}; "
-            f"the deployment is overloaded or broken"
+            f"no frames completed on {deployment.name} after the "
+            f"{warmup_ns / MS:g} ms warm-up; the run is too short, or the "
+            f"deployment is overloaded or broken"
         )
+    merged = np.concatenate(measured) / 1e6
     return float(np.mean(merged)), float(np.percentile(merged, 99)), int(merged.size)
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from ..obs import get_telemetry
 from ..simcore import Simulator
 from .link import Port
 from .packet import Packet
@@ -21,10 +20,6 @@ class Device:
         self.sim = sim
         self.name = name
         self.ports: list[Port] = []
-        # The telemetry hub that INT stamps and postcards go to, or None
-        # when the plane is off.
-        hub = get_telemetry()
-        self._hub = hub if hub.enabled else None
 
     def add_port(self, queue: QueueDiscipline | None = None) -> Port:
         """Create and attach a new port."""

@@ -50,8 +50,6 @@ class Host(Device):
             # without promiscuous mode.
             return
         self._m_rx.inc()
-        if self._hub is not None:
-            self._hub.finish_postcard(packet, self.name, self.sim.now)
         if self.record_received:
             self.received.append(packet)
         for handler in self._handlers:
@@ -83,8 +81,5 @@ class Host(Device):
             sequence=sequence,
         )
         self._m_tx.inc()
-        hub = self._hub
-        if hub is not None and hub.sampled(packet):
-            hub.begin_postcard(packet, self.sim.now)
         self.ports[0 if port_index is None else port_index].send(packet)
         return packet

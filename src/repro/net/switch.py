@@ -10,7 +10,7 @@ A hop costs one arrival-plus-processing event, which the upstream port
 schedules when it starts the frame, for ``propagation_delay_ns +
 processing_delay_ns`` after serialization ends; a frame that queues behind
 another at the egress port adds one wake there.  Ingress work (rx
-counters, learning, INT stamps) therefore runs at arrival +
+counters, learning) therefore runs at arrival +
 processing, but sees the true arrival time via ``packet.arrival_ns``.
 """
 
@@ -81,10 +81,8 @@ class Switch(Device):
         """Learn, look up, and forward; runs once processing is done.
 
         The link calls this ``processing_delay_ns`` after the frame arrived
-        at ``packet.arrival_ns``; ingress observers get that arrival time.
+        at ``packet.arrival_ns``.
         """
-        if self._hub is not None:
-            self._hub.stamp_ingress(packet, self.name, packet.arrival_ns)
         if self.learning_enabled and packet.src:
             self._learned[packet.src] = in_port.index
         out_index = self.forwarding_table.get(packet.dst)

@@ -6,14 +6,14 @@ Two facets, one activation model:
   instruments in a :class:`MetricsRegistry`, which sums the cells of a
   key at snapshot (:mod:`repro.obs.metrics`).
 - **Tracing** — a :class:`Tracer` of spans and instants, exportable as
-  Chrome trace-event JSON (Perfetto / ``chrome://tracing``) and JSONL
+  Chrome trace-event JSON (Perfetto / ``chrome://tracing``)
   (:mod:`repro.obs.tracing`).  Each simulator ``run`` records one
   ``sim.run`` span with its end time and cumulative event count.
 
 Everything is off by default and scoped with :func:`capture`
 (:mod:`repro.obs.runtime`); disabled call sites reduce to no-ops.  The
 experiment runner activates a capture per job when asked
-(``repro sweep --trace-out DIR``) and embeds the snapshots in the
+(``repro sweep --out-dir RUN --trace``) and embeds the snapshots in the
 run manifest; ``repro obs manifest.json`` renders them back.
 
 The rest is imported lazily, on first ``repro.obs.<name>`` access or
@@ -21,7 +21,7 @@ an explicit import, so a process that never uses it pays nothing for it:
 
 - :mod:`repro.obs.telemetry` — the in-band telemetry plane of the
   simulated network (:class:`~repro.obs.telemetry.TelemetryHub`, its
-  samplers, postcards and flight recorder).  ``capture(telemetry=True)``
+  ring samplers and flight recorder).  ``capture(telemetry=True)``
   imports it; outside a capture with a hub, :func:`get_telemetry`
   returns the null hub from :mod:`repro.obs.runtime`.
 

@@ -1,8 +1,8 @@
 """Cross-run reports: one document per sweep, built from its artifacts.
 
 A finished sweep leaves a trail — the :class:`~repro.runner.manifest.RunManifest`,
-per-figure CSV exports, per-job metrics snapshots, Chrome
-traces, and chaos verdicts — that previously had to be read by hand.
+per-figure CSV exports, per-job metrics snapshots and telemetry
+digests, and chaos verdicts — that previously had to be read by hand.
 :func:`build_report` aggregates all of it into a :class:`RunReport`.
 
 The report's content is built once, by :meth:`RunReport.blocks`, as an
@@ -20,8 +20,8 @@ no external assets, good/bad cell colouring).  The sections, in order:
   "measure, then compare against 3GPP TR 22.804 classes" discipline
   Figs. 4/5 apply in-run,
 - **latency/jitter summaries** from embedded metrics histograms,
-- a **network telemetry** section (postcard counts, top congested queues,
-  per-link utilization) when the sweep ran with ``--telemetry``
+- a **network telemetry** section (flight-recorder counts, top congested
+  queues, per-link utilization) when the sweep ran with ``--telemetry``
   (:mod:`repro.obs.telemetry`),
 - a **"Where the time went"** section when the run directory holds the
   sweep's ``sweep.events.jsonl`` or its manifest carries per-job
@@ -268,16 +268,11 @@ class RunReport:
         return [r for r in self.manifest.records if r.telemetry]
 
     def telemetry_overview(self) -> dict[str, int]:
-        """Postcard / flight-recorder totals across telemetry jobs."""
-        totals = {
-            "jobs": 0, "postcards": 0, "packets_sampled": 0,
-            "flight_events": 0, "flight_snapshots": 0,
-        }
+        """Flight-recorder totals across telemetry jobs."""
+        totals = {"jobs": 0, "flight_events": 0, "flight_snapshots": 0}
         for record in self.telemetry_records():
             digest = record.telemetry or {}
             totals["jobs"] += 1
-            totals["postcards"] += digest.get("postcards", 0)
-            totals["packets_sampled"] += digest.get("packets_sampled", 0)
             totals["flight_events"] += digest.get("flight_events", 0)
             totals["flight_snapshots"] += digest.get("flight_snapshots", 0)
         return totals
@@ -372,8 +367,6 @@ class RunReport:
                 ("h2", "Network telemetry"),
                 ("ul", [
                     f"telemetry jobs: {totals['jobs']}",
-                    f"INT postcards: {totals['postcards']} "
-                    f"({totals['packets_sampled']} packets sampled)",
                     f"flight recorder: {totals['flight_events']} events, "
                     f"{totals['flight_snapshots']} snapshots",
                 ]),

@@ -42,25 +42,20 @@ from .tracing import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..net.link import Port
-    from ..tsn.shaper import TimeAwareShaper
     from .telemetry import TelemetryHub
 
 
 class NullTelemetry:
-    """The inactive telemetry plane: every probe factory returns ``None``.
+    """The inactive telemetry plane: the port probe factory returns ``None``.
 
-    Ports and shapers cache that ``None``; devices and links keep
-    ``None`` instead of the hub when ``enabled`` is false.  Each guards
-    its hook calls with a single ``is not None`` test, which is the whole
-    off-path cost.
+    Ports cache that ``None``; links keep ``None`` instead of the hub when
+    ``enabled`` is false.  Each guards its hook calls with a single
+    ``is not None`` test, which is the whole off-path cost.
     """
 
     enabled = False
 
     def port_probe(self, port: "Port") -> None:
-        return None
-
-    def shaper_probe(self, shaper: "TimeAwareShaper") -> None:
         return None
 
 
@@ -90,10 +85,10 @@ def get_tracer():
 def get_telemetry():
     """The active :class:`TelemetryHub`, or the shared null hub.
 
-    Network components call this *once, at construction*: devices and
-    links keep the hub (or ``None`` when it is not ``enabled``), ports
-    and shapers its probe objects (the null hub hands out ``None``), and
-    hot paths guard with a single ``is not None`` test.
+    Network components call this *once, at construction*: links keep
+    the hub (or ``None`` when it is not ``enabled``), ports their probe
+    (the null hub hands out ``None``), and hot paths guard with a single
+    ``is not None`` test.
     """
     return _telemetry_stack[-1] if _telemetry_stack else NULL_TELEMETRY
 
@@ -122,7 +117,7 @@ def capture(
     existing instance (e.g. across several sweeps).  ``telemetry``
     installs an in-band network :class:`TelemetryHub` (``True`` for a
     default-configured one) — networks built inside the block attach
-    samplers, INT postcard hooks, and flight-recorder probes to it.
+    ring samplers and flight-recorder probes to it.
     """
     live_registry = registry if registry is not None else MetricsRegistry()
     live_tracer = tracer if tracer is not None else Tracer()

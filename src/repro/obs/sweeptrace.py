@@ -20,17 +20,14 @@ stream:
   ``attempt_timings``), and appends it to ``sweep.events.jsonl``
   (schema :data:`SWEEPTRACE_SCHEMA`) only when given a path — the CLI
   writes it into the run directory, where ``repro obs tail`` re-folds it;
-- the worker stdio protocol carries the span context, so the child-side
-  ``runner.job`` Chrome spans are correlated with the engine's job spans
-  by span id;
+- the worker stdio protocol carries the span context, so each job's
+  child-side ``runner.job`` Chrome span (in its per-job trace file)
+  carries the same span id as the engine's events for that job;
 - :func:`build_timeline` + :func:`critical_path` reconstruct the sweep
   and compute its **critical path**: a gap-free tiling of the sweep's
   wall-clock interval into ``compute`` / ``queue`` / ``spawn`` /
   ``retry`` / ``checkpoint`` / ``idle`` segments (they sum to the total
   wall time *exactly*, by construction);
-- :func:`merge_chrome` folds the engine events and the per-job child
-  traces into one cross-process Chrome trace — one track per backend
-  slot / worker — loadable in Perfetto;
 - :func:`format_timeline` renders the terminal Gantt + critical-path
   listing behind ``repro obs timeline RUN_DIR``.
 
@@ -333,8 +330,7 @@ def resolve_events_path(target: Path | str) -> Path:
             f"no sweep trace at {candidate}; point 'repro obs tail' or "
             f"'repro obs timeline' at the sweep's run directory (its "
             f"--out-dir, or the directory of its --manifest, where "
-            f"{EVENTS_FILENAME} is written; --sweeptrace FILE puts it "
-            f"elsewhere). Looked in: {where}"
+            f"{EVENTS_FILENAME} is written). Looked in: {where}"
         )
     return candidate
 
@@ -369,8 +365,6 @@ class AttemptSpan:
     end: float
     outcome: str
     worker: int | None = None
-    span: str | None = None
-    pid: int | None = None
 
     @property
     def dur(self) -> float:
@@ -382,10 +376,7 @@ class JobTrack:
     job: int
     figure: str
     seed: int | None = None
-    span: str | None = None
-    key: str | None = None
     submitted: float | None = None
-    cached: bool = False
     #: The job's ``job_label`` (params included), from ``submitted``.
     label: str | None = None
 
@@ -456,8 +447,6 @@ def build_timeline(events: list[dict[str, Any]]) -> SweepTimeline:
                 job=job,
                 figure=event.get("figure", "?"),
                 seed=event.get("seed"),
-                span=event.get("span"),
-                key=event.get("key"),
                 submitted=ts,
                 label=event.get("label"),
             )
@@ -468,8 +457,6 @@ def build_timeline(events: list[dict[str, Any]]) -> SweepTimeline:
                 job=job,
                 figure=event.get("figure", "?"),
                 seed=event.get("seed"),
-                span=event.get("span"),
-                cached=True,
             )
             tl.cache_hits.append((job, ts - wall, ts))
         elif kind == "attempt_start":
@@ -483,7 +470,6 @@ def build_timeline(events: list[dict[str, Any]]) -> SweepTimeline:
                     end=ts,  # patched by the matching attempt_end
                     outcome="running",
                     worker=event.get("worker"),
-                    span=event.get("span"),
                 )
             )
         elif kind == "attempt_end":
@@ -505,12 +491,10 @@ def build_timeline(events: list[dict[str, Any]]) -> SweepTimeline:
                     start=ts - wall,
                     end=ts,
                     outcome="?",
-                    span=event.get("span"),
                 )
                 tl.attempts.append(open_span)
             open_span.end = ts
             open_span.outcome = event.get("outcome", "?")
-            open_span.pid = event.get("pid")
         elif kind == "checkpoint":
             dur = float(event.get("dur_s", 0.0))
             tl.checkpoints.append((ts - dur, ts))
@@ -830,214 +814,3 @@ def format_timeline(
     if len(segments) > len(shown):
         lines.append(f"  … {len(segments) - len(shown)} more")
     return "\n".join(lines)
-
-
-# -- Chrome-trace merger ----------------------------------------------------
-
-
-def _locate(path_text: str, base: Path) -> Path | None:
-    # trace_path is recorded exactly as --trace-out was given, so a
-    # relative path is relative to the *sweep's* cwd, not the run dir.
-    # Try the run dir first (self-contained layouts), then the path
-    # as-is, then a --trace-out sibling of the run dir, then a bare
-    # file dropped next to the manifest.
-    recorded = Path(path_text)
-    candidates = (
-        (recorded,)
-        if recorded.is_absolute()
-        else (base / recorded, recorded, base.parent / recorded,
-              base / recorded.name)
-    )
-    for candidate in candidates:
-        if candidate.exists():
-            return candidate
-    return None
-
-
-def merge_chrome(
-    tl: SweepTimeline,
-    run_dir: Path | str | None = None,
-    manifest: Any = None,
-) -> dict[str, Any]:
-    """One cross-process Chrome trace: engine control plane + one track
-    per backend slot/worker + the per-job child traces, on a shared
-    wall-clock timeline.
-
-    Child trace files (``trace_path`` on each manifest record, written
-    when the sweep ran with ``--trace-out``) are shifted onto the
-    engine's timeline via the ``epoch_unix`` stamp their tracer records;
-    traces predating that stamp are aligned to the job's attempt start.
-    Their ``runner.job`` spans carry the same span id as the engine's
-    attempt events (``args.span``), which is the cross-process
-    correlation the timeline is for.
-    """
-    us = lambda t: round(max(t - tl.t0, 0.0) * 1e6, 3)  # noqa: E731
-    events: list[dict[str, Any]] = []
-
-    def meta(pid: int, name: str, sort_index: int) -> None:
-        events.append(
-            {
-                "ph": "M", "name": "process_name", "pid": pid, "tid": 0,
-                "ts": 0, "args": {"name": name},
-            }
-        )
-        events.append(
-            {
-                "ph": "M", "name": "process_sort_index", "pid": pid,
-                "tid": 0, "ts": 0, "args": {"sort_index": sort_index},
-            }
-        )
-
-    meta(0, "sweep control plane", 0)
-    for job, track in sorted(tl.jobs.items()):
-        if track.cached:
-            continue
-        ends = [a.end for a in tl.attempts if a.job == job]
-        start = track.submitted if track.submitted is not None else tl.t0
-        end = max(ends) if ends else tl.t1
-        events.append(
-            {
-                "ph": "X", "name": f"job {tl.job_label(job)}",
-                "pid": 0, "tid": 0,
-                "ts": us(start), "dur": round(max(end - start, 0) * 1e6, 3),
-                "args": {"span": track.span, "job": job, "key": track.key},
-            }
-        )
-    for job, start, end in tl.cache_hits:
-        events.append(
-            {
-                "ph": "X", "name": f"cache hit {tl.job_label(job)}",
-                "pid": 0, "tid": 1,
-                "ts": us(start), "dur": round(max(end - start, 0) * 1e6, 3),
-                "args": {"job": job},
-            }
-        )
-    for start, end in tl.checkpoints:
-        events.append(
-            {
-                "ph": "X", "name": "checkpoint", "pid": 0, "tid": 1,
-                "ts": us(start), "dur": round(max(end - start, 0) * 1e6, 3),
-                "args": {},
-            }
-        )
-
-    lanes = assign_lanes(tl)
-    names = _lane_names(tl, lanes)
-    for lane, name in sorted(names.items()):
-        meta(1000 + lane, f"lane {lane} ({name})", 10 + lane)
-    for attempt, lane in zip(tl.attempts, lanes):
-        events.append(
-            {
-                "ph": "X",
-                "name": (
-                    f"{tl.job_label(attempt.job)} #{attempt.attempt}"
-                ),
-                "pid": 1000 + lane, "tid": 0,
-                "ts": us(attempt.start),
-                "dur": round(attempt.dur * 1e6, 3),
-                "args": {
-                    "span": attempt.span,
-                    "outcome": attempt.outcome,
-                    "attempt": attempt.attempt,
-                    "worker_pid": attempt.pid,
-                },
-            }
-        )
-    for track in tl.worker_tracks.values():
-        lane = next(
-            (
-                l
-                for l, n in names.items()
-                if n.startswith(f"worker {track.worker}")
-            ),
-            None,
-        )
-        if lane is None or track.spawned is None:
-            continue
-        ready = track.ready if track.ready is not None else track.spawned
-        events.append(
-            {
-                "ph": "X", "name": f"spawn worker {track.worker}",
-                "pid": 1000 + lane, "tid": 0,
-                "ts": us(track.spawned),
-                "dur": round(max(ready - track.spawned, 0) * 1e6, 3),
-                "args": {"pid": track.pid},
-            }
-        )
-
-    # Child-side traces, when the sweep also ran with --trace-out.
-    if manifest is None and run_dir is not None:
-        manifest_path = Path(run_dir) / "manifest.json"
-        if manifest_path.exists():
-            from ..runner.manifest import RunManifest
-
-            try:
-                manifest = RunManifest.load(manifest_path)
-            except (OSError, ValueError):
-                manifest = None
-    if manifest is not None and run_dir is not None:
-        base = Path(run_dir)
-        by_key = {
-            track.key: job for job, track in tl.jobs.items() if track.key
-        }
-        lane_by_job: dict[int, int] = {}
-        for attempt, lane in zip(tl.attempts, lanes):
-            lane_by_job[attempt.job] = lane
-        for record in manifest.records:
-            if not record.trace_path or record.key not in by_key:
-                continue
-            trace_file = _locate(record.trace_path, base)
-            if trace_file is None:
-                continue
-            try:
-                payload = json.loads(trace_file.read_text())
-            except (OSError, ValueError):
-                continue
-            job = by_key[record.key]
-            lane = lane_by_job.get(job)
-            if lane is None:
-                continue
-            epoch = (payload.get("otherData") or {}).get("epoch_unix")
-            if epoch is not None:
-                shift_us = (epoch - tl.t0) * 1e6
-            else:
-                ok_attempts = [
-                    a for a in tl.attempts
-                    if a.job == job and a.outcome == "ok"
-                ]
-                anchor = (
-                    ok_attempts[-1].start if ok_attempts else tl.t0
-                )
-                shift_us = (anchor - tl.t0) * 1e6
-            from .tracing import SIM_TRACK
-
-            for event in payload.get("traceEvents", []):
-                if event.get("ph") == "M" or event.get("tid") == SIM_TRACK:
-                    continue
-                merged = dict(event)
-                merged["pid"] = 1000 + lane
-                merged["tid"] = 1
-                merged["ts"] = round(event.get("ts", 0) + shift_us, 3)
-                events.append(merged)
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {"schema": SWEEPTRACE_SCHEMA, "trace": tl.trace},
-    }
-
-
-def write_merged_chrome(
-    events_path: Path | str, out: Path | str
-) -> int:
-    """Build and write the merged Chrome trace; returns the event count.
-
-    ``events_path`` may be the events file or the run directory; the
-    manifest (for child trace paths) is looked up next to it.
-    """
-    events_file = resolve_events_path(events_path)
-    tl = build_timeline(load_events(events_file))
-    merged = merge_chrome(tl, run_dir=events_file.parent)
-    out = Path(out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(merged))
-    return len(merged["traceEvents"])

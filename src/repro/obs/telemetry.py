@@ -1,7 +1,7 @@
 """In-band telemetry for the *simulated* network.
 
 The rest of ``repro.obs`` watches the harness — jobs, traces, sweep
-status.  This module watches the fabric itself, with three instruments
+status.  This module watches the fabric itself, with two instruments
 modeled on data-center streaming telemetry practice (the paper's thesis
 applied to our own simulator):
 
@@ -11,18 +11,13 @@ applied to our own simulator):
   *decimates deterministically*: it drops every other retained sample and
   doubles its admission stride, so memory stays bounded while the series
   keeps covering the whole run at progressively coarser resolution.
-- **INT-style postcards** — a seeded 1-in-N packet sampler.  Sampled
-  packets accumulate one record per hop (ingress/egress sim-time, queue
-  depth seen, per-hop latency) and emit a *postcard* when delivered,
-  giving per-flow path attribution.  Postcards are the one per-packet
-  path record of the simulated fabric.
 - **A flight recorder** — a per-component ring of recent packet/state
   events (drops, link transitions), snapshotted automatically when a
   chaos fault fires or a figure verdict fails, so a failed requirement
   comes with the fabric's last moments attached.
 
-Activation follows the ``obs.capture()`` null-object pattern: components
-ask :func:`repro.obs.get_telemetry` for the active
+Activation follows the ``obs.capture()`` null-object pattern: ports ask
+:func:`repro.obs.get_telemetry` for their probe and links for the active
 :class:`TelemetryHub` *at construction time* and keep ``None`` when
 telemetry is off, so the hot path pays one attribute load and an
 ``is not None`` test — ``Simulator._run_fast`` is untouched.  The null
@@ -31,30 +26,22 @@ capture installs a live hub (``capture(telemetry=...)``) or an artifact
 is read back.
 
 Determinism contract: the hub never draws from simulation RNG streams
-and never schedules events.  The sampling decision is a pure
-``blake2s`` hash of ``(seed, src, dst, flow, sequence, created_ns)``,
-and every serialized artifact (``.telemetry.json`` snapshots,
-``.postcards.jsonl`` sinks, schema ``repro.obs/telemetry/v1``) is
-byte-stable across repeated runs for a fixed seed.
+and never schedules events, and its ``.telemetry.json`` snapshot (schema
+``repro.obs/telemetry/v2``) is byte-stable across repeated runs for a
+fixed seed.
 """
 
 from __future__ import annotations
 
 import json
-from hashlib import blake2s
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..net.link import Port
     from ..net.packet import Packet
-    from ..tsn.shaper import TimeAwareShaper
 
-TELEMETRY_SCHEMA = "repro.obs/telemetry/v1"
-
-#: Hop records kept per sampled packet; routing loops cannot grow a
-#: draft without bound.
-_MAX_HOPS = 64
+TELEMETRY_SCHEMA = "repro.obs/telemetry/v2"
 
 
 def _series_key(name: str, labels: dict[str, Any]) -> str:
@@ -229,14 +216,12 @@ class PortProbe:
         )
 
     def on_transmit(self, packet: "Packet", tx_ns: int) -> None:
-        """Serialization started: accumulate busy time, stamp INT egress."""
-        port = self.port
-        now = port.sim.now
+        """Serialization started: accumulate busy time and bytes."""
+        now = self.port.sim.now
         self.busy_ns += tx_ns
         self.tx_bytes += packet.wire_size_bytes
         self._busy_ring.record(now, self.busy_ns)
         self._bytes_ring.record(now, self.tx_bytes)
-        self.hub.stamp_egress(packet, port.name, now, len(port.queue))
 
     def on_busy(self, busy_ns: int) -> None:
         """Wire time reported apart from :meth:`on_transmit` (fragments)."""
@@ -244,67 +229,23 @@ class PortProbe:
         self._busy_ring.record(self.port.sim.now, self.busy_ns)
 
 
-class ShaperProbe:
-    """Cumulative TSN shaper block counts as time series."""
-
-    __slots__ = ("_shaper", "_guard_ring", "_gate_ring")
-
-    def __init__(
-        self, hub: "TelemetryHub", name: str, shaper: "TimeAwareShaper"
-    ) -> None:
-        self._shaper = shaper
-        self._guard_ring = hub.sampler(
-            "tsn.shaper.blocks", shaper=name, reason="guard_band"
-        )
-        self._gate_ring = hub.sampler(
-            "tsn.shaper.blocks", shaper=name, reason="gate_closed"
-        )
-
-    def on_guard_band(self, now_ns: int) -> None:
-        self._guard_ring.record(now_ns, self._shaper.guard_band_blocks)
-
-    def on_gate_closed(self, now_ns: int) -> None:
-        self._gate_ring.record(now_ns, self._shaper.gate_closed_blocks)
-
-
 class TelemetryHub:
-    """The active telemetry plane: samplers + postcards + flight recorder.
+    """The active telemetry plane: ring samplers + flight recorder.
 
     Install one with ``obs.capture(telemetry=TelemetryHub(...))`` (or
     ``telemetry=True`` for defaults) *before* building the network —
-    components resolve the hub, or their probes, at construction time.
+    ports and links resolve their probes, or the hub, at construction
+    time.
     """
 
     enabled = True
 
     def __init__(
-        self,
-        *,
-        interval: int = 64,
-        seed: int = 0,
-        ring_capacity: int = 256,
-        flight_capacity: int = 64,
-        max_postcards: int = 100_000,
-        max_inflight: int = 4096,
+        self, *, ring_capacity: int = 256, flight_capacity: int = 64
     ) -> None:
-        if interval < 1:
-            raise ValueError("postcard interval must be >= 1")
-        self.interval = interval
-        self.seed = seed
         self.ring_capacity = ring_capacity
-        self.max_postcards = max_postcards
-        self.max_inflight = max_inflight
         self.samplers: dict[str, RingSampler] = {}
         self.flight = FlightRecorder(capacity=flight_capacity)
-        self.postcards: list[dict[str, Any]] = []
-        self.postcards_dropped = 0
-        self.packets_sampled = 0
-        self.inflight_evicted = 0
-        #: id(packet) -> postcard draft for sampled packets in flight.
-        self._inflight: dict[int, dict[str, Any]] = {}
-        self._shaper_count = 0
-
-    # -- samplers ------------------------------------------------------------
 
     def sampler(self, name: str, **labels: Any) -> RingSampler:
         """Get or create the ring sampler for ``name`` + ``labels``."""
@@ -315,146 +256,9 @@ class TelemetryHub:
             self.samplers[key] = ring
         return ring
 
-    # -- probe factories (null hub returns None for each) --------------------
-
     def port_probe(self, port: "Port") -> PortProbe:
+        """The port's probe (the null hub returns ``None`` instead)."""
         return PortProbe(self, port)
-
-    def shaper_probe(self, shaper: "TimeAwareShaper") -> ShaperProbe:
-        # Shapers carry no identity; assign them construction-order names.
-        name = f"shaper{self._shaper_count}"
-        self._shaper_count += 1
-        return ShaperProbe(self, name, shaper)
-
-    # -- INT postcards -------------------------------------------------------
-
-    def sampled(self, packet: "Packet") -> bool:
-        """The deterministic 1-in-N decision for one packet.
-
-        A pure hash of stable packet identity — never the sim RNG (which
-        would perturb the workload) and never ``packet_id`` (a
-        process-global counter that differs between runs).
-        """
-        interval = self.interval
-        if interval <= 1:
-            return True
-        key = "%d|%s|%s|%s|%d|%d" % (
-            self.seed, packet.src, packet.dst, packet.flow_id,
-            packet.sequence, packet.created_ns,
-        )
-        digest = blake2s(key.encode("utf-8"), digest_size=8).digest()
-        return int.from_bytes(digest, "big") % interval == 0
-
-    def begin_postcard(self, packet: "Packet", now_ns: int) -> None:
-        """Start accumulating hop records for a sampled packet."""
-        inflight = self._inflight
-        if len(inflight) >= self.max_inflight:
-            # Evict the oldest draft (dict preserves insertion order);
-            # lost/undelivered packets must not pin memory forever.
-            inflight.pop(next(iter(inflight)))
-            self.inflight_evicted += 1
-        self.packets_sampled += 1
-        inflight[id(packet)] = {
-            "_pid": packet.packet_id,
-            "_in": now_ns,
-            "_in_dev": packet.src,
-            "flow": packet.flow_id,
-            "src": packet.src,
-            "dst": packet.dst,
-            "seq": packet.sequence,
-            "tc": packet.traffic_class.name,
-            "payload_bytes": packet.payload_bytes,
-            "sent_ns": now_ns,
-            "hops": [],
-        }
-
-    def _draft(self, packet: "Packet") -> dict[str, Any] | None:
-        draft = self._inflight.get(id(packet))
-        if draft is None:
-            return None
-        if draft["_pid"] != packet.packet_id:
-            # A dead packet's id() was reused by a new packet while its
-            # old draft still lingered; the draft is stale.
-            del self._inflight[id(packet)]
-            return None
-        return draft
-
-    def stamp_ingress(
-        self, packet: "Packet", device: str, now_ns: int
-    ) -> None:
-        draft = self._draft(packet)
-        if draft is None:
-            return
-        draft["_in"] = now_ns
-        draft["_in_dev"] = device
-
-    def stamp_egress(
-        self, packet: "Packet", port: str, now_ns: int, queue_depth: int
-    ) -> None:
-        draft = self._draft(packet)
-        if draft is None:
-            return
-        hops = draft["hops"]
-        if len(hops) >= _MAX_HOPS:
-            return
-        in_ns = draft["_in"]
-        hops.append(
-            {
-                "dev": draft["_in_dev"],
-                "port": port,
-                "in_ns": in_ns,
-                "out_ns": now_ns,
-                "hop_ns": now_ns - in_ns,
-                "queue_depth": queue_depth,
-            }
-        )
-
-    def transfer(self, old: "Packet", new: "Packet") -> None:
-        """Hand an in-flight draft across a frame copy.
-
-        The P4 deparser and replication engine forward *copies* of the
-        ingress frame (:meth:`Packet.copy_for_replication`), so a sampled
-        packet's draft must follow the copy or it would never finish.
-        Moves (not clones) the draft: with multicast replication the
-        postcard follows the first egress copy.
-        """
-        if old is new:
-            return
-        draft = self._draft(old)
-        if draft is None:
-            return
-        del self._inflight[id(old)]
-        draft["_pid"] = new.packet_id
-        self._inflight[id(new)] = draft
-
-    def finish_postcard(
-        self, packet: "Packet", host: str, now_ns: int
-    ) -> None:
-        """Emit the postcard for a delivered sampled packet."""
-        draft = self._draft(packet)
-        if draft is None:
-            return
-        del self._inflight[id(packet)]
-        if len(self.postcards) >= self.max_postcards:
-            self.postcards_dropped += 1
-            return
-        self.postcards.append(
-            {
-                "schema": TELEMETRY_SCHEMA,
-                "kind": "postcard",
-                "flow": draft["flow"],
-                "src": draft["src"],
-                "dst": draft["dst"],
-                "delivered_to": host,
-                "seq": draft["seq"],
-                "tc": draft["tc"],
-                "payload_bytes": draft["payload_bytes"],
-                "sent_ns": draft["sent_ns"],
-                "delivered_ns": now_ns,
-                "latency_ns": now_ns - draft["sent_ns"],
-                "hops": draft["hops"],
-            }
-        )
 
     # -- output --------------------------------------------------------------
 
@@ -462,15 +266,6 @@ class TelemetryHub:
         """The full telemetry state as a JSON-stable dict."""
         return {
             "schema": TELEMETRY_SCHEMA,
-            "interval": self.interval,
-            "seed": self.seed,
-            "postcards": {
-                "emitted": len(self.postcards),
-                "dropped": self.postcards_dropped,
-                "evicted": self.inflight_evicted,
-                "inflight": len(self._inflight),
-                "sampled": self.packets_sampled,
-            },
             "samplers": {
                 key: self.samplers[key].snapshot()
                 for key in sorted(self.samplers)
@@ -521,27 +316,11 @@ class TelemetryHub:
                 )
         return {
             "schema": TELEMETRY_SCHEMA,
-            "interval": self.interval,
-            "postcards": len(self.postcards),
-            "postcards_dropped": self.postcards_dropped,
-            "packets_sampled": self.packets_sampled,
             "flight_events": self.flight.events,
             "flight_snapshots": len(self.flight.snapshots),
             "top_queues": queues[:5],
             "links": link_rows[:10],
         }
-
-    def write_postcards_jsonl(self, path: Path | str) -> int:
-        """Write every postcard as one canonical JSON line; returns count."""
-        path = Path(path)
-        with open(path, "w", encoding="utf-8") as handle:
-            for postcard in self.postcards:
-                handle.write(
-                    json.dumps(postcard, sort_keys=True,
-                               separators=(",", ":"))
-                )
-                handle.write("\n")
-        return len(self.postcards)
 
     def write_snapshot(self, path: Path | str) -> dict[str, Any]:
         """Write the full snapshot as canonical JSON; returns the payload."""
@@ -554,17 +333,6 @@ class TelemetryHub:
 
 
 # -- reading artifacts back ---------------------------------------------------
-
-def load_postcards_jsonl(path: Path | str) -> list[dict[str, Any]]:
-    """Read a ``.postcards.jsonl`` sink back into dicts."""
-    postcards = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                postcards.append(json.loads(line))
-    return postcards
-
 
 def load_snapshot(path: Path | str) -> dict[str, Any]:
     """Read a ``.telemetry.json`` snapshot, validating its schema."""
@@ -597,16 +365,6 @@ def format_snapshot(payload: dict[str, Any], name: str = "") -> str:
     title = f"telemetry {name}".rstrip()
     lines.append(title)
     lines.append("-" * len(title))
-    cards = payload.get("postcards", {})
-    lines.append(
-        "postcards: {emitted} emitted / {sampled} sampled "
-        "(interval 1-in-{interval}, {dropped} dropped)".format(
-            emitted=cards.get("emitted", 0),
-            sampled=cards.get("sampled", 0),
-            interval=payload.get("interval", "?"),
-            dropped=cards.get("dropped", 0),
-        )
-    )
     flight = payload.get("flight", {})
     lines.append(
         f"flight recorder: {flight.get('events', 0)} events, "
@@ -663,21 +421,3 @@ def format_flight(payload: dict[str, Any], name: str = "") -> str:
         lines.append("(no snapshots: no chaos fault fired and no verdict "
                      "failed during this run)")
     return "\n".join(lines)
-
-
-def summarize_postcards(
-    postcards: Iterable[dict[str, Any]]
-) -> dict[str, dict[str, int]]:
-    """Per-flow postcard counts and latency aggregates."""
-    table: dict[str, dict[str, int]] = {}
-    for card in postcards:
-        entry = table.setdefault(
-            card.get("flow") or "(none)",
-            {"postcards": 0, "total_latency_ns": 0, "max_latency_ns": 0},
-        )
-        entry["postcards"] += 1
-        latency = card.get("latency_ns", 0)
-        entry["total_latency_ns"] += latency
-        if latency > entry["max_latency_ns"]:
-            entry["max_latency_ns"] = latency
-    return table

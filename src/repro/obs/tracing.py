@@ -3,8 +3,7 @@
 A :class:`Tracer` records *spans* (wall-clock intervals opened with the
 ``span()`` context manager), *instants* (point events), and raw *complete*
 events, and serializes them in the Chrome trace-event format — the JSON
-dialect Perfetto and ``chrome://tracing`` load directly — or as JSON lines
-(one event per line) for ad-hoc tooling.
+dialect Perfetto and ``chrome://tracing`` load directly.
 
 Two time domains coexist:
 
@@ -74,10 +73,6 @@ class Tracer:
         self.events: list[dict[str, Any]] = []
         self.pid = os.getpid()
         self._epoch_ns = time.perf_counter_ns()
-        # Wall-clock birth time of this tracer: the anchor the sweep-trace
-        # merger uses to shift this process's (perf-counter-relative)
-        # events onto the supervising process's absolute timeline.
-        self.epoch_unix = time.time()
         # Name the process track so Perfetto shows something readable.
         self.events.append(
             {
@@ -166,24 +161,12 @@ class Tracer:
 
     def to_chrome(self) -> dict[str, Any]:
         """The Chrome trace-event JSON object (``{"traceEvents": [...]}``)."""
-        return {
-            "traceEvents": self.events,
-            "displayTimeUnit": "ms",
-            "otherData": {"epoch_unix": round(self.epoch_unix, 6)},
-        }
+        return {"traceEvents": self.events, "displayTimeUnit": "ms"}
 
     def write_chrome(self, path) -> int:
         """Write Perfetto-loadable JSON; returns the event count."""
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(self.to_chrome(), handle)
-        return len(self.events)
-
-    def write_jsonl(self, path) -> int:
-        """Write one JSON event per line; returns the event count."""
-        with open(path, "w", encoding="utf-8") as handle:
-            for event in self.events:
-                handle.write(json.dumps(event, separators=(",", ":")))
-                handle.write("\n")
         return len(self.events)
 
 

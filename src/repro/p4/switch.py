@@ -95,8 +95,6 @@ class P4Switch(Device):
     # -- data plane ----------------------------------------------------------
 
     def receive(self, packet: Packet, in_port: Port) -> None:
-        if self._hub is not None:
-            self._hub.stamp_ingress(packet, self.name, self.sim.now)
         for tap in self.ingress_taps:
             tap(packet, in_port.index)
         self.sim.schedule(
@@ -114,9 +112,6 @@ class P4Switch(Device):
             if not 0 <= egress_index < len(self.ports):
                 continue
             clone = ctx.packet.copy_for_replication()
-            if self._hub is not None:
-                # A sampled ingress frame's postcard follows the copy.
-                self._hub.transfer(ctx.packet, clone)
             for field_name, value in overrides.items():
                 if field_name not in REWRITABLE_FIELDS:
                     raise ValueError(f"cannot rewrite field {field_name!r}")
@@ -132,8 +127,6 @@ class P4Switch(Device):
             if not 0 <= egress_index < len(self.ports):
                 continue
             out = self._deparse(ctx)
-            if self._hub is not None:
-                self._hub.transfer(ctx.packet, out)
             for tap in self.egress_taps:
                 tap(out, egress_index)
             self.ports[egress_index].send(out)

@@ -278,10 +278,18 @@ def _trace_stem(figure: str, seed: int, index: int) -> str:
     return f"{figure.replace('-', '_')}.seed{seed}.job{index}"
 
 
+def _run_relative(path: str | None, run_dir: Path | None) -> str | None:
+    """``path`` relative to the run directory, so a reader of the manifest
+    there needs nothing else to find it; as given without one."""
+    if path is None or run_dir is None:
+        return path
+    return os.path.relpath(path, run_dir)
+
+
 def _compute(
     payload: tuple[
         int, str, int, tuple[tuple[str, Any], ...], str | None,
-        str | None, int, str, str | None, int, dict[str, str],
+        str | None, str, str | None, int, dict[str, str],
     ]
 ):
     """Worker: run one figure job and return (index, result dict).
@@ -295,16 +303,10 @@ def _compute(
     The last element is the job's sweep-trace span context.
     """
     (index, figure, seed, params, trace_dir, telemetry_dir,
-     telemetry_interval, key, stream_root, chunk_rows, span_ctx) = payload
+     key, stream_root, chunk_rows, span_ctx) = payload
     spec = get_spec(figure)
     observe = trace_dir is not None
-    hub = None
-    if telemetry_dir is not None:
-        # Seed the postcard sampler from the job seed: a fixed (job, seed)
-        # cell samples the same packets on every run.
-        hub = obs.telemetry.TelemetryHub(
-            interval=telemetry_interval, seed=seed
-        )
+    hub = obs.telemetry.TelemetryHub() if telemetry_dir is not None else None
     start = time.perf_counter()
     with collect_stats() as stats:
         if observe or hub is not None:
@@ -336,21 +338,16 @@ def _compute(
         result["rows_count"] = count
     else:
         result["rows"] = list(rows)
+    stem = _trace_stem(figure, seed, index)
     if observe:
         result["metrics"] = cap.registry.snapshot()
-        stem = _trace_stem(figure, seed, index)
         trace_path = Path(trace_dir) / f"{stem}.trace.json"
         cap.tracer.write_chrome(trace_path)
-        cap.tracer.write_jsonl(Path(trace_dir) / f"{stem}.trace.jsonl")
         result["trace_path"] = str(trace_path)
     if hub is not None:
         if verdict == "fail":
             # Freeze the fabric's recent history next to the bad verdict.
             hub.flight.snapshot(f"verdict.fail:{figure}")
-        stem = _trace_stem(figure, seed, index)
-        hub.write_postcards_jsonl(
-            Path(telemetry_dir) / f"{stem}.postcards.jsonl"
-        )
         telemetry_path = Path(telemetry_dir) / f"{stem}.telemetry.json"
         hub.write_snapshot(telemetry_path)
         result["telemetry_path"] = str(telemetry_path)
@@ -380,7 +377,6 @@ def run_jobs(
     stream_rows: Path | str | bool | None = None,
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
     telemetry_dir: Path | str | None = None,
-    telemetry_interval: int = 64,
     timeout_s: float | None = None,
     retries: int = 0,
     backoff: RetryPolicy | float | None = None,
@@ -434,21 +430,23 @@ def run_jobs(
     failed cells always rerun.
 
     ``trace_dir`` enables span tracing per job and writes one Chrome
-    trace-event file (plus a JSONL twin) per computed job into it; each
-    simulator ``run`` in the job becomes one ``sim.run`` span carrying
-    its end time and event count.  It also embeds a ``repro.obs``
-    metrics snapshot in the manifest.  Cached jobs are *not* recomputed
-    to obtain observability data.
+    trace-event file, ``<stem>.trace.json``, per computed job into it;
+    each simulator ``run`` in the job becomes one ``sim.run`` span
+    carrying its end time and event count.  It also embeds a
+    ``repro.obs`` metrics snapshot in the manifest.  Cached jobs are
+    *not* recomputed to obtain observability data.
 
     **In-band network telemetry:** ``telemetry_dir`` activates a
-    :class:`repro.obs.telemetry.TelemetryHub` per computed job (postcard
-    sampling 1-in-``telemetry_interval``, seeded by the job seed) and
-    writes one ``<stem>.postcards.jsonl`` INT sink plus one
-    ``<stem>.telemetry.json`` snapshot (samplers + flight recorder) into
-    it; a digest lands on each job record (``telemetry``/
-    ``telemetry_path``) and surfaces in ``repro report``'s "Network
-    telemetry" section.  A failing figure
-    verdict snapshots the flight recorder automatically.
+    :class:`repro.obs.telemetry.TelemetryHub` per computed job and
+    writes one ``<stem>.telemetry.json`` snapshot (ring samplers +
+    flight recorder) into it; a digest lands on each job record
+    (``telemetry``/``telemetry_path``) and surfaces in ``repro report``'s
+    "Network telemetry" section.  A failing figure verdict snapshots the
+    flight recorder automatically.
+
+    With a ``checkpoint``, records name their ``trace_path`` and
+    ``telemetry_path`` relative to the checkpoint's directory, the run
+    directory, so the manifest written there locates every file.
 
     **One lifecycle stream:** the engine reports every lifecycle fact —
     submission, queueing, each execution attempt with its outcome,
@@ -491,9 +489,10 @@ def run_jobs(
         telemetry_dir = str(
             ensure_writable_dir(telemetry_dir, "telemetry output")
         )
+    run_dir: Path | None = None
     if checkpoint is not None:
         checkpoint = Path(checkpoint)
-        ensure_writable_dir(checkpoint.parent, "manifest checkpoint")
+        run_dir = ensure_writable_dir(checkpoint.parent, "manifest checkpoint")
     if sweeptrace is not None:
         sweeptrace = Path(sweeptrace)
         ensure_writable_dir(sweeptrace.parent, "sweep trace")
@@ -536,7 +535,7 @@ def run_jobs(
     pending: list[
         tuple[
             int, str, int, tuple[tuple[str, Any], ...], str | None,
-            str | None, int, str, str | None, int, dict[str, str],
+            str | None, str, str | None, int, dict[str, str],
         ]
     ] = []
     hits: list[int] = []
@@ -580,8 +579,8 @@ def run_jobs(
             )
             pending.append((
                 index, job.figure, job.seed, job.params, trace_dir,
-                telemetry_dir, telemetry_interval,
-                key, stream_root, chunk_rows, recorder.span_context(index),
+                telemetry_dir, key, stream_root, chunk_rows,
+                recorder.span_context(index),
             ))
     if chosen is None:
         # Auto: tiny sweeps run serially in-process (no pool overhead,
@@ -649,10 +648,14 @@ def run_jobs(
             record.rows = len(rows)
             record.stats = result["stats"]
             record.metrics = result.get("metrics")
-            record.trace_path = result.get("trace_path")
+            record.trace_path = _run_relative(
+                result.get("trace_path"), run_dir
+            )
             record.verdict = result.get("verdict")
             record.telemetry = result.get("telemetry")
-            record.telemetry_path = result.get("telemetry_path")
+            record.telemetry_path = _run_relative(
+                result.get("telemetry_path"), run_dir
+            )
             record.row_chunks = result.get("row_chunks")
         else:
             # Failed or timed out after exhausting the retry budget: the

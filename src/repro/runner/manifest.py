@@ -53,11 +53,13 @@ it cost.  The JSON schema (``repro.runner/manifest/v3``)::
             "histograms": {"net.port.tx_ns": {"edges": [...], "counts": [...],
                            "count": 1692, "sum": ..., "min": ..., "max": ...}}
           },
-          "trace_path": "traces/fig5.seed0.job3.trace.json",
+          // trace_path and telemetry_path are relative to the run
+          // directory (the manifest's own directory)
+          "trace_path": "trace/fig5.seed0.job3.trace.json",
           // -- in-band network telemetry (null unless the sweep ran with
           //    telemetry_dir=; see repro.obs.telemetry) -------------------
-          "telemetry": {"postcards": 910, "top_queues": [...],
-                        "links": [...], "flight_snapshots": 0},
+          "telemetry": {"flight_events": 12, "flight_snapshots": 0,
+                        "top_queues": [...], "links": [...]},
           "telemetry_path": "telemetry/fig5.seed0.job3.telemetry.json",
           // -- verdict (null unless the spec declares a verdict function;
           //    chaos campaigns record "pass"/"fail" compliance here) ------

@@ -62,15 +62,17 @@ class SimStats:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-#: Stack of open ``collect`` buckets; each bucket gathers the simulators
-#: constructed while it is on the stack.
-_buckets: list[list["Simulator"]] = []
+#: Stack of open ``collect`` buckets; each bucket gathers the stats blocks
+#: of the simulators constructed while it is on the stack.  A bucket holds
+#: the blocks, never the simulators, so a simulator (its pending events
+#: and, through them, its topology) is freed as soon as its model drops it.
+_buckets: list[list[SimStats]] = []
 
 
 def _register(sim: "Simulator") -> None:
     """Called by ``Simulator.__init__`` to join every open collection."""
     for bucket in _buckets:
-        bucket.append(sim)
+        bucket.append(sim.stats)
 
 
 @contextmanager
@@ -80,12 +82,12 @@ def collect() -> Iterator[SimStats]:
     The yielded :class:`SimStats` is filled in when the block exits; reading
     it earlier shows zeros.
     """
-    bucket: list["Simulator"] = []
+    bucket: list[SimStats] = []
     _buckets.append(bucket)
     total = SimStats()
     try:
         yield total
     finally:
         _buckets.remove(bucket)
-        for sim in bucket:
-            total.merge(sim.stats)
+        for stats in bucket:
+            total.merge(stats)

@@ -98,7 +98,7 @@ class _PreemptingPort:
         if remaining is None:
             remaining = packet.wire_size_bytes
             if port._tel is not None:
-                # Count the frame and stamp INT egress once; busy time is
+                # Count the frame's bytes once; busy time is
                 # reported per fragment as it leaves the wire.
                 port._tel.on_transmit(packet, 0)
         self._begin(packet, remaining)

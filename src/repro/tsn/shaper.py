@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ..net.packet import Packet
 from ..net.queues import StrictPriorityQueue
-from ..obs import get_registry, get_telemetry
+from ..obs import get_registry
 from .gcl import GateControlList
 
 
@@ -31,8 +31,6 @@ class TimeAwareShaper:
         self._m_gate_closed = registry.counter(
             "tsn.shaper.blocks", reason="gate_closed"
         )
-        # Block-count time series when the telemetry plane is active.
-        self._tel = get_telemetry().shaper_probe(self)
 
     def select(
         self,
@@ -65,13 +63,9 @@ class TimeAwareShaper:
                 # Guard band: this frame cannot finish before its gate
                 # closes; hold it and consider lower-priority queues.
                 self._m_guard_band.inc()
-                if self._tel is not None:
-                    self._tel.on_guard_band(now_ns)
                 any_blocked = True
                 continue
             return queue.dequeue_from([pcp]), None
         if not any_blocked:
             self._m_gate_closed.inc()
-            if self._tel is not None:
-                self._tel.on_gate_closed(now_ns)
         return None, until_change

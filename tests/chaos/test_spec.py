@@ -7,7 +7,6 @@ from repro.chaos import (
     SCENARIOS,
     campaign_verdict,
     chaos_registry,
-    get_chaos_spec,
 )
 from repro.figures import UnknownFigureError, get_spec, registry
 from repro.runner import ResultCache, expand_grid, run_jobs
@@ -18,14 +17,14 @@ class TestRegistry:
         assert set(chaos_registry()) == set(SCENARIOS)
 
     def test_lookup_tolerates_the_figure_prefix(self):
-        assert (
-            get_chaos_spec("link-flaps")
-            is get_chaos_spec(f"{CHAOS_PREFIX}link-flaps")
-        )
+        # A scenario is looked up by its prefixed figure name.
+        name = chaos_registry()["link-flaps"].figure_name
+        assert name == f"{CHAOS_PREFIX}link-flaps"
+        assert get_spec(name).name == name
 
     def test_unknown_scenario_lists_choices(self):
-        with pytest.raises(ValueError, match="link-flaps"):
-            get_chaos_spec("nope")
+        with pytest.raises(UnknownFigureError, match="chaos-link-flaps"):
+            get_spec(f"{CHAOS_PREFIX}nope")
 
     def test_figure_registry_stays_figure_only(self):
         # 'repro all' and the default sweep must not run campaigns.
@@ -60,7 +59,7 @@ class TestVerdict:
         assert campaign_verdict([]) == "fail"
 
     def test_figure_spec_rows_match_direct_campaign(self):
-        spec = get_chaos_spec("maintenance")
+        spec = chaos_registry()["maintenance"]
         via_figure = get_spec("chaos-maintenance").run(seed=3)
         direct = spec.run(seed=3).rows()
         assert list(via_figure) == list(direct)

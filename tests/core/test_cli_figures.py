@@ -120,20 +120,19 @@ class TestCli:
 
 class TestCliObservability:
     def test_sweep_positional_figures_with_trace(self, tmp_path, capsys):
-        trace_dir = tmp_path / "traces"
         manifest = tmp_path / "manifest.json"
         assert main([
-            "sweep", "--trace-out", str(trace_dir),
+            "sweep", "--trace",
             "fig1", "--no-cache", "--jobs", "1",
             "--manifest", str(manifest),
         ]) == 0
-        assert list(trace_dir.glob("*.trace.json"))
+        assert list((tmp_path / "trace").glob("*.trace.json"))
         assert manifest.exists()
 
     def test_obs_renders_summary(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
         main([
-            "sweep", "--trace-out", str(tmp_path / "traces"),
+            "sweep", "--trace",
             "fig4-delay", "--param", "cycles=30",
             "--no-cache", "--jobs", "1", "--manifest", str(manifest),
         ])
@@ -159,11 +158,11 @@ class TestCliObservability:
         assert "cannot read manifest" in err
 
     def test_sweep_unwritable_trace_dir_is_friendly(self, tmp_path, capsys):
-        blocker = tmp_path / "file"
-        blocker.write_text("")
+        # A file where the run directory's trace/ sub-directory goes.
+        (tmp_path / "trace").write_text("")
         assert main([
             "sweep", "fig1", "--no-cache", "--jobs", "1",
-            "--trace-out", str(blocker / "sub"),
+            "--out-dir", str(tmp_path), "--trace",
         ]) == 2
         err = capsys.readouterr().err
         assert "not writable" in err

@@ -19,7 +19,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.chaos import get_chaos_spec
 from repro.figures import get_spec
 from repro.runner import Job, run_jobs
 
@@ -172,6 +171,6 @@ class TestComparatorMachinery:
 
 
 def test_chaos_spec_reachable_for_goldens():
-    # Guard for the two chaos-backed cases: the prefix-tolerant lookup
-    # used by CASES resolves through the figure fallback path.
-    assert get_chaos_spec("chaos-maintenance").figure_name in CASES
+    # Guard for the two chaos-backed cases: their names resolve through
+    # the figure lookup's chaos fallback.
+    assert get_spec("chaos-maintenance").name in CASES

@@ -11,6 +11,7 @@ from repro.mlnet import (
     build_ml_aware_deployment,
     build_ring_deployment,
     run_deployment,
+    run_point,
 )
 from repro.net import Host, Link
 from repro.net.routing import shortest_path
@@ -143,3 +144,9 @@ class TestDeployments:
         )
         assert 0 < mean_ms <= p99_ms
         assert count > 0
+
+    def test_run_shorter_than_warmup_names_the_deployment(self):
+        # Every completion falls inside the 200 ms warm-up, so no client
+        # has a measured frame.
+        with pytest.raises(RuntimeError, match="no frames completed on ring"):
+            run_point(OBJECT_IDENTIFICATION, "ring", 16, duration_ns=100 * MS)

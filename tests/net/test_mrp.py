@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro import obs
 from repro.fieldbus import ConnectionParams, CyclicConnection, IoDeviceApp
 from repro.net import (
     CyclicSender,
@@ -12,7 +11,6 @@ from repro.net import (
     TrafficClass,
     build_ring,
 )
-from repro.obs.telemetry import TelemetryHub
 from repro.simcore import Simulator, MS, SEC
 from tests.net.route_oracle import verify_routes
 
@@ -31,17 +29,14 @@ def ring_with_manager(switches=6, seed=0):
     return sim, topo, manager
 
 
-def traced():
-    """Postcard every frame of the networks built inside the block."""
-    return obs.capture(
-        metrics=False, tracing=False, telemetry=TelemetryHub(interval=1)
+def switch_path(topo):
+    """The switches that forwarded a frame, in name order.  With one frame
+    sent, these are the switches it crossed."""
+    return sorted(
+        name
+        for name, device in topo.devices.items()
+        if name.startswith("sw") and device.forwarded_frames
     )
-
-
-def switch_path(handle):
-    """The switches the one delivered frame crossed, from its postcard."""
-    (card,) = handle.telemetry.postcards
-    return [hop["dev"] for hop in card["hops"] if hop["dev"].startswith("sw")]
 
 
 class TestCommissioning:
@@ -50,13 +45,12 @@ class TestCommissioning:
         assert verify_routes(topo) == []
 
     def test_standby_link_unused_in_steady_state(self):
-        with traced() as handle:
-            sim, topo, manager = ring_with_manager()
-            # Traffic from h0 to h5 would cross the standby if it were
-            # active (one hop); commissioned routing must go the long way.
-            topo.devices["h0_0"].send("h5_0", payload_bytes=50)
-            sim.run(until=2 * MS)
-        assert switch_path(handle) == LONG_WAY
+        sim, topo, manager = ring_with_manager()
+        # Traffic from h0 to h5 would cross the standby if it were
+        # active (one hop); commissioned routing must go the long way.
+        topo.devices["h0_0"].send("h5_0", payload_bytes=50)
+        sim.run(until=2 * MS)
+        assert switch_path(topo) == LONG_WAY
 
     def test_foreign_standby_rejected(self):
         sim = Simulator()
@@ -109,19 +103,18 @@ class TestHealing:
         assert gaps.max() > 2 * MS  # there *was* an outage
 
     def test_repair_reverts_to_standby_blocked(self):
-        with traced() as handle:
-            sim, topo, manager = ring_with_manager()
-            broken = topo.link_between("sw1", "sw2")
-            broken.set_down()
-            sim.run(until=200 * MS)
-            broken.set_up()
-            sim.run(until=500 * MS)
-            kinds = [event.kind for event in manager.events]
-            assert kinds == ["failure", "repair"]
-            # After revert, the commissioned path shape is back.
-            topo.devices["h0_0"].send("h5_0", payload_bytes=50)
-            sim.run(until=600 * MS)
-        assert switch_path(handle) == LONG_WAY
+        sim, topo, manager = ring_with_manager()
+        broken = topo.link_between("sw1", "sw2")
+        broken.set_down()
+        sim.run(until=200 * MS)
+        broken.set_up()
+        sim.run(until=500 * MS)
+        kinds = [event.kind for event in manager.events]
+        assert kinds == ["failure", "repair"]
+        # After revert, the commissioned path shape is back.
+        topo.devices["h0_0"].send("h5_0", payload_bytes=50)
+        sim.run(until=600 * MS)
+        assert switch_path(topo) == LONG_WAY
 
     def test_fieldbus_relation_survives_ring_failure(self):
         sim, topo, manager = ring_with_manager(seed=5)

@@ -177,7 +177,7 @@ class TestTelemetryPerPort:
 
     def test_busy_time_and_bytes_on_a_loaded_line(self):
         with obs.capture(
-            metrics=False, tracing=False, telemetry=TelemetryHub(interval=1)
+            metrics=False, tracing=False, telemetry=TelemetryHub()
         ):
             sim = Simulator()
             topo = Topology(sim)

@@ -9,6 +9,8 @@ import json
 import shutil
 from pathlib import Path
 
+import pytest
+
 from repro.cli import main
 from repro.obs.status import fold_status
 from repro.obs.sweeptrace import EVENTS_FILENAME, load_events
@@ -148,18 +150,6 @@ class TestSweepHeartbeat:
         assert main(["sweep", "fig1", "--no-cache", "--jobs", "1"]) == 0
         assert list(tmp_path.iterdir()) == []
 
-    def test_explicit_sweeptrace_path_feeds_tail(self, tmp_path, capsys):
-        target = tmp_path / "elsewhere" / "live.jsonl"
-        assert main([
-            "sweep", "fig1", "--no-cache", "--jobs", "1",
-            "--manifest", str(tmp_path / "run" / "manifest.json"),
-            "--sweeptrace", str(target),
-        ]) == 0
-        assert not (tmp_path / "run" / EVENTS_FILENAME).exists()
-        capsys.readouterr()
-        assert main(["obs", "tail", str(target)]) == 0
-        assert "| done in" in capsys.readouterr().out
-
     def test_progress_lines_are_the_status_fold(self, tmp_path, capsys):
         assert main([
             "sweep", "fig1", "--seeds", "0,1", "--no-cache", "--jobs", "1",
@@ -244,7 +234,7 @@ class TestTelemetryCli:
             "--param", "duration_ms=600",
             "--jobs", "1", "--no-cache",
             "--manifest", str(run_dir / "manifest.json"),
-            "--telemetry", "--telemetry-interval", "8",
+            "--telemetry",
         ]) == 0
         return run_dir
 
@@ -254,23 +244,21 @@ class TestTelemetryCli:
         run_dir = self.run_sweep(tmp_path, "run")
         capsys.readouterr()
         telemetry_dir = run_dir / "telemetry"
-        snapshots = sorted(telemetry_dir.glob("*.telemetry.json"))
-        postcards = sorted(telemetry_dir.glob("*.postcards.jsonl"))
-        assert len(snapshots) == 1 and len(postcards) == 1
+        (snapshot,) = telemetry_dir.iterdir()
+        assert snapshot.name.endswith(".telemetry.json")
         job = json.loads(
             (run_dir / "manifest.json").read_text()
         )["jobs"][0]
-        assert job["telemetry"]["postcards"] > 0
+        assert job["telemetry"]["links"]
         assert job["telemetry"]["top_queues"] is not None
-        assert job["telemetry_path"] == str(snapshots[0])
+        assert job["telemetry_path"] == f"telemetry/{snapshot.name}"
 
     def test_telemetry_output_is_byte_stable_for_fixed_seed(self, tmp_path):
         run_a = self.run_sweep(tmp_path, "a")
         run_b = self.run_sweep(tmp_path, "b")
-        for suffix in ("*.telemetry.json", "*.postcards.jsonl"):
-            (file_a,) = (run_a / "telemetry").glob(suffix)
-            (file_b,) = (run_b / "telemetry").glob(suffix)
-            assert file_a.read_bytes() == file_b.read_bytes(), suffix
+        (file_a,) = (run_a / "telemetry").glob("*.telemetry.json")
+        (file_b,) = (run_b / "telemetry").glob("*.telemetry.json")
+        assert file_a.read_bytes() == file_b.read_bytes()
 
     def test_obs_telemetry_and_flight_render(self, tmp_path, capsys):
         run_dir = self.run_sweep(tmp_path, "run")
@@ -279,7 +267,7 @@ class TestTelemetryCli:
             "obs", "telemetry", str(run_dir / "telemetry"),
         ]) == 0
         out = capsys.readouterr().out
-        assert "postcards:" in out
+        assert "flight recorder:" in out
         assert "samplers:" in out
         assert main(["obs", "flight", str(run_dir / "telemetry")]) == 0
         assert "snapshots" in capsys.readouterr().out
@@ -298,14 +286,67 @@ class TestTelemetryCli:
         assert "## Network telemetry" in (run_dir / "report.md").read_text()
 
 
+class TestRunDirectory:
+    """A traced, telemetered sweep writes one file per fact into its run
+    directory, and every reader finds them from the manifest alone."""
+
+    def test_one_file_per_fact_read_from_another_directory(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main([
+            "sweep", "fig5", "--param", "duration_ms=600", "--out-dir", "R",
+            "--trace", "--telemetry", "--no-cache", "--jobs", "1",
+        ]) == 0
+        run_dir = tmp_path / "R"
+        (job,) = json.loads((run_dir / "manifest.json").read_text())["jobs"]
+        stem = "fig5.seed0.job0"
+        assert sorted(
+            str(path.relative_to(run_dir))
+            for path in run_dir.rglob("*")
+            if path.is_file()
+        ) == sorted([
+            job["rows_path"],
+            "manifest.json",
+            EVENTS_FILENAME,
+            f"trace/{stem}.trace.json",
+            f"telemetry/{stem}.telemetry.json",
+        ])
+        assert job["trace_path"] == f"trace/{stem}.trace.json"
+        assert job["telemetry_path"] == f"telemetry/{stem}.telemetry.json"
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        capsys.readouterr()
+        assert main(["report", str(run_dir)]) == 0
+        # The row CSV was found: the availability verdict has data.
+        assert "I/O availability" in (run_dir / "report.md").read_text()
+        assert main(["obs", str(run_dir)]) == 0
+        assert f"trace: {run_dir / job['trace_path']}" in (
+            capsys.readouterr().out
+        )
+        assert main(["obs", "timeline", str(run_dir)]) == 0
+        assert main(["obs", "telemetry", str(run_dir / "telemetry")]) == 0
+        assert "samplers:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--trace", "--telemetry"])
+    def test_flag_without_run_directory_is_usage_error(
+        self, tmp_path, monkeypatch, capsys, flag
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", "fig1", "--no-cache", "--jobs", "1", flag]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and "--out-dir" in err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSweepTimelineCli:
-    def run_sweep(self, tmp_path, name="run", *extra):
+    def run_sweep(self, tmp_path, name="run"):
         run_dir = tmp_path / name
         assert main([
             "sweep", "fig1", "--seeds", "0,1",
             "--jobs", "1", "--no-cache",
             "--manifest", str(run_dir / "manifest.json"),
-            "--sweeptrace", *extra,
         ]) == 0
         return run_dir
 
@@ -320,11 +361,6 @@ class TestSweepTimelineCli:
         assert all(job["span"] for job in jobs)
         assert all(job["queue_s"] is not None for job in jobs)
 
-    def test_explicit_sweeptrace_path_wins(self, tmp_path):
-        target = tmp_path / "elsewhere" / "trace.jsonl"
-        self.run_sweep(tmp_path, "run", str(target))
-        assert target.exists()
-
     def test_obs_timeline_renders_phases_and_critical_path(
         self, tmp_path, capsys
     ):
@@ -337,21 +373,11 @@ class TestSweepTimelineCli:
         assert "compute" in out and "total" in out
         assert "Critical path (" in out
 
-    def test_obs_timeline_writes_merged_chrome(self, tmp_path, capsys):
-        run_dir = self.run_sweep(tmp_path)
-        merged = run_dir / "merged.trace.json"
-        assert main([
-            "obs", "timeline", str(run_dir), "--chrome", str(merged),
-        ]) == 0
-        assert "trace events" in capsys.readouterr().out
-        payload = json.loads(merged.read_text())
-        assert payload["traceEvents"]
-
     def test_obs_timeline_without_trace_is_friendly(self, tmp_path, capsys):
         tmp_path.joinpath("manifest.json").write_text("{}")
         assert main(["obs", "timeline", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert "--sweeptrace" in err
+        assert "run directory" in err
         assert "Traceback" not in err
 
 

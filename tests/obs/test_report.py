@@ -126,8 +126,6 @@ class TestTelemetrySection:
         totals = report.telemetry_overview()
         assert totals == {
             "jobs": 2,
-            "postcards": 321,
-            "packets_sampled": 334,
             "flight_events": 2,
             "flight_snapshots": 1,
         }
@@ -145,7 +143,7 @@ class TestTelemetrySection:
     def test_markdown_renders_tables_and_percentages(self):
         text = build_report(DATA / "run_telemetry").to_markdown()
         assert "## Network telemetry" in text
-        assert "- INT postcards: 321 (334 packets sampled)" in text
+        assert "- flight recorder: 2 events, 1 snapshots" in text
         assert "| spine0[3] | 17 | 120 |" in text
         assert "77.50%" in text
         # a link without a utilization estimate renders a dash

@@ -8,7 +8,7 @@ Three layers of coverage:
   without a ``sweeptrace=`` file (event sequence, manifest timing
   fields, replay stability);
 - a live ``subprocess:2`` sweep proving worker-lifecycle events land and
-  the merged Chrome trace correlates engine and child spans by span id.
+  each job's own Chrome trace carries the engine's span id for it.
 """
 
 import json
@@ -25,12 +25,11 @@ from repro.obs.sweeptrace import (
     format_timeline,
     job_span_id,
     load_events,
-    merge_chrome,
     phase_breakdown,
     resolve_events_path,
     sweep_trace_id,
-    write_merged_chrome,
 )
+from repro.runner.manifest import RunManifest
 from repro.runner import (
     ResultCache,
     SerialBackend,
@@ -103,8 +102,8 @@ class TestWriterAndLoader:
         assert resolve_events_path(tmp_path) == path
         assert resolve_events_path(path) == path
 
-    def test_resolve_missing_mentions_sweeptrace_flag(self, tmp_path):
-        with pytest.raises(ValueError, match="--sweeptrace"):
+    def test_resolve_missing_names_the_run_directory(self, tmp_path):
+        with pytest.raises(ValueError, match="run directory"):
             resolve_events_path(tmp_path)
 
     def test_canonical_lines_drop_volatile_fields(self, tmp_path):
@@ -199,17 +198,6 @@ class TestTimelineModel:
         assert "retry" in text and "compute" in text
         assert "Critical path (5 segment(s)):" in text
         assert "|" in text  # the lane Gantt
-
-    def test_merge_chrome_emits_lane_tracks(self):
-        tl = build_timeline(retry_scenario())
-        merged = merge_chrome(tl)
-        events = merged["traceEvents"]
-        assert merged["otherData"]["trace"] == "t0"
-        names = {e["name"] for e in events}
-        assert "sweep control plane" not in names - {"process_name"}
-        attempts = [e for e in events if e["name"].startswith("fig-x")]
-        assert len(attempts) == 2
-        assert {a["args"]["outcome"] for a in attempts} == {"failed", "ok"}
 
 
 class TestSerialSweepTracing:
@@ -386,7 +374,7 @@ class TestSerialSweepTracing:
 
 
 class TestSubprocessSweepTracing:
-    def test_worker_events_and_merged_chrome(self, tmp_path):
+    def test_worker_events_correlate_with_job_traces(self, tmp_path):
         out = tmp_path / "run"
         out.mkdir()
         events_path = out / EVENTS_FILENAME
@@ -397,7 +385,7 @@ class TestSubprocessSweepTracing:
                 backend=SubprocessWorkerBackend(
                     workers=2, preload=["tests.runner.faulty:install"]
                 ),
-                trace_dir=out / "traces",
+                trace_dir=out / "trace",
                 checkpoint=out / "manifest.json",
                 sweeptrace=events_path,
             )
@@ -415,27 +403,25 @@ class TestSubprocessSweepTracing:
         total = sum(s.dur for s in segments)
         assert total == pytest.approx(tl.wall_s, abs=1e-6)
 
-        # The merged Chrome trace correlates engine attempt bars with the
-        # child-side runner.job spans by span id — the point of carrying
-        # span context across the worker protocol.
-        merged_path = out / "merged.trace.json"
-        count = write_merged_chrome(out, merged_path)
-        assert count > 0
-        merged = json.loads(merged_path.read_text())
+        # Each job's child-side runner.job span carries the span id the
+        # engine's events and the manifest record give that job — the
+        # point of carrying span context across the worker protocol.  The
+        # manifest names each trace relative to the run directory.
         engine_spans = {
-            e["args"]["span"]
-            for e in merged["traceEvents"]
-            if e.get("args", {}).get("outcome") == "ok"
+            e["span"]
+            for e in events
+            if e["ev"] == "attempt_end" and e["outcome"] == "ok"
         }
-        child_spans = {
-            e["args"]["span"]
-            for e in merged["traceEvents"]
-            if e.get("name") == "runner.job" and e.get("args", {}).get("span")
-        }
-        assert child_spans  # child traces were merged in
-        assert child_spans <= engine_spans
-        manifest_spans = {r.span for r in result.manifest.records}
-        assert child_spans <= manifest_spans
+        manifest = RunManifest.load(out / "manifest.json")
+        assert len(manifest.records) == 3
+        for record in manifest.records:
+            trace = json.loads((out / record.trace_path).read_text())
+            (job_span,) = [
+                e for e in trace["traceEvents"] if e["name"] == "runner.job"
+            ]
+            assert job_span["args"]["span"] == record.span
+            assert record.span in engine_spans
+        assert {r.span for r in result.manifest.records} == engine_spans
 
     def test_worker_pid_recorded_on_ok_attempts(self, tmp_path):
         events_path = tmp_path / EVENTS_FILENAME

@@ -1,9 +1,9 @@
-"""The in-band telemetry plane: rings, postcards, flight recorder.
+"""The in-band telemetry plane: ring samplers and flight recorder.
 
 Three layers of guarantees:
 
 - unit behavior of :class:`RingSampler` (bounded, deterministic
-  decimation), :class:`FlightRecorder`, and the hub's postcard machinery;
+  decimation) and :class:`FlightRecorder`;
 - wiring: networks built inside ``obs.capture(telemetry=...)`` attach
   probes, networks built outside attach ``None`` and stay on the fast
   path;
@@ -16,15 +16,7 @@ import json
 import pytest
 
 from repro import obs
-from repro.net import (
-    Host,
-    Link,
-    Packet,
-    StrictPriorityQueue,
-    Switch,
-    Topology,
-    TrafficClass,
-)
+from repro.net import Topology, TrafficClass
 from repro.obs.runtime import NULL_TELEMETRY
 from repro.obs.telemetry import (
     TELEMETRY_SCHEMA,
@@ -32,13 +24,10 @@ from repro.obs.telemetry import (
     RingSampler,
     TelemetryHub,
     _series_key,
-    load_postcards_jsonl,
     load_snapshot,
     snapshot_paths,
-    summarize_postcards,
 )
 from repro.simcore import Simulator
-from repro.tsn import TimeAwareShaper, protected_window_gcl
 from tests.simcore.reference_loop import ReferenceSimulator
 
 
@@ -121,96 +110,6 @@ class TestFlightRecorder:
         assert rec.dropped_snapshots == 1
 
 
-class TestPostcardSampling:
-    def _packet(self, sim, **overrides):
-        from repro.net.packet import Packet
-
-        fields = dict(
-            src="a", dst="b", payload_bytes=64,
-            traffic_class=TrafficClass.BEST_EFFORT, flow_id="f",
-            payload={}, created_ns=sim.now, sequence=1,
-        )
-        fields.update(overrides)
-        return Packet(**fields)
-
-    def test_interval_one_samples_everything(self):
-        sim = Simulator()
-        hub = TelemetryHub(interval=1)
-        assert hub.sampled(self._packet(sim))
-
-    def test_decision_is_deterministic_and_seed_dependent(self):
-        sim = Simulator()
-        hub_a = TelemetryHub(interval=4, seed=0)
-        hub_b = TelemetryHub(interval=4, seed=0)
-        packets = [self._packet(sim, sequence=i) for i in range(200)]
-        decisions_a = [hub_a.sampled(p) for p in packets]
-        decisions_b = [hub_b.sampled(p) for p in packets]
-        assert decisions_a == decisions_b
-        assert any(decisions_a) and not all(decisions_a)
-
-    def test_begin_stamp_finish_builds_hops(self):
-        sim = Simulator()
-        hub = TelemetryHub(interval=1)
-        packet = self._packet(sim)
-        hub.begin_postcard(packet, 100)
-        hub.stamp_egress(packet, "a[0]", 150, queue_depth=2)
-        hub.stamp_ingress(packet, "sw", 200)
-        hub.stamp_egress(packet, "sw[1]", 260, queue_depth=0)
-        hub.finish_postcard(packet, "b", 300)
-        (card,) = hub.postcards
-        assert card["schema"] == TELEMETRY_SCHEMA
-        assert card["latency_ns"] == 200
-        assert [h["dev"] for h in card["hops"]] == ["a", "sw"]
-        assert card["hops"][1]["hop_ns"] == 60
-        assert not hub._inflight
-
-    def test_stale_draft_is_discarded_on_pool_recycling(self):
-        sim = Simulator()
-        hub = TelemetryHub(interval=1)
-        packet = self._packet(sim)
-        hub.begin_postcard(packet, 0)
-        # A dead packet's id() can be reused by a new packet: model that
-        # as the same object carrying a new packet_id.
-        packet.packet_id += 1_000_000
-        hub.finish_postcard(packet, "b", 10)
-        assert hub.postcards == []
-
-    def test_inflight_is_bounded_with_oldest_first_eviction(self):
-        sim = Simulator()
-        hub = TelemetryHub(interval=1, max_inflight=2)
-        packets = [self._packet(sim, sequence=i) for i in range(3)]
-        for p in packets:
-            hub.begin_postcard(p, 0)
-        assert len(hub._inflight) == 2
-        assert hub.inflight_evicted == 1
-        hub.finish_postcard(packets[0], "b", 5)  # evicted: no postcard
-        assert hub.postcards == []
-
-    def test_transfer_follows_frame_copies(self):
-        # P4 deparse/replication forwards copies; the draft must follow.
-        sim = Simulator()
-        hub = TelemetryHub(interval=1)
-        original = self._packet(sim)
-        hub.begin_postcard(original, 0)
-        clone = original.copy_for_replication()
-        hub.transfer(original, clone)
-        hub.finish_postcard(original, "b", 5)
-        assert hub.postcards == []  # original no longer carries the draft
-        hub.finish_postcard(clone, "b", 9)
-        (card,) = hub.postcards
-        assert card["delivered_ns"] == 9
-
-    def test_postcard_cap_drops_not_grows(self):
-        sim = Simulator()
-        hub = TelemetryHub(interval=1, max_postcards=1)
-        for i in range(3):
-            p = self._packet(sim, sequence=i)
-            hub.begin_postcard(p, 0)
-            hub.finish_postcard(p, "b", 1)
-        assert len(hub.postcards) == 1
-        assert hub.postcards_dropped == 2
-
-
 def run_line(telemetry=None, seed=0, engine=Simulator):
     """a -- switch -- b with a burst of traffic; returns (arrivals, hub)."""
     ctx = (
@@ -258,52 +157,26 @@ class TestWiring:
         host = topo.add_host("h")
         sw = topo.add_switch("s")
         link = topo.connect(host, sw)
-        assert host._hub is None
-        assert sw._hub is None
         assert link._hub is None
         assert all(p._tel is None for p in host.ports + sw.ports)
 
     def test_null_hub_is_disabled_and_probe_free(self):
         assert NULL_TELEMETRY.enabled is False
         assert NULL_TELEMETRY.port_probe(None) is None
-        assert NULL_TELEMETRY.shaper_probe(None) is None
-
-    def test_shaper_series_record_the_shapers_own_counts(self):
-        with obs.capture(
-            metrics=False, tracing=False, telemetry=TelemetryHub(interval=1)
-        ) as handle:
-            # A 1 us RT window fits no 1400 B frame at 1 Gbit/s.
-            shaper = TimeAwareShaper(protected_window_gcl(1_000_000, 1_000))
-            queue = StrictPriorityQueue()
-            queue.enqueue(Packet(
-                src="a", dst="b", payload_bytes=1400,
-                traffic_class=TrafficClass.CYCLIC_RT,
-            ))
-            for now_ns in (0, 500, 2_000):
-                shaper.select(now_ns, queue, 1e9)
-        rings = handle.telemetry.samplers
-        guard = rings[_series_key(
-            "tsn.shaper.blocks", {"shaper": "shaper0", "reason": "guard_band"}
-        )]
-        gate = rings[_series_key(
-            "tsn.shaper.blocks", {"shaper": "shaper0", "reason": "gate_closed"}
-        )]
-        assert (shaper.guard_band_blocks, shaper.gate_closed_blocks) == (2, 1)
-        assert guard.samples == [(0, 1), (500, 2)]
-        assert gate.samples == [(2_000, 1)]
 
     def test_capture_installs_probes_and_collects(self):
-        arrivals, hub = run_line(telemetry=TelemetryHub(interval=1))
+        arrivals, hub = run_line(telemetry=TelemetryHub())
         assert len(arrivals) == 50
-        assert len(hub.postcards) == 50
-        assert hub.samplers  # queue depth / busy rings exist
-        card = hub.postcards[0]
-        assert [h["dev"] for h in card["hops"]] == ["a", "sw"]
-        assert card["delivered_to"] == "b"
+        # The burst's first frame goes straight onto the idle wire; the
+        # other 49 queue behind it, the last at depth 49.
+        depth = hub.samplers[_series_key("net.queue.depth", {"port": "a[0]"})]
+        assert (depth.observed, depth.last) == (49, (0, 49))
+        busy = hub.samplers[_series_key("net.port.busy_ns", {"port": "sw[1]"})]
+        assert busy.observed == 50  # one sample per forwarded frame
 
     def test_telemetry_does_not_perturb_the_simulation(self):
         plain, _ = run_line(telemetry=None)
-        observed, _ = run_line(telemetry=TelemetryHub(interval=1))
+        observed, _ = run_line(telemetry=TelemetryHub())
         assert plain == observed
 
 
@@ -314,24 +187,23 @@ class TestDeterminism:
         )
 
     def test_snapshot_is_byte_stable_across_runs(self):
-        _, hub_a = run_line(telemetry=TelemetryHub(interval=4, seed=1))
-        _, hub_b = run_line(telemetry=TelemetryHub(interval=4, seed=1))
+        _, hub_a = run_line(telemetry=TelemetryHub(), seed=1)
+        _, hub_b = run_line(telemetry=TelemetryHub(), seed=1)
         assert self.canonical(hub_a) == self.canonical(hub_b)
 
     def test_simulator_and_reference_loop_agree_bit_for_bit(self):
         # The kernel oracle extends to the telemetry plane: ring contents
-        # and postcards match the reference loop over EventQueue exactly.
-        _, heap_hub = run_line(telemetry=TelemetryHub(interval=4))
+        # match the reference loop over EventQueue exactly.
+        _, heap_hub = run_line(telemetry=TelemetryHub())
         _, reference_hub = run_line(
-            telemetry=TelemetryHub(interval=4), engine=ReferenceSimulator
+            telemetry=TelemetryHub(), engine=ReferenceSimulator
         )
         assert self.canonical(heap_hub) == self.canonical(reference_hub)
-        assert heap_hub.postcards == reference_hub.postcards
 
     def test_summary_shape(self):
-        _, hub = run_line(telemetry=TelemetryHub(interval=1))
+        _, hub = run_line(telemetry=TelemetryHub())
         summary = hub.summary(sim_time_ns=1_000_000)
-        assert summary["postcards"] == 50
+        assert summary["schema"] == TELEMETRY_SCHEMA
         assert summary["top_queues"], "congested queues should surface"
         assert summary["links"]
         link = summary["links"][0]
@@ -339,15 +211,8 @@ class TestDeterminism:
 
 
 class TestPersistence:
-    def test_postcards_jsonl_round_trip(self, tmp_path):
-        _, hub = run_line(telemetry=TelemetryHub(interval=1))
-        path = tmp_path / "cards.postcards.jsonl"
-        count = hub.write_postcards_jsonl(path)
-        assert count == 50
-        assert load_postcards_jsonl(path) == hub.postcards
-
     def test_snapshot_round_trip_and_discovery(self, tmp_path):
-        _, hub = run_line(telemetry=TelemetryHub(interval=1))
+        _, hub = run_line(telemetry=TelemetryHub())
         path = tmp_path / "job.telemetry.json"
         written = hub.write_snapshot(path)
         assert load_snapshot(path) == written
@@ -355,10 +220,3 @@ class TestPersistence:
         assert snapshot_paths(path) == [path]
         with pytest.raises(FileNotFoundError):
             snapshot_paths(tmp_path / "missing")
-
-    def test_summarize_postcards_groups_by_flow(self):
-        _, hub = run_line(telemetry=TelemetryHub(interval=1))
-        summary = summarize_postcards(hub.postcards)
-        assert summary["f"]["postcards"] == 50
-        assert summary["f"]["max_latency_ns"] > 0
-        assert summary["f"]["total_latency_ns"] >= summary["f"]["max_latency_ns"]

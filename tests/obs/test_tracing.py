@@ -93,16 +93,6 @@ class TestExport:
             if event["ph"] == "X":
                 assert event["dur"] >= 0
 
-    def test_jsonl_one_event_per_line(self, tmp_path):
-        tracer = Tracer()
-        tracer.instant("a")
-        tracer.instant("b")
-        target = tmp_path / "trace.jsonl"
-        count = tracer.write_jsonl(target)
-        lines = target.read_text().splitlines()
-        assert len(lines) == count
-        assert all(json.loads(line)["ph"] for line in lines)
-
 
 class TestNullTracer:
     def test_everything_is_a_noop(self):

@@ -215,7 +215,7 @@ class TestManifest:
         assert job["params"] == {"cycles": 30}
         assert len(job["key"]) == 64
         assert job["stats"]["events_executed"] > 0
-        # observability fields exist but stay null without --trace-out
+        # observability fields exist but stay null without --trace
         assert job["metrics"] is None
         assert job["trace_path"] is None
         assert "hotspots" not in job
@@ -283,7 +283,13 @@ class TestObservability:
                               ).read_text())
         names = {e["name"] for e in payload["traceEvents"]}
         assert {"runner.job", "figure.run", "sim.run"} <= names
-        assert (trace_dir / "fig4_delay.seed0.job0.trace.jsonl").exists()
+        # One file per job: the Chrome trace is the only trace written.
+        assert [p.name for p in trace_dir.iterdir()] == [
+            "fig4_delay.seed0.job0.trace.json"
+        ]
+        assert record.trace_path == str(
+            trace_dir / "fig4_delay.seed0.job0.trace.json"
+        )
         assert record.metrics is not None
 
     def test_trace_dir_embeds_sim_run_counts_and_metrics(self, tmp_path):

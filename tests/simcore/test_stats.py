@@ -1,5 +1,8 @@
 """Event-loop statistics and the collect() aggregation context."""
 
+import gc
+import weakref
+
 from repro.simcore import MS, Simulator, collect_stats
 from repro.simcore.stats import SimStats
 
@@ -94,6 +97,24 @@ class TestCollect:
         assert inner.events_executed == 2
         assert outer.simulators == 2
         assert outer.events_executed == 3
+
+    def test_block_keeps_stats_not_simulators(self):
+        # A finished simulator is freed inside the block (its pending
+        # events and the model they reference with it), and its counts
+        # still reach the total.
+        with collect_stats() as stats:
+            sim = Simulator()
+            sim.schedule(lambda: None, after=1)
+            sim.schedule(lambda: None, after=5)
+            sim.run(until=2)
+            ref = weakref.ref(sim)
+            del sim
+            gc.collect()
+            assert ref() is None
+        assert stats.simulators == 1
+        assert stats.events_scheduled == 2
+        assert stats.events_executed == 1
+        assert stats.sim_time_ns == 2
 
     def test_merge_and_as_dict(self):
         a = SimStats(simulators=1, events_executed=2, sim_time_ns=10)

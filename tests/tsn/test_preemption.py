@@ -149,7 +149,7 @@ class TestMechanics:
 class TestTelemetry:
     def test_fragments_report_their_wire_time(self):
         with obs.capture(
-            tracing=False, telemetry=TelemetryHub(interval=1)
+            tracing=False, telemetry=TelemetryHub()
         ) as handle:
             sim, a, b = direct_pair()
             port = a.ports[0]
@@ -169,7 +169,7 @@ class TestTelemetry:
 
     def test_queue_drops_reach_the_flight_recorder(self):
         with obs.capture(
-            metrics=False, tracing=False, telemetry=TelemetryHub(interval=1)
+            metrics=False, tracing=False, telemetry=TelemetryHub()
         ) as handle:
             sim = Simulator(seed=0)
             a, b = Host(sim, "a"), Host(sim, "b")
